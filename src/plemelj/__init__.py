@@ -46,6 +46,7 @@ from .functionals import (
     TestFunction,
     delta_action,
     overlap_delta,
+    plemelj_delta,
     plemelj_minus,
     plemelj_plus,
     pv_contour,
@@ -72,7 +73,8 @@ __all__ = [
     "kernel_limit_mirror",
     "AdmissibilityError", "DomainViolationError", "FunctionalResult",
     "OrientationError", "TestFunction", "delta_action", "overlap_delta",
-    "plemelj_minus", "plemelj_plus", "pv_contour", "catalog_function",
+    "plemelj_delta", "plemelj_minus", "plemelj_plus", "pv_contour",
+    "catalog_function",
     "TiltedLine", "TiltedResult", "arg_limit", "arg_regularized",
     "tilted_plemelj",
     "__version__",

@@ -71,19 +71,17 @@ def run_domain_map(req: DomainMapRequest):
     re_min, re_max, im_min, im_max, n_re, n_im = req.grid
     limit_of = {"I_plus": kernel_limit, "I_minus": kernel_limit_mirror,
                 "full_line": full_line_limit}[req.kernel]
-    rows = []
     for im in _axis(im_min, im_max, n_im):
         for re in _axis(re_min, re_max, n_re):
             z = complex(re, im)
             if abs(z) <= 1e-14:
                 # the apex: every wedge pinches it and the half-line kernel
                 # grows like 1/sqrt(lambda) there, so the limit diverges
-                rows.append((re, im, "diverged", None))
+                yield (re, im, "diverged", None)
                 continue
             res = limit_of(z, req.schedule)
             absv = abs(res.value) if res.status == "converged" else None
-            rows.append((re, im, res.status, absv))
-    return rows
+            yield (re, im, res.status, absv)
 
 
 def write_domain_map_csv(rows, stream):
@@ -164,46 +162,29 @@ def run_functional(kernel: str, function_name: str, contour: Contour,
     """Evaluate one functional and assemble its JSON-ready report."""
     f = functionals.catalog_function(function_name)
     if kernel == "I_plus":
-        res = functionals.plemelj_plus(f, contour)
-        value, pv_part, delta_part, trace = (res.value, res.pv_part,
-                                             res.delta_part, res.epsilon_trace)
-        route_kernel = "plus"
+        res, route_kernel = functionals.plemelj_plus(f, contour), "plus"
     elif kernel == "I_minus":
-        res = functionals.plemelj_minus(f, contour)
-        value, pv_part, delta_part, trace = (res.value, res.pv_part,
-                                             res.delta_part, res.epsilon_trace)
-        route_kernel = "minus"
+        res, route_kernel = functionals.plemelj_minus(f, contour), "minus"
     elif kernel == "delta":
-        if contour.crossing is not None and \
-                not functionals._crossing_moves_left_to_right(contour):
-            raise OrientationError(
-                "delta requires the crossing to run left half -> right half")
-        plus = functionals.plemelj_plus(f, contour)
-        minus = functionals.plemelj_minus(f, contour)
-        value = plus.value + minus.value
-        pv_part = plus.pv_part + minus.pv_part
-        delta_part = plus.delta_part + minus.delta_part
-        trace = tuple((e1, v1 + v2) for (e1, v1), (_e2, v2)
-                      in zip(plus.epsilon_trace, minus.epsilon_trace))
-        route_kernel = "full_line"
+        res, route_kernel = functionals.plemelj_delta(f, contour), "full_line"
     else:
         raise ValueError(f"kernel must be one of {FUNCTIONAL_KERNELS}")
     report = {
         "kernel": kernel,
         "function": function_name,
-        "value": _c_dict(value),
-        "pv_part": _c_dict(pv_part),
-        "delta_part": _c_dict(delta_part),
+        "value": _c_dict(res.value),
+        "pv_part": _c_dict(res.pv_part),
+        "delta_part": _c_dict(res.delta_part),
         "epsilon_trace": [{"epsilon": float(e), "value": _c_dict(v)}
-                          for e, v in trace],
+                          for e, v in res.epsilon_trace],
         "cross_check": None,
     }
     if cross_check:
         route = functionals.lambda_route(f, contour, kernel=route_kernel)
-        agree = abs(route - value) <= max(1e-5 * abs(value), 1e-8)
+        agree = abs(route - res.value) <= max(1e-5 * abs(res.value), 1e-8)
         report["cross_check"] = {
             "lambda_route": _c_dict(route),
-            "formula_route": _c_dict(value),
+            "formula_route": _c_dict(res.value),
             "agree": agree,
         }
     return report

@@ -271,8 +271,12 @@ class FunctionalResult:
     """Value of a Plemelj functional with its principal-value / delta
     decomposition and the excision trace behind the PV part.
 
-    value = pv_part + delta_part holds exactly by construction; the
-    epsilon trace must be Cauchy (enforced when it is built).
+    For plemelj_plus and plemelj_minus, value = pv_part + delta_part holds
+    exactly by construction.  For plemelj_delta, value is the sum of the two
+    one-sided values, and pv_part, delta_part and the trace values are the
+    sums of the one-sided ones, so value may differ from pv_part +
+    delta_part in the last bits.  The epsilon trace must be Cauchy
+    (enforced when it is built).
     """
     value: complex
     pv_part: complex
@@ -280,34 +284,61 @@ class FunctionalResult:
     epsilon_trace: tuple
 
 
+def _crossing_moves_left_to_right(path: Contour) -> bool:
+    d_in, d_out = path.crossing_directions()
+    return d_in.real > 1e-12 and d_out.real > 1e-12
+
+
+def _plemelj(f, path: Contour, op: str, domain: WedgeDomain,
+             signs: tuple) -> FunctionalResult:
+    """Sum over the one-sided kernels s = +i (forward) and s = -i (mirrored)
+    in ``signs`` of s PV(f/z) + pi f(0), from one domain check, one f(0)
+    and one excision ladder.  A two-sided sum (the delta) must also cross
+    the origin from the left half plane to the right half plane."""
+    _require_finite_path(path, op)
+    _check_domain(path, domain, op)
+    if len(signs) == 2 and not _crossing_moves_left_to_right(path):
+        raise OrientationError(
+            f"{op} requires the crossing to run from the left half "
+            "plane to the right half plane")
+    f0 = f.at_zero() if isinstance(f, TestFunction) else complex(f(0.0 + 0.0j))
+    pv, trace, _err = _pv_ladder(f, path)
+    delta_part = math.pi * f0
+    sides = []
+    for s in signs:
+        pv_part = s * pv
+        sides.append(FunctionalResult(pv_part + delta_part, pv_part,
+                                      delta_part, trace))
+    if len(sides) == 1:
+        return sides[0]
+    plus, minus = sides
+    return FunctionalResult(
+        plus.value + minus.value, plus.pv_part + minus.pv_part,
+        plus.delta_part + minus.delta_part,
+        tuple((e, v + w) for (e, v), (_e, w)
+              in zip(plus.epsilon_trace, minus.epsilon_trace)))
+
+
 def plemelj_plus(f, path: Contour) -> FunctionalResult:
     """Action of the forward kernel limit on f along the path:
     i PV(f/z) + pi f(0), for paths inside the 'plus' wedge domain crossing
     the origin left half -> right half."""
-    _require_finite_path(path, "plemelj_plus")
-    _check_domain(path, WedgeDomain.plus(), "plemelj_plus")
-    f0 = f.at_zero() if isinstance(f, TestFunction) else complex(f(0.0 + 0.0j))
-    pv, trace, _err = _pv_ladder(f, path)
-    pv_part = 1j * pv
-    delta_part = math.pi * f0
-    return FunctionalResult(pv_part + delta_part, pv_part, delta_part, trace)
+    return _plemelj(f, path, "plemelj_plus", WedgeDomain.plus(), (1j,))
 
 
 def plemelj_minus(f, path: Contour) -> FunctionalResult:
     """Action of the mirrored kernel limit on f along the path:
     -i PV(f/z) + pi f(0), for paths inside the 'minus' wedge domain."""
-    _require_finite_path(path, "plemelj_minus")
-    _check_domain(path, WedgeDomain.minus(), "plemelj_minus")
-    f0 = f.at_zero() if isinstance(f, TestFunction) else complex(f(0.0 + 0.0j))
-    pv, trace, _err = _pv_ladder(f, path)
-    pv_part = -1j * pv
-    delta_part = math.pi * f0
-    return FunctionalResult(pv_part + delta_part, pv_part, delta_part, trace)
+    return _plemelj(f, path, "plemelj_minus", WedgeDomain.minus(), (-1j,))
 
 
-def _crossing_moves_left_to_right(path: Contour) -> bool:
-    d_in, d_out = path.crossing_directions()
-    return d_in.real > 1e-12 and d_out.real > 1e-12
+def plemelj_delta(f, path: Contour) -> FunctionalResult:
+    """Action of the two-sided delta on f: forward + backward functional,
+    equal to 2 pi f(0) by construction, with the PV/delta split of the sum.
+    The path must lie in the intersection domain, cross the origin, and
+    traverse it from the left half plane to the right half plane."""
+    return _plemelj(f, path, "delta_action", WedgeDomain.intersection(),
+                    (1j, -1j))
 
 
 def delta_action(f, path: Contour) -> complex:
@@ -315,15 +346,7 @@ def delta_action(f, path: Contour) -> complex:
     equal to 2 pi f(0) by construction.  The path must lie in the
     intersection domain, cross the origin, and traverse it from the left
     half plane to the right half plane."""
-    _require_finite_path(path, "delta_action")
-    _check_domain(path, WedgeDomain.intersection(), "delta_action")
-    if not _crossing_moves_left_to_right(path):
-        raise OrientationError(
-            "delta_action requires the crossing to run from the left half "
-            "plane to the right half plane")
-    plus = plemelj_plus(f, path)
-    minus = plemelj_minus(f, path)
-    return plus.value + minus.value
+    return plemelj_delta(f, path).value
 
 
 # -- verification routes ----------------------------------------------------
@@ -414,6 +437,21 @@ def _kernel_breakpoints(path: Contour, lam: float, center=0.0 + 0.0j):
     return {i: tuple(sorted(ts)) for i, ts in breaks.items()}
 
 
+def _regularized_limit(kernel, f, path: Contour, lambdas, ratio: float,
+                       center=0.0 + 0.0j):
+    """Integrate kernel(z - center, lambda) f(z) along the path for each
+    lambda of the ladder and Richardson-extrapolate the regularization
+    away.  Returns (limit, error_estimate)."""
+    values = []
+    for lam in lambdas:
+        breaks = _kernel_breakpoints(path, lam, center=center)
+        v, _e = integrate_contour(
+            lambda z, lam=lam: kernel(z - center, lam) * f(z), path,
+            abs_tol=1e-11, seg_breakpoints=breaks, max_panels=16384)
+        values.append(v)
+    return richardson(values, ratio=ratio)
+
+
 def lambda_route(f, path: Contour, kernel: str = "plus",
                  lambdas=_LAMBDA_LADDER) -> complex:
     """Regularization route: integrate the Gaussian-regularized kernel
@@ -426,7 +464,7 @@ def lambda_route(f, path: Contour, kernel: str = "plus",
     """
     _require_finite_path(path, "lambda_route")
     if kernel == "plus":
-        k_of = lambda z, lam: j_kernel(z, lam)
+        k_of = j_kernel
     elif kernel == "minus":
         k_of = lambda z, lam: j_kernel(-z, lam)
     elif kernel == "full_line":
@@ -434,14 +472,7 @@ def lambda_route(f, path: Contour, kernel: str = "plus",
     else:
         raise ValueError(f"kernel must be plus|minus|full_line, got {kernel!r}")
     ratio = _ladder_ratio(lambdas, "lambda_route")
-    values = []
-    for lam in lambdas:
-        breaks = _kernel_breakpoints(path, lam)
-        v, _e = integrate_contour(
-            lambda z, lam=lam: k_of(z, lam) * f(z), path,
-            abs_tol=1e-11, seg_breakpoints=breaks, max_panels=16384)
-        values.append(v)
-    limit, _err = richardson(values, ratio=ratio)
+    limit, _err = _regularized_limit(k_of, f, path, lambdas, ratio)
     return limit
 
 
@@ -521,12 +552,6 @@ def overlap_delta(z2: complex, f, path: Contour,
         raise DomainViolationError(
             f"overlap_delta: z2 = {z2!r} is {dmin:.3e} away from the path; "
             "the sifting point must lie on it")
-    values = []
-    for lam in lambdas:
-        breaks = _kernel_breakpoints(path, lam, center=z2)
-        v, _e = integrate_contour(
-            lambda z, lam=lam: full_line_kernel(z - z2, lam) * f(z), path,
-            abs_tol=1e-11, seg_breakpoints=breaks, max_panels=16384)
-        values.append(v)
-    limit, _err = richardson(values, ratio=ratio)
+    limit, _err = _regularized_limit(full_line_kernel, f, path, lambdas, ratio,
+                                     center=z2)
     return limit

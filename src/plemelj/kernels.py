@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 from .quadrature import gk15
-from .special_functions import OVERFLOW, SQRT_PI, _core, is_overflow
+from .special_functions import (OVERFLOW, SQRT_PI, _core, _require_finite,
+                                is_overflow)
 
 _EXP_OVERFLOW = 709.0
 
@@ -34,13 +35,6 @@ class SingularInputError(ValueError):
 class TruncationError(RuntimeError):
     """No finite truncation of the oscillatory integral meets the tail
     bound at the requested precision; use the closed form instead."""
-
-
-def _require_finite(z: complex, what: str = "z") -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{what} must be finite, got {z!r}")
-    return z
 
 
 def _require_positive(lam: float, what: str = "lambda") -> float:
@@ -108,7 +102,7 @@ def j_kernel(z: complex, lam: float) -> complex:
     if is_overflow(v):
         return OVERFLOW
     out = (0.5 * SQRT_PI / sq) * v
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+    if is_overflow(out):
         return OVERFLOW
     return out
 
@@ -121,7 +115,7 @@ def j_closed_form(z: complex, lam: float) -> complex:
     prescription excludes it); deep inside the divergence wedge the tagged
     overflow value propagates out.
     """
-    z = _require_finite(z)
+    z = _require_finite(z, "z")
     lam = _require_positive(lam)
     if z == 0:
         raise SingularInputError("closed-form kernel excludes z = 0")
@@ -131,8 +125,10 @@ def j_closed_form(z: complex, lam: float) -> complex:
 def full_line_kernel(z: complex, lam: float) -> complex:
     """Full-line Gaussian kernel sqrt(pi/lambda) exp(-z^2 / (4 lambda)),
     i.e. J(z, lambda) + J(-z, lambda); the nascent delta.  Overflow tagged."""
-    z = _require_finite(z)
-    lam = _require_positive(lam)
+    return _full_line(_require_finite(z, "z"), _require_positive(lam))
+
+
+def _full_line(z: complex, lam: float) -> complex:
     ex = -(z * z) / (4.0 * lam)
     if ex.real > _EXP_OVERFLOW:
         return OVERFLOW
@@ -159,7 +155,7 @@ def direct_quadrature(z: complex, lam: float):
     TruncationError when the integrand leaves the double range before the
     bound can be met (extreme |Im z| / sqrt(lambda) ratios).
     """
-    z = _require_finite(z)
+    z = _require_finite(z, "z")
     lam = _require_positive(lam)
     growth = -z.imag   # integrand envelope is exp(-lam x^2 + growth x)
     if growth > 0.0 and growth * growth / (4.0 * lam) > 700.0:
@@ -199,27 +195,40 @@ def direct_quadrature(z: complex, lam: float):
     return acc
 
 
-def _classify(z: complex, schedule: RegularizationSchedule, mirror: bool):
-    zz = -z if mirror else z
-    limit = 1j / zz   # equals -i/z in the mirrored case
+def _limit_point(z, schedule):
+    """Validated ladder inputs: a finite z != 0 and a schedule (the
+    default one if None)."""
+    z = _require_finite(z, "z")
+    if z == 0:
+        raise SingularInputError("the kernel limit excludes z = 0")
+    if schedule is None:
+        schedule = RegularizationSchedule.default()
+    return z, schedule
+
+
+def _ladder(kernel, z: complex, limit: complex,
+            schedule: RegularizationSchedule) -> KernelResult:
+    """Walk kernel(z, lambda) down the schedule and classify its limit.
+
+    Diverged once the kernel overflows or its magnitude keeps growing past
+    the divergence threshold; converged when the last value lies within
+    convergence_tol of ``limit`` (relative, or absolute for a zero limit);
+    undecided otherwise.
+    """
     trace = []
-    overflowed = False
     mags = []
     for lam in schedule.lambdas:
-        val = j_kernel(zz, lam)
+        val = kernel(z, lam)
         trace.append((lam, val))
         if is_overflow(val):
-            overflowed = True
-            break
+            return KernelResult(OVERFLOW, "diverged", tuple(trace))
         mags.append(abs(val))
         if (len(mags) >= 3 and mags[-1] > schedule.divergence_threshold
                 and mags[-1] > mags[-2] > mags[-3]):
             # magnitudes only keep growing deeper into the wedge
             return KernelResult(OVERFLOW, "diverged", tuple(trace))
-    if overflowed:
-        return KernelResult(OVERFLOW, "diverged", tuple(trace))
     last = trace[-1][1]
-    if abs(last - limit) <= schedule.convergence_tol * abs(limit):
+    if abs(last - limit) <= schedule.convergence_tol * (abs(limit) or 1.0):
         return KernelResult(limit, "converged", tuple(trace))
     return KernelResult(last, "undecided", tuple(trace))
 
@@ -232,48 +241,24 @@ def kernel_limit(z: complex, schedule: RegularizationSchedule = None) -> KernelR
     in the thin band along the wedge boundary stay undecided rather than
     being guessed.
     """
-    z = _require_finite(z)
-    if z == 0:
-        raise SingularInputError("the kernel limit excludes z = 0")
-    if schedule is None:
-        schedule = RegularizationSchedule.default()
-    return _classify(z, schedule, mirror=False)
+    z, schedule = _limit_point(z, schedule)
+    return _ladder(j_kernel, z, 1j / z, schedule)
 
 
 def kernel_limit_mirror(z: complex, schedule: RegularizationSchedule = None) -> KernelResult:
     """Limit of the mirrored kernel J(-z, lambda) for lambda -> 0+.
 
     Finite limit -i/z on the point reflection of the forward domain (the
-    excluded wedge sits in the upper half plane).
+    excluded wedge sits in the upper half plane).  Same status, value and
+    trace as kernel_limit(-z).
     """
-    z = _require_finite(z)
-    if z == 0:
-        raise SingularInputError("the kernel limit excludes z = 0")
-    if schedule is None:
-        schedule = RegularizationSchedule.default()
-    return _classify(z, schedule, mirror=True)
+    z, schedule = _limit_point(z, schedule)
+    return _ladder(j_kernel, -z, 1j / -z, schedule)
 
 
 def full_line_limit(z: complex, schedule: RegularizationSchedule = None) -> KernelResult:
     """Limit of the full-line Gaussian kernel (pointwise 0 on the double
     wedge domain, divergent inside either wedge).  Used by the domain-map
     sweep; the distributional content at z = 0 lives in the functionals."""
-    z = _require_finite(z)
-    if z == 0:
-        raise SingularInputError("the kernel limit excludes z = 0")
-    if schedule is None:
-        schedule = RegularizationSchedule.default()
-    trace = []
-    mags = []
-    for lam in schedule.lambdas:
-        val = full_line_kernel(z, lam)
-        trace.append((lam, val))
-        if is_overflow(val):
-            return KernelResult(OVERFLOW, "diverged", tuple(trace))
-        mags.append(abs(val))
-        if (len(mags) >= 3 and mags[-1] > schedule.divergence_threshold
-                and mags[-1] > mags[-2] > mags[-3]):
-            return KernelResult(OVERFLOW, "diverged", tuple(trace))
-    if mags[-1] <= schedule.convergence_tol:
-        return KernelResult(0.0 + 0.0j, "converged", tuple(trace))
-    return KernelResult(trace[-1][1], "undecided", tuple(trace))
+    z, schedule = _limit_point(z, schedule)
+    return _ladder(_full_line, z, 0j, schedule)

@@ -47,10 +47,10 @@ def is_overflow(value: complex) -> bool:
     return not (math.isfinite(value.real) and math.isfinite(value.imag))
 
 
-def _require_finite(w: complex) -> complex:
+def _require_finite(w: complex, what: str = "argument") -> complex:
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise ValueError(f"argument must have finite real and imaginary parts, got {w!r}")
+        raise ValueError(f"{what} must have finite real and imaginary parts, got {w!r}")
     return w
 
 

@@ -9,6 +9,7 @@ import pytest
 from plemelj.cli import (DomainMapRequest, dump_json, main, run_domain_map,
                          run_functional, write_domain_map_csv)
 from plemelj.contours import segment_path
+from plemelj.functionals import DomainViolationError
 
 
 def run_cli(*args):
@@ -20,7 +21,7 @@ def run_cli(*args):
 
 def test_single_point_grid_at_i():
     req = DomainMapRequest(grid=(0.0, 0.0, 1.0, 1.0, 1, 1), kernel="I_plus")
-    rows = run_domain_map(req)
+    rows = list(run_domain_map(req))
     assert len(rows) == 1
     re, im, status, absv = rows[0]
     assert (re, im) == (0.0, 1.0)
@@ -39,7 +40,7 @@ def test_grid_validation():
 
 def test_row_order_and_origin_row(tmp_path):
     req = DomainMapRequest(grid=(-1.0, 1.0, -1.0, 1.0, 3, 3), kernel="I_plus")
-    rows = run_domain_map(req)
+    rows = list(run_domain_map(req))
     assert len(rows) == 9
     assert [(r[0], r[1]) for r in rows[:3]] == [(-1.0, -1.0), (0.0, -1.0), (1.0, -1.0)]
     by_point = {(r[0], r[1]): r for r in rows}
@@ -169,6 +170,44 @@ def test_functional_domain_violation_exit_1(tmp_path):
                 "--contour", str(contour), "--out", str(out))
     assert r.returncode == 1
     assert "segment" in r.stderr
+
+
+def test_functional_delta_report_is_sum_of_one_sided_reports():
+    path = segment_path(-2.0, -0.5 + 0.4j, 0.0, 0.5 + 0.4j, 2.0)
+    plus, minus, delta = (run_functional(k, "gauss(0.3)", path)
+                          for k in ("I_plus", "I_minus", "delta"))
+
+    def bits_of_sum(a, b):
+        return ((a["re"] + b["re"]).hex(), (a["im"] + b["im"]).hex())
+
+    def bits(a):
+        return (a["re"].hex(), a["im"].hex())
+
+    for key in ("value", "pv_part", "delta_part"):
+        assert bits(delta[key]) == bits_of_sum(plus[key], minus[key]), key
+    assert len(delta["epsilon_trace"]) == len(plus["epsilon_trace"])
+    for d, p, m in zip(delta["epsilon_trace"], plus["epsilon_trace"],
+                       minus["epsilon_trace"]):
+        assert d["epsilon"] == p["epsilon"] == m["epsilon"]
+        assert bits(d["value"]) == bits_of_sum(p["value"], m["value"])
+
+
+def test_functional_delta_domain_check_precedes_pv_ladder(monkeypatch):
+    import plemelj.functionals as functionals
+    calls = []
+    ladder = functionals._pv_ladder
+
+    def counting(f, path):
+        calls.append(path)
+        return ladder(f, path)
+
+    monkeypatch.setattr(functionals, "_pv_ladder", counting)
+    upper = segment_path(-1.0, -0.5 + 0.9j, 0.0, 1.0, crossing=2)
+    with pytest.raises(DomainViolationError) as info:
+        run_functional("delta", "gauss(0)", upper)
+    assert info.value.segment_index == 0
+    assert "intersection" in str(info.value)
+    assert calls == []
 
 
 def test_functional_unknown_function_exit_2(tmp_path):

@@ -11,7 +11,8 @@ from plemelj.functionals import (CATALOG_EXAMPLES, AdmissibilityError,
                                  OrientationError, PvDivergenceError,
                                  TestFunction, check_analytic, delta_action,
                                  deformation_route, lambda_route,
-                                 overlap_delta, plemelj_minus, plemelj_plus,
+                                 overlap_delta, plemelj_delta,
+                                 plemelj_minus, plemelj_plus,
                                  pv_contour, catalog_function)
 
 # frozen series-oracle values (tests below regenerate them)
@@ -303,6 +304,27 @@ def test_delta_rejects_wedge_path():
     path = segment_path(-1.0, -0.5 + 0.9j, 0.0, 1.0, crossing=2)
     with pytest.raises(DomainViolationError):
         delta_action(catalog_function("gauss(0)"), path)
+
+
+def test_delta_runs_one_pv_ladder(monkeypatch):
+    import plemelj.functionals as functionals
+    calls = []
+    ladder = functionals._pv_ladder
+
+    def counting(f, path):
+        calls.append(path)
+        return ladder(f, path)
+
+    monkeypatch.setattr(functionals, "_pv_ladder", counting)
+    bent = segment_path(-2.0, -0.5 + 0.4j, 0.0, 0.5 + 0.4j, 2.0)
+    f = catalog_function("gauss(0.3)")
+    val = delta_action(f, bent)
+    assert len(calls) == 1
+    assert abs(val - 2 * math.pi * f.at_zero()) < 1e-10
+    res = plemelj_delta(f, bent)
+    assert len(calls) == 2
+    assert res.value == val
+    assert res.delta_part == 2 * math.pi * f.at_zero()
 
 
 # -- overlap --------------------------------------------------------------------------

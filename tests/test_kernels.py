@@ -201,6 +201,21 @@ def test_wedge_point_symmetry():
                 == (kernel_limit_mirror(-z).status == "diverged"))
 
 
+def test_mirror_is_limit_at_reflected_point():
+    rng = random.Random(4242)
+    pts = [cmath.rect(10.0 ** rng.uniform(-0.5, 0.5),
+                      rng.uniform(-math.pi, math.pi)) for _ in range(50)]
+    pts.append(cmath.rect(1.0, 0.25 * math.pi))   # undecided boundary ray
+    statuses = set()
+    for z in pts:
+        mirror, direct = kernel_limit_mirror(z), kernel_limit(-z)
+        assert mirror.status == direct.status
+        assert mirror.value == direct.value
+        assert mirror.lambda_trace == direct.lambda_trace
+        statuses.add(mirror.status)
+    assert statuses == {"converged", "diverged", "undecided"}
+
+
 def test_upper_half_plane_exactness():
     rng = random.Random(1999)
     n = 0
@@ -233,6 +248,8 @@ def test_full_line_limit_trichotomy():
     assert abs(full_line_limit(1.0).value) == 0.0
     assert full_line_limit(1j).status == "diverged"    # upper wedge
     assert full_line_limit(-1j).status == "diverged"   # lower wedge
+    # on the wedge boundary |K| = sqrt(pi/lambda) grows below the threshold
+    assert full_line_limit(cmath.rect(1.0, math.pi / 4)).status == "undecided"
 
 
 def test_concurrent_evaluation_is_consistent():
