@@ -26,8 +26,7 @@ from . import functionals, verify
 from .contours import Contour, ContourError
 from .functionals import (AdmissibilityError, DomainViolationError,
                           OrientationError)
-from .kernels import (RegularizationSchedule, full_line_limit, kernel_limit,
-                      kernel_limit_mirror)
+from .kernels import RegularizationSchedule, _decide
 
 _FMT = "{:.16e}".format   # 17 significant digits, lowercase scientific
 
@@ -69,8 +68,8 @@ def run_domain_map(req: DomainMapRequest):
     """Evaluate the sweep; yields rows (re, im, status, abs_value_or_None)
     in row-major order (im ascending outer, re ascending inner)."""
     re_min, re_max, im_min, im_max, n_re, n_im = req.grid
-    limit_of = {"I_plus": kernel_limit, "I_minus": kernel_limit_mirror,
-                "full_line": full_line_limit}[req.kernel]
+    kind = {"I_plus": "plus", "I_minus": "minus",
+            "full_line": "full_line"}[req.kernel]
     for im in _axis(im_min, im_max, n_im):
         for re in _axis(re_min, re_max, n_re):
             z = complex(re, im)
@@ -79,9 +78,9 @@ def run_domain_map(req: DomainMapRequest):
                 # grows like 1/sqrt(lambda) there, so the limit diverges
                 yield (re, im, "diverged", None)
                 continue
-            res = limit_of(z, req.schedule)
-            absv = abs(res.value) if res.status == "converged" else None
-            yield (re, im, res.status, absv)
+            status, value = _decide(kind, z, req.schedule)
+            absv = abs(value) if status == "converged" else None
+            yield (re, im, status, absv)
 
 
 def write_domain_map_csv(rows, stream):

@@ -272,11 +272,11 @@ class FunctionalResult:
     decomposition and the excision trace behind the PV part.
 
     For plemelj_plus and plemelj_minus, value = pv_part + delta_part holds
-    exactly by construction.  For plemelj_delta, value is the sum of the two
-    one-sided values, and pv_part, delta_part and the trace values are the
-    sums of the one-sided ones, so value may differ from pv_part +
-    delta_part in the last bits.  The epsilon trace must be Cauchy
-    (enforced when it is built).
+    exactly by construction.  For plemelj_delta, value, pv_part and
+    delta_part are the sums of the one-sided ones, so value may differ
+    from pv_part + delta_part in the last bits.  For all three the
+    epsilon trace holds the (epsilon, excised integral of f/z) pairs,
+    whose limit is PV(f/z); it must be Cauchy (enforced when it is built).
     """
     value: complex
     pv_part: complex
@@ -314,9 +314,7 @@ def _plemelj(f, path: Contour, op: str, domain: WedgeDomain,
     plus, minus = sides
     return FunctionalResult(
         plus.value + minus.value, plus.pv_part + minus.pv_part,
-        plus.delta_part + minus.delta_part,
-        tuple((e, v + w) for (e, v), (_e, w)
-              in zip(plus.epsilon_trace, minus.epsilon_trace)))
+        plus.delta_part + minus.delta_part, trace)
 
 
 def plemelj_plus(f, path: Contour) -> FunctionalResult:
@@ -460,17 +458,21 @@ def lambda_route(f, path: Contour, kernel: str = "plus",
 
     kernel: 'plus' (forward half-line kernel), 'minus' (mirrored), or
     'full_line' (nascent delta).  This is the independent oracle against
-    which the formula routes are verified.
+    which the formula routes are verified.  The path must cross the origin
+    inside the kernel's wedge domain (the intersection domain for
+    'full_line'), where the kernel stays finite; otherwise it raises
+    DomainViolationError.
     """
     _require_finite_path(path, "lambda_route")
     if kernel == "plus":
-        k_of = j_kernel
+        k_of, domain = j_kernel, WedgeDomain.plus()
     elif kernel == "minus":
-        k_of = lambda z, lam: j_kernel(-z, lam)
+        k_of, domain = (lambda z, lam: j_kernel(-z, lam)), WedgeDomain.minus()
     elif kernel == "full_line":
-        k_of = full_line_kernel
+        k_of, domain = full_line_kernel, WedgeDomain.intersection()
     else:
         raise ValueError(f"kernel must be plus|minus|full_line, got {kernel!r}")
+    _check_domain(path, domain, "lambda_route")
     ratio = _ladder_ratio(lambdas, "lambda_route")
     limit, _err = _regularized_limit(k_of, f, path, lambdas, ratio)
     return limit

@@ -211,9 +211,8 @@ def _ladder(kernel, z: complex, limit: complex,
     """Walk kernel(z, lambda) down the schedule and classify its limit.
 
     Diverged once the kernel overflows or its magnitude keeps growing past
-    the divergence threshold; converged when the last value lies within
-    convergence_tol of ``limit`` (relative, or absolute for a zero limit);
-    undecided otherwise.
+    the divergence threshold; otherwise the last value decides
+    (:func:`_verdict`).
     """
     trace = []
     mags = []
@@ -227,10 +226,53 @@ def _ladder(kernel, z: complex, limit: complex,
                 and mags[-1] > mags[-2] > mags[-3]):
             # magnitudes only keep growing deeper into the wedge
             return KernelResult(OVERFLOW, "diverged", tuple(trace))
-    last = trace[-1][1]
+    status, value = _verdict(trace[-1][1], limit, schedule)
+    return KernelResult(value, status, tuple(trace))
+
+
+def _verdict(last: complex, limit: complex, schedule) -> tuple:
+    """(status, value) of a ladder that did not diverge, from its last
+    value: converged when it lies within convergence_tol of ``limit``
+    (relative, or absolute for a zero limit), undecided otherwise."""
     if abs(last - limit) <= schedule.convergence_tol * (abs(limit) or 1.0):
-        return KernelResult(limit, "converged", tuple(trace))
-    return KernelResult(last, "undecided", tuple(trace))
+        return "converged", limit
+    return "undecided", last
+
+
+def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> tuple:
+    """(status, value) of the 'plus', 'minus' or 'full_line' limit at z:
+    what kernel_limit, kernel_limit_mirror or full_line_limit report,
+    without the trace.
+
+    Outside the open excluded wedge(s) the kernel obeys
+    |kernel(z, lambda)| <= c sqrt(pi/lambda) for every lambda > 0:
+
+    * J, Im z >= 0: c = 1/2, as |J| <= int_0^inf exp(-lambda x^2) dx;
+    * J, Im z < 0 and Re(z^2) >= 0: c = 3/2, as J(z) = K(z) - J(-z) and
+      |K(z, lambda)| = sqrt(pi/lambda) exp(-Re(z^2) / (4 lambda));
+    * K, Re(z^2) >= 0: c = 1.
+
+    When c sqrt(pi/lambda_min) is below the divergence threshold no step
+    can overflow or pass the threshold, so the ladder cannot diverge and
+    its last step alone sets the verdict: one kernel evaluation instead of
+    one per lambda.  Inside the wedge(s), or on a schedule deep enough to
+    break the bound, the full ladder runs.
+    """
+    z, schedule = _limit_point(z, schedule)
+    if kind == "minus":
+        kind, z = "plus", -z
+    # Re(z^2) >= 0 is |Re z| >= |Im z|, tested without rounding
+    if kind == "plus":
+        kernel, limit = j_kernel, 1j / z
+        c = 0.5 if z.imag >= 0.0 else 1.5 if abs(z.real) >= -z.imag else None
+    else:
+        kernel, limit = _full_line, 0j
+        c = 1.0 if abs(z.real) >= abs(z.imag) else None
+    lam = schedule.lambdas[-1]
+    if c is None or c * math.sqrt(math.pi / lam) >= schedule.divergence_threshold:
+        res = _ladder(kernel, z, limit, schedule)
+        return res.status, res.value
+    return _verdict(kernel(z, lam), limit, schedule)
 
 
 def kernel_limit(z: complex, schedule: RegularizationSchedule = None) -> KernelResult:

@@ -75,7 +75,8 @@ def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
     ``breakpoints`` pre-splits the interval (pass locations of known sharp
     features, e.g. the crossing neighbourhood of a kernel integrand).
     Returns (value, error_estimate); raises QuadratureError if the panel
-    budget is exhausted before the tolerance is met.
+    budget is exhausted before the tolerance is met, or if the sum is not
+    finite.
     """
     if a == b:
         return 0.0 + 0.0j, 0.0
@@ -113,6 +114,9 @@ def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
         heapq.heappush(heap, (-e2, counter, mid, hi, v2))
         counter += 1
         n_panels += 1
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise QuadratureError(
+            f"integrand is not finite on [{a!r}, {b!r}]: the sum is {total!r}")
     if total_err > 100 * (abs_tol + 1e-14 * total_mag):
         raise QuadratureError(
             f"adaptive quadrature stalled: error estimate {total_err:.3e} "

@@ -5,7 +5,7 @@ the same region-split algorithm: the compiled Cython extension
 ``plemelj._erfcx_ext`` (preferred) or the pure-Python twin
 ``plemelj._erfcx_py``.  The compiled core is picked automatically at import
 when present; set the environment variable ``PLEMELJ_BACKEND=python``
-before import to force the fallback (used by the benchmark suite).
+before import to force the fallback.
 
 Public surface:
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .contours import Contour, tilted_segment
 from .functionals import TestFunction, check_analytic
-from .kernels import RegularizationSchedule, kernel_limit
+from .kernels import _decide
 from .quadrature import integrate_adaptive
 
 
@@ -203,10 +203,9 @@ def tilted_plemelj(f, line: TiltedLine) -> TiltedResult:
 def _kernel_route_diverges(line: TiltedLine) -> bool:
     """Empirically probe the regularized kernel on both half-rays of the
     line; True when either side diverges (|phi| beyond the strict range)."""
-    schedule = RegularizationSchedule.default()
     q_ref = 0.5 * min(-line.q_min, line.q_max)
     phase = cmath.exp(1j * line.phi)
     for q in (q_ref, -q_ref):
-        if kernel_limit(q * phase, schedule).status == "diverged":
+        if _decide("plus", q * phase)[0] == "diverged":
             return True
     return False

@@ -185,11 +185,8 @@ def test_functional_delta_report_is_sum_of_one_sided_reports():
 
     for key in ("value", "pv_part", "delta_part"):
         assert bits(delta[key]) == bits_of_sum(plus[key], minus[key]), key
-    assert len(delta["epsilon_trace"]) == len(plus["epsilon_trace"])
-    for d, p, m in zip(delta["epsilon_trace"], plus["epsilon_trace"],
-                       minus["epsilon_trace"]):
-        assert d["epsilon"] == p["epsilon"] == m["epsilon"]
-        assert bits(d["value"]) == bits_of_sum(p["value"], m["value"])
+    # all three report the same excision trace, whose limit is PV(f/z)
+    assert delta["epsilon_trace"] == plus["epsilon_trace"] == minus["epsilon_trace"]
 
 
 def test_functional_delta_domain_check_precedes_pv_ladder(monkeypatch):

@@ -277,6 +277,16 @@ def test_lambda_route_minus_kernel():
     assert abs(route - formula) <= max(1e-5 * abs(formula), 1e-8)
 
 
+@pytest.mark.parametrize("kernel", ["plus", "minus", "full_line"])
+def test_lambda_route_rejects_paths_leaving_the_kernel_domain(kernel):
+    # at phi = 0.9 > pi/4 the line enters the lower (plus, full_line) or
+    # upper (minus) wedge, where the kernel overflows; the route used to
+    # return nan+nanj
+    with pytest.raises(DomainViolationError):
+        lambda_route(catalog_function("gauss(0)"),
+                     tilted_segment(0.9, -3.0, 3.0), kernel=kernel)
+
+
 # -- delta action --------------------------------------------------------------------
 
 def test_delta_examples():

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+import plemelj.kernels as kernels
 from plemelj.kernels import (RegularizationSchedule,
                              SingularInputError, TruncationError,
+                             _decide, _full_line,
                              direct_quadrature, full_line_kernel,
                              full_line_limit, j_closed_form, j_kernel,
                              kernel_limit, kernel_limit_mirror)
@@ -250,6 +252,109 @@ def test_full_line_limit_trichotomy():
     assert full_line_limit(-1j).status == "diverged"   # lower wedge
     # on the wedge boundary |K| = sqrt(pi/lambda) grows below the threshold
     assert full_line_limit(cmath.rect(1.0, math.pi / 4)).status == "undecided"
+
+
+# -- last-step decider ------------------------------------------------------------
+
+def _schedule(steps):
+    return RegularizationSchedule(
+        lambdas=tuple(10.0 ** (-0.5 * n) for n in range(steps)))
+
+
+# (schedule, statuses the sample reaches on it).  The 5-step schedule stops
+# at lambda = 1e-2; the 40-step one reaches 10^-19.5, where c sqrt(pi/lambda)
+# exceeds the divergence threshold, so the full ladder must run and the
+# boundary rays diverge
+_ALL = {"converged", "diverged", "undecided"}
+_DECIDE_SCHEDULES = ((None, _ALL), (_schedule(5), _ALL),
+                     (_schedule(40), {"converged", "diverged"}))
+_WEDGE_RAYS = (-0.75 * math.pi, -0.25 * math.pi, 0.25 * math.pi, 0.75 * math.pi)
+
+
+def _decide_points():
+    rng = random.Random(77)
+    pts = [cmath.rect(10.0 ** rng.uniform(-1.0, 0.5),
+                      rng.uniform(-math.pi, math.pi)) for _ in range(60)]
+    for ray in _WEDGE_RAYS:
+        for offset in (-1e-6, 0.0, 1e-6):
+            for r in (0.3, 1.0, 2.5):
+                pts.append(cmath.rect(r, ray + offset))
+    return pts
+
+
+@pytest.mark.parametrize("schedule, reached", _DECIDE_SCHEDULES)
+def test_decide_matches_the_full_ladders(schedule, reached):
+    statuses = set()
+    for z in _decide_points():
+        for kind, limit_of in (("plus", kernel_limit),
+                               ("minus", kernel_limit_mirror),
+                               ("full_line", full_line_limit)):
+            res = limit_of(z, schedule)
+            status, value = _decide(kind, z, schedule)
+            assert status == res.status, (kind, z)
+            assert value == res.value, (kind, z)
+            statuses.add(status)
+    assert statuses == reached
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(kernels, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(kernels, name, counting)
+    return calls
+
+
+def test_decide_evaluates_bounded_points_once(monkeypatch):
+    j_calls = _count_calls(monkeypatch, "j_kernel")
+    k_calls = _count_calls(monkeypatch, "_full_line")
+    ladders = _count_calls(monkeypatch, "_ladder")
+    # converged: upper half plane, and below the axis outside the wedge
+    assert _decide("plus", 1.0 + 1.0j) == ("converged", 1j / (1.0 + 1.0j))
+    assert _decide("plus", 2.0 - 1.0j)[0] == "converged"
+    assert _decide("minus", 2.0 + 1.0j)[0] == "converged"
+    assert _decide("full_line", 1.0)[0] == "converged"
+    # undecided on a boundary ray, still from the last step
+    assert _decide("full_line", cmath.rect(1.0, math.pi / 4))[0] == "undecided"
+    lam_min = RegularizationSchedule.default().lambdas[-1]
+    assert [lam for _z, lam in j_calls] == [lam_min] * 3
+    assert [lam for _z, lam in k_calls] == [lam_min] * 2
+    assert ladders == []
+
+
+def test_decide_runs_the_ladder_inside_the_wedge(monkeypatch):
+    ladders = _count_calls(monkeypatch, "_ladder")
+    assert _decide("plus", -1.0j)[0] == "diverged"
+    assert _decide("minus", 1.0j)[0] == "diverged"
+    assert _decide("full_line", 1.0j)[0] == "diverged"
+    assert len(ladders) == 3
+    # a bounded point on a schedule too deep for the bound
+    assert _decide("plus", 1.0j, _schedule(40))[0] == "converged"
+    assert len(ladders) == 4
+    assert len(ladders[-1][3].lambdas) == 40
+
+
+def test_kernel_bounds_outside_the_wedges():
+    # |J| <= c sqrt(pi/lambda), c = 1/2 for Im z >= 0 and 3/2 below the
+    # axis with Re(z^2) >= 0; |K| <= sqrt(pi/lambda) for Re(z^2) >= 0.
+    # Angles include the closed boundary rays; 1e-12 covers rounding.
+    rng = random.Random(2718)
+    lambdas = RegularizationSchedule.default().lambdas
+    angles = [rng.uniform(-0.25 * math.pi, 1.25 * math.pi) for _ in range(80)]
+    angles += [-0.25 * math.pi, 0.0, 0.5 * math.pi, 1.25 * math.pi]
+    for theta in angles:
+        z = cmath.rect(10.0 ** rng.uniform(-2.0, 2.0), theta)
+        c = 0.5 if z.imag >= 0.0 else 1.5
+        full_line_side = abs(z.real) >= abs(z.imag)
+        for lam in lambdas:
+            scale = math.sqrt(math.pi / lam) * (1.0 + 1e-12)
+            assert abs(j_kernel(z, lam)) <= c * scale, (z, lam)
+            if full_line_side:
+                assert abs(_full_line(z, lam)) <= scale, (z, lam)
 
 
 def test_concurrent_evaluation_is_consistent():

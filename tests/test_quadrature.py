@@ -45,6 +45,12 @@ def test_adaptive_raises_when_stalled():
                            abs_tol=1e-14, max_panels=8)
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(math.inf, math.inf)])
+def test_adaptive_raises_on_non_finite_integrand(bad):
+    with pytest.raises(QuadratureError):
+        integrate_adaptive(lambda x: bad if x < 0.5 else 1.0, 0.0, 1.0)
+
+
 def test_richardson_geometric_ladder():
     # I_k = L + c1 h_k + c2 h_k^2, h_k = 2^-k
     L, c1, c2 = 0.7, 0.3, -0.2
