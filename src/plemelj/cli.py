@@ -53,6 +53,10 @@ class DomainMapRequest:
             if n < 1 or (n == 1 and lo != hi):
                 raise ValueError(
                     "grid resolution must be >= 2 (or 1 with equal bounds)")
+            # the largest grid point, as _axis computes it, bounds the others
+            if n > 1 and not math.isfinite(lo + (n - 1) * ((hi - lo) / (n - 1))):
+                raise ValueError("grid span overflows: max - min and every "
+                                 "grid point must be finite")
         if self.kernel not in KERNEL_CHOICES:
             raise ValueError(f"kernel must be one of {KERNEL_CHOICES}")
 

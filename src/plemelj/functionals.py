@@ -111,9 +111,12 @@ _POLY_GAUSS_RE = re.compile(r"^poly_gauss\(\s*(\d+)\s*,\s*([^)]+?)\s*\)$")
 
 def _parse_center(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        a = complex(text.replace(" ", ""))
     except ValueError:
         raise ValueError(f"cannot parse test-function parameter {text!r}")
+    if not cmath.isfinite(a):
+        raise ValueError(f"test-function parameter {text!r} must be finite")
+    return a
 
 
 def catalog_function(name: str) -> TestFunction:

@@ -21,9 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+from . import _erfcx_py
 from .quadrature import gk15
-from .special_functions import (OVERFLOW, SQRT_PI, _core, _require_finite,
-                                is_overflow)
+from .special_functions import OVERFLOW, SQRT_PI, _require_finite, is_overflow
 
 _EXP_OVERFLOW = 709.0
 
@@ -98,7 +98,7 @@ def j_kernel(z: complex, lam: float) -> complex:
     """
     sq = math.sqrt(lam)
     w = complex(0.5 * z.imag / sq, -0.5 * z.real / sq)   # -i z / (2 sqrt(lam))
-    v = _core.erfcx_complex(w)
+    v = _erfcx_py.erfcx_complex(w)
     if is_overflow(v):
         return OVERFLOW
     out = (0.5 * SQRT_PI / sq) * v

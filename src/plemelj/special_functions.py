@@ -1,11 +1,11 @@
-"""Complex complementary error function family with backend selection.
+"""Complex complementary error function family.
 
-The heavy lifting happens in one of two interchangeable cores implementing
-the same region-split algorithm: the compiled Cython extension
-``plemelj._erfcx_ext`` (preferred) or the pure-Python twin
-``plemelj._erfcx_py``.  The compiled core is picked automatically at import
-when present; set the environment variable ``PLEMELJ_BACKEND=python``
-before import to force the fallback.
+The heavy lifting happens in the pure-Python core ``plemelj._erfcx_py``,
+a region-split algorithm (Maclaurin series, Weideman rational
+approximation, Laplace continued fraction / asymptotic series,
+reflection).  The wrappers here validate the argument and call the core
+through its module, ``_erfcx_py.erfcx_complex(...)``, so that replacing
+that module attribute (as a tracer or a test does) sees every call.
 
 Public surface:
 
@@ -21,20 +21,11 @@ divergence sector is legitimate input whose blow-up downstream convergence
 classification consumes.  All functions are pure and thread-safe.
 """
 import math
-import os
 
 from . import _erfcx_py
 
-if os.environ.get("PLEMELJ_BACKEND", "").lower() == "python":
-    _core = _erfcx_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _erfcx_ext as _core
-        BACKEND = "compiled"
-    except ImportError:
-        _core = _erfcx_py
-        BACKEND = "python"
+#: The erfcx core in use; there is one, the pure-Python ``_erfcx_py``.
+BACKEND = "python"
 
 SQRT_PI = _erfcx_py.SQRT_PI
 
@@ -63,7 +54,7 @@ def erfc_complex(w: complex) -> complex:
     path is conjugation-symmetric).  Returns the overflow tag where the
     value leaves the double range.
     """
-    return _core.erfc_complex(_require_finite(w))
+    return _erfcx_py.erfc_complex(_require_finite(w))
 
 
 def erfcx_scaled(w: complex) -> complex:
@@ -74,7 +65,7 @@ def erfcx_scaled(w: complex) -> complex:
     the overflow tag deep inside the sector |arg w| > 3 pi/4 where the
     product genuinely diverges.
     """
-    return _core.erfcx_complex(_require_finite(w))
+    return _erfcx_py.erfcx_complex(_require_finite(w))
 
 
 def wz_erfcx(w: complex) -> complex:
@@ -83,7 +74,7 @@ def wz_erfcx(w: complex) -> complex:
     Tends to 1 as |w| grows inside the sector |arg w| < 3 pi/4 and to
     infinity outside (A&S 7.1.23); the overflow tag propagates.
     """
-    v = _core.erfcx_complex(_require_finite(w))
+    v = _erfcx_py.erfcx_complex(_require_finite(w))
     if is_overflow(v):
         return OVERFLOW
     return SQRT_PI * w * v

@@ -1,20 +1,28 @@
 """Command-line interface: formats, determinism, exit codes."""
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import plemelj
 from plemelj.cli import (DomainMapRequest, dump_json, main, run_domain_map,
                          run_functional, write_domain_map_csv)
 from plemelj.contours import segment_path
 from plemelj.functionals import DomainViolationError
 
 
+# the CLI subprocess imports the same plemelj tree as this test process
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(plemelj.__file__)))
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "plemelj.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 # -- domain map -----------------------------------------------------------------
@@ -36,6 +44,11 @@ def test_grid_validation():
         DomainMapRequest(grid=(1.0, 0.0, 0.0, 1.0, 5, 5), kernel="I_plus")
     with pytest.raises(ValueError):
         DomainMapRequest(grid=(0.0, 1.0, 0.0, 1.0, 5, 5), kernel="bogus")
+    with pytest.raises(ValueError):    # re_max - re_min overflows
+        DomainMapRequest(grid=(-1e308, 1e308, 1.0, 1.0, 3, 1), kernel="I_plus")
+    with pytest.raises(ValueError):    # finite span, last point rounds to inf
+        DomainMapRequest(grid=(0.0, 1.0, 0.0, sys.float_info.max, 2, 4),
+                         kernel="I_plus")
 
 
 def test_row_order_and_origin_row(tmp_path):
@@ -98,11 +111,15 @@ def test_cli_lambda_flags_change_schedule(tmp_path):
     assert out.read_text().splitlines()[1].split(",")[2] == "undecided"
 
 
-def test_cli_bad_grid_usage_error(tmp_path):
-    r = run_cli("domain-map", "--kernel", "I_plus", "--grid", "nonsense",
-                "--out", str(tmp_path / "x.csv"))
+@pytest.mark.parametrize("grid", ["nonsense", "-1e308:1e308:3,1:1:1"],
+                         ids=["nonsense", "overflowing_span"])
+def test_cli_bad_grid_usage_error(tmp_path, grid):
+    out = tmp_path / "x.csv"
+    r = run_cli("domain-map", "--kernel", "I_plus", f"--grid={grid}",
+                "--out", str(out))
     assert r.returncode == 2
     assert "grid" in r.stderr
+    assert not out.exists()
 
 
 def test_cli_unknown_kernel_usage_error(tmp_path):
@@ -207,11 +224,15 @@ def test_functional_delta_domain_check_precedes_pv_ladder(monkeypatch):
     assert calls == []
 
 
-def test_functional_unknown_function_exit_2(tmp_path):
+@pytest.mark.parametrize("function", ["blorp(1)", "gauss(nan)", "gauss(inf)",
+                                      "poly_gauss(1,nan)"])
+def test_functional_unknown_function_exit_2(tmp_path, function):
     contour = _contour_file(tmp_path, (-1.0, 1.0), 0)
-    r = run_cli("functional", "--kernel", "I_plus", "--function", "blorp(1)",
-                "--contour", str(contour), "--out", str(tmp_path / "r.json"))
+    out = tmp_path / "r.json"
+    r = run_cli("functional", "--kernel", "I_plus", "--function", function,
+                "--contour", str(contour), "--out", str(out))
     assert r.returncode == 2
+    assert not out.exists()
 
 
 def test_functional_malformed_contour_exit_2(tmp_path):
