@@ -8,6 +8,14 @@ the regularized kernels: the plane minus a lower wedge ("plus"), minus the
 mirrored upper wedge ("minus"), or minus both ("intersection"); membership
 is a pure angular test around the apex, strict on the boundary rays.
 
+Path-in-domain checks are exact.  With v = z - apex, the closed lower
+wedge is {v != 0 : h(v) <= 0}, h(v) = Im v + |Re v| (the upper one uses
+h(-v)).  h is piecewise linear along lines and rays and piecewise
+sinusoidal along arcs, so a path enters a wedge iff one of its candidate
+points does: segment ends, kinks Re v = 0, arc angles +-pi/4 and +-3pi/4,
+and where a ray's falling tail of h crosses 0.  :func:`domain_violations`
+reports the first candidate outside, in path order.
+
 :func:`deform_at_origin` realizes the standard deformation that removes a
 radius-epsilon neighbourhood of the marked origin crossing and bridges the
 gap with a circular arc above or below, keeping the path orientation.
@@ -453,19 +461,34 @@ def classify_point(z: complex, domain: WedgeDomain) -> str:
     return "inside" if ok else "outside"
 
 
-_BASE_SAMPLES = 48
-_REFINE_LEVELS = 24
+def _line_params(v0: complex, d: complex, signs, end: float):
+    """Distances s in [0, end] along v0 + s d where h(sign v) can be least:
+    a segment's ends and kink Re v = 0; a ray's (end = inf) kink and, where
+    h falls along its tail, the zero of h and a point beyond it."""
+    kink = -v0.real / d.real if d.real != 0.0 else 0.0
+    ss = [kink] if 0.0 < kink < end else []
+    if end < math.inf:
+        return [0.0, *ss, end]
+    s0 = ss[0] if ss else 0.0
+    v = v0 + s0 * d
+    for sign in signs:
+        slope = sign * d.imag + abs(d.real)   # h(sign d), the tail's slope
+        if slope < 0.0:
+            cross = s0 + max(sign * v.imag + abs(v.real), 0.0) / -slope
+            ss += [cross, 2.0 * cross + 1.0]   # beyond: rounding can't hide it
+    return sorted(ss)
 
 
-def _sample_params(seg, near_t=None):
-    ts = [k / _BASE_SAMPLES for k in range(_BASE_SAMPLES + 1)]
-    if near_t is not None:
-        # geometric refinement towards the closest-approach parameter
-        for j in range(1, _REFINE_LEVELS + 1):
-            h = 0.5 ** j
-            ts.extend((near_t - h, near_t + h))
-        ts.append(near_t)
-    return sorted(t for t in ts if 0.0 <= t <= 1.0)
+def _arc_params(arc: Arc, apex: complex):
+    """Parameters where h can be least on an arc: the ends, the kinks
+    Re v = 0 and the angles where r (sin theta +- cos theta) is stationary."""
+    thetas = [q * _QUARTER_PI for q in (-3, -1, 1, 3)]
+    cos_kink = (apex - arc.center).real / arc.radius
+    if -1.0 <= cos_kink <= 1.0:
+        thetas += [math.acos(cos_kink), -math.acos(cos_kink)]
+    ts = {0.0, 1.0}
+    ts.update(t for t in map(arc._param_of_theta, thetas) if t is not None)
+    return sorted(ts)
 
 
 def path_in_domain(path: Contour, domain: WedgeDomain) -> str:
@@ -474,7 +497,7 @@ def path_in_domain(path: Contour, domain: WedgeDomain) -> str:
     Returns 'fully_inside', 'inside_except_crossing' (the only non-inside
     point is the marked origin crossing sitting at the apex) or 'violates'.
     Raises ContourError if the path passes within 1e-12 of the apex without
-    a crossing marker there.
+    a crossing marker there.  The verdict is exact (module docstring).
     """
     detail = domain_violations(path, domain)
     if detail["unmarked_apex"]:
@@ -487,41 +510,39 @@ def path_in_domain(path: Contour, domain: WedgeDomain) -> str:
 
 
 def domain_violations(path: Contour, domain: WedgeDomain) -> dict:
-    """Detailed domain check used by path_in_domain and error reporting.
+    """Exact domain check used by path_in_domain and error reporting.
 
-    Returns {'violations': [(segment_index, t, point), ...] (outside
-    samples), 'apex_crossing': bool, 'unmarked_apex': bool}.
+    Each candidate point (module docstring) is decided by
+    :func:`classify_point`; one at the apex is left to the crossing marker.
+    Returns {'violations': [] or [(segment_index, t, point)], the first
+    outside candidate in path order (rays are indexed -1 and len(segments),
+    t being the distance from their finite end), 'apex_crossing': bool,
+    'unmarked_apex': bool}.
     """
     apex = domain.apex
-    dmin, (si, st) = path.min_distance(apex)
+    dmin, _loc = path.min_distance(apex)
     crossing_at_apex = (
         path.crossing is not None
         and abs(path.point((path.crossing, path.crossing_param)) - apex) <= CROSSING_TOL)
     unmarked = dmin <= CROSSING_TOL and not crossing_at_apex
-    violations = []
+    signs = {"plus": (1.0,), "minus": (-1.0,), "intersection": (1.0, -1.0)}[domain.kind]
+    candidates = []
     for i, seg in enumerate(path.segments):
-        d, t_near = seg.min_distance(apex)
-        ts = _sample_params(seg, near_t=t_near if d < 0.1 * max(seg.length, 1.0) else None)
-        for t in ts:
-            z = seg.point(t)
-            c = classify_point(z, domain)
-            if c == "outside":
-                violations.append((i, t, z))
-            # 'apex' samples are the crossing itself; handled via the marker
-    if path.ray_in is not None:
-        d = cmath.exp(1j * path.ray_in)
-        for s in (1.0, 10.0, 1e3, 1e6):
-            z = path.start - s * d
-            if classify_point(z, domain) == "outside":
-                violations.append((-1, s, z))
-    if path.ray_out is not None:
-        d = cmath.exp(1j * path.ray_out)
-        for s in (1.0, 10.0, 1e3, 1e6):
-            z = path.end + s * d
-            if classify_point(z, domain) == "outside":
-                violations.append((len(path.segments), s, z))
-    return {"violations": violations, "apex_crossing": crossing_at_apex,
-            "unmarked_apex": unmarked}
+        if isinstance(seg, Line):
+            ts = _line_params(seg.start - apex, seg.end - seg.start, signs, 1.0)
+        else:
+            ts = _arc_params(seg, apex)
+        candidates += [(i, t, seg.point(t)) for t in ts]
+    for i, z0, angle, sense in ((-1, path.start, path.ray_in, -1.0),
+                                (len(path.segments), path.end, path.ray_out, 1.0)):
+        if angle is not None:
+            d = sense * cmath.exp(1j * angle)
+            candidates += [(i, s, z0 + s * d)
+                           for s in _line_params(z0 - apex, d, signs, math.inf)]
+    candidates.sort(key=lambda c: c[:2])
+    first = next((c for c in candidates if classify_point(c[2], domain) == "outside"), None)
+    return {"violations": [] if first is None else [first],
+            "apex_crossing": crossing_at_apex, "unmarked_apex": unmarked}
 
 
 # -- origin deformation ----------------------------------------------------

@@ -10,7 +10,8 @@ import random
 from dataclasses import dataclass
 
 from . import functionals, kernels, tilted
-from .contours import segment_path, tilted_segment
+from .contours import (WedgeDomain, classify_point, segment_path,
+                       tilted_segment)
 from .special_functions import (SQRT_PI, erfc_complex, erfcx_scaled,
                                 is_overflow, wz_erfcx)
 
@@ -166,15 +167,19 @@ def suite_kernels():
         worst = max(worst, abs(res.value - 1j / z) / abs(1j / z))
     checks.append(_check("kernels/upper-half-exactness", worst, 1e-6))
 
+    # statuses against the analytic wedge: diverged outside 'plus', converged
+    # inside, undecided only where (angle to a ray) * |z|^2 < 1e-4
     mismatches = 0
     rng = random.Random(20240614)
     for _ in range(60):
         z = cmath.rect(10.0 ** rng.uniform(-0.7, 0.5),
                        rng.uniform(-math.pi, math.pi))
-        a = kernels.kernel_limit(z).status == "diverged"
-        b = kernels.kernel_limit_mirror(-z).status == "diverged"
-        if a != b:
-            mismatches += 1
+        status = kernels.kernel_limit(z).status
+        ray = min(abs(math.remainder(cmath.phase(z) + q * math.pi, 2.0 * math.pi))
+                  for q in (0.25, 0.75))
+        want = {"diverged": "outside", "converged": "inside"}.get(status)
+        mismatches += (classify_point(z, WedgeDomain.plus()) != want
+                       if want else ray * abs(z) ** 2 >= 1e-4)
     checks.append(_check("kernels/wedge-point-symmetry", mismatches, 0.0))
 
     half_gauss = kernels.direct_quadrature(0.0, 1.0)

@@ -235,6 +235,18 @@ def test_functional_unknown_function_exit_2(tmp_path, function):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("function", ["gauss(30j)", "gauss(1e200j)",
+                                      "gauss(1+26.645j)"])
+def test_functional_non_finite_function_exit_1(tmp_path, function):
+    contour = _contour_file(tmp_path, (-1.0, 1.0), 0)
+    out = tmp_path / "r.json"
+    r = run_cli("functional", "--kernel", "I_plus", "--function", function,
+                "--contour", str(contour), "--out", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_functional_malformed_contour_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

@@ -4,11 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plemelj.contours import (Arc, Contour, ContourError, Line, WedgeDomain,
                               classify_point, deform_at_origin,
-                              path_in_domain, segment_path, split_at_radius,
-                              tilted_segment)
+                              domain_violations, path_in_domain,
+                              segment_path, split_at_radius, tilted_segment)
 
 
 # -- wedge membership -------------------------------------------------------
@@ -129,7 +131,7 @@ def test_fully_inside_without_crossing():
 
 
 def test_shifted_apex_path_is_fully_inside():
-    # origin-crossing path against the apex-at-(-i eps) wedge: the апex is
+    # origin-crossing path against the apex-at-(-i eps) wedge: the apex is
     # off the path, so nothing is excluded
     marked = segment_path(-1.0, 1.0)
     assert path_in_domain(marked, WedgeDomain.plus(apex=-0.01j)) == "fully_inside"
@@ -138,6 +140,90 @@ def test_shifted_apex_path_is_fully_inside():
 def test_vertical_path_violates_plus_domain():
     vertical = segment_path(-1j, 1j)
     assert path_in_domain(vertical, WedgeDomain.plus()) == "violates"
+
+
+_GRAZE = 10.0 / math.sqrt(2.0) + 1e-4   # the circle dips 1e-4 into the wedge
+
+
+@pytest.mark.parametrize("path, domain, s_exit", [
+    # a line whose ends are inside and whose kink Re z = 0 is not
+    (Contour([Line(-1.0 - 1e-3j, 1.1 - 1e-3j)]), WedgeDomain.plus(), None),
+    # rays entering a wedge only at s = 1000 sqrt(2) / sin(1e-4) ~ 7.07e6,
+    # and at 1500 sqrt(2) / sin(1e-4) for the mirrored one
+    (Contour([Line(0.5, 1000.0)], ray_out=-math.pi / 4 - 1e-4),
+     WedgeDomain.plus(), 7.0711e6),
+    (Contour([Line(-0.5, -1000.0 - 500j)], ray_out=3 * math.pi / 4 - 1e-4),
+     WedgeDomain.minus(), 1.0607e7),
+    # arcs whose points at theta = -3pi/4 (or its mirror pi/4) are outside
+    (Contour([Arc(10.0, _GRAZE, -math.pi, -0.4)]), WedgeDomain.plus(), None),
+    (Contour([Arc(10.0, _GRAZE, -math.pi, -0.4)]), WedgeDomain.intersection(), None),
+    (Contour([Arc(-10.0, _GRAZE, 0.0, math.pi - 0.4)]), WedgeDomain.minus(), None),
+    (Contour([Arc(-10.0, _GRAZE, 0.0, math.pi - 0.4)]),
+     WedgeDomain.intersection(), None),
+], ids=["line-kink", "ray-plus", "ray-minus", "arc-plus", "arc-intersection-lower",
+        "arc-minus", "arc-intersection-upper"])
+def test_barely_violating_paths_are_caught(path, domain, s_exit):
+    assert path_in_domain(path, domain) == "violates"
+    (i, t, z), = domain_violations(path, domain)["violations"]
+    assert classify_point(z, domain) == "outside"
+    if s_exit is None:
+        assert z == path.segments[i].point(t)
+    else:
+        assert i == len(path.segments) and abs(t / s_exit - 1.0) < 1e-4
+        assert z == path.end + t * cmath.exp(1j * path.ray_out)
+
+
+_coord = st.floats(-5.0, 5.0)
+_point = st.builds(complex, _coord, _coord)
+_lines = st.tuples(_point, _point).filter(
+    lambda ab: abs(ab[1] - ab[0]) > 1e-3).map(lambda ab: Line(*ab))
+_arcs = st.tuples(_point, st.floats(0.05, 5.0), st.floats(-7.0, 7.0),
+                  st.floats(-7.0, 7.0)).filter(
+    lambda a: 1e-3 < abs(a[3] - a[2]) <= 2 * math.pi).map(lambda a: Arc(*a))
+_ray = st.one_of(st.none(), st.floats(-math.pi, math.pi))
+
+
+def _depth(z, domain):
+    """max over the excluded wedges of -(Im v + |Re v|)/|v|, v = z - apex
+    (mirrored for the upper wedge): positive inside an excluded wedge."""
+    v = z - domain.apex
+    signs = {"plus": (1,), "minus": (-1,), "intersection": (1, -1)}[domain.kind]
+    return max(-(s * v.imag + abs(v.real)) / abs(v) for s in signs)
+
+
+def _dense(path):
+    """(segment_index, t, z) along the segment and the rays out to 1e12."""
+    seg = path.segments[0]
+    out = [(0, k / 2000, seg.point(k / 2000)) for k in range(2001)]
+    far = [10.0 ** (k / 40) for k in range(-120, 481)]
+    if path.ray_in is not None:
+        d = cmath.exp(1j * path.ray_in)
+        out += [(-1, s, path.start - s * d) for s in far]
+    if path.ray_out is not None:
+        d = cmath.exp(1j * path.ray_out)
+        out += [(1, s, path.end + s * d) for s in far]
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seg=st.one_of(_lines, _arcs), ray_in=_ray, ray_out=_ray, apex=_point,
+       kind=st.sampled_from(("plus", "minus", "intersection")))
+def test_exact_check_agrees_with_dense_sampling(seg, ray_in, ray_out, apex, kind):
+    path = Contour([seg], ray_in=ray_in, ray_out=ray_out)
+    domain = WedgeDomain(kind, apex)
+    found = domain_violations(path, domain)["violations"]
+    deep = [(i, t) for i, t, z in _dense(path)
+            if abs(z - apex) > 1e-9 and _depth(z, domain) > 1e-9]
+    if deep:
+        assert found, f"sampled exit {deep[0]} missed"
+    for i, t, z in found:
+        if i == 0:
+            assert z == seg.point(t)
+        elif i == -1:
+            assert z == path.start - t * cmath.exp(1j * ray_in)
+        else:
+            assert z == path.end + t * cmath.exp(1j * ray_out)
+        assert classify_point(z, domain) == "outside"
 
 
 # -- deformation -------------------------------------------------------------

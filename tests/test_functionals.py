@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from plemelj.contours import Contour, ContourError, segment_path, tilted_segment
+from plemelj.contours import (Arc, Contour, ContourError, segment_path,
+                              tilted_segment)
 from plemelj.functionals import (CATALOG_EXAMPLES, AdmissibilityError,
                                  DomainViolationError, FunctionalResult,
                                  OrientationError, PvDivergenceError,
@@ -181,6 +182,22 @@ def test_domain_violation_reports_segment():
     with pytest.raises(DomainViolationError) as info:
         plemelj_plus(catalog_function("gauss(0)"), low)
     assert info.value.segment_index in (0, 1)
+
+
+@pytest.mark.parametrize("name", [
+    "gauss(30j)",          # f(0) = exp(900) overflows
+    "gauss(1e200j)",       # f(0) is inf
+    "gauss(1+26.645j)",    # f(0) is finite, f(1) overflows
+    None,                  # inf on part of the path
+])
+def test_non_finite_test_function_is_inadmissible(name):
+    if name is None:
+        f = TestFunction(lambda z: complex(math.inf) if z.real > 0.5 else 1.0 + 0j)
+    else:
+        f = catalog_function(name)
+    for functional in (plemelj_plus, plemelj_minus, plemelj_delta):
+        with pytest.raises(AdmissibilityError):
+            functional(f, segment_path(-1.0, 1.0))
 
 
 def test_plus_requires_crossing_marker():
@@ -364,6 +381,24 @@ def test_overlap_slope_violation():
     steep = segment_path(-1.0 - 1.2j, 1.0 + 1.2j)   # slope exceeds pi/4
     with pytest.raises(DomainViolationError):
         overlap_delta(0.0, catalog_function("gauss(0)"), steep)
+
+
+@pytest.mark.parametrize("path, error, segment", [
+    # the exit ray runs backwards; only its direction leaves the band
+    (Contour(segment_path(-3.0, 3.0).segments, ray_out=math.pi),
+     OrientationError, None),
+    (Contour(segment_path(-3.0, 3.0).segments, ray_out=math.pi / 3),
+     DomainViolationError, 1),
+    # a near-full loop whose end tangents are both horizontal-ish
+    (Contour([Arc(0.0, 1.0, -math.pi / 2, 1.5 * math.pi - 0.1)]),
+     DomainViolationError, 0),
+], ids=["backward-ray", "steep-ray", "looping-arc"])
+def test_overlap_slope_check_is_exact(path, error, segment):
+    with pytest.raises(error) as info:
+        overlap_delta(path.start, catalog_function("gauss(0)"), path)
+    if segment is not None:
+        assert info.value.segment_index == segment
+        assert "band" in str(info.value)
 
 
 def test_overlap_point_off_path():

@@ -368,3 +368,20 @@ def test_concurrent_evaluation_is_consistent():
         threaded = list(pool.map(
             lambda z: (kernel_limit(z).status, kernel_limit(z).value), pts))
     assert sequential == threaded
+
+
+@pytest.mark.parametrize("flip", [{"diverged": "converged"},
+                                  {"converged": "undecided"}],
+                         ids=["diverged-as-converged", "converged-as-undecided"])
+def test_wedge_point_symmetry_check_can_fail(monkeypatch, flip):
+    from plemelj import verify
+    limit = kernels.kernel_limit
+
+    def flipped(z, schedule=None):
+        res = limit(z, schedule)
+        return kernels.KernelResult(res.value, flip.get(res.status, res.status),
+                                    res.lambda_trace)
+
+    monkeypatch.setattr(kernels, "kernel_limit", flipped)
+    check = {c.name: c for c in verify.suite_kernels()}["kernels/wedge-point-symmetry"]
+    assert check.measured > 0 and not check.passed
