@@ -87,11 +87,27 @@ def run_domain_map(req: DomainMapRequest):
             yield (re, im, status, absv)
 
 
+def _column_formatter():
+    """_FMT with a cache, for a grid column that repeats a few values.
+    Zeros bypass it: 0.0 == -0.0 would share one key and one text."""
+    cache = {}
+
+    def fmt(x):
+        text = cache.get(x)
+        if text is None:
+            text = _FMT(x)
+            if x:
+                cache[x] = text
+        return text
+    return fmt
+
+
 def write_domain_map_csv(rows, stream):
     stream.write("re,im,status,abs_value\n")
+    fmt_re, fmt_im = _column_formatter(), _column_formatter()
     for re, im, status, absv in rows:
         tail = "" if absv is None else _FMT(absv)
-        stream.write(f"{_FMT(re)},{_FMT(im)},{status},{tail}\n")
+        stream.write(f"{fmt_re(re)},{fmt_im(im)},{status},{tail}\n")
 
 
 def _parse_grid(text: str):

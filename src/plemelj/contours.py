@@ -197,6 +197,19 @@ def _as_finite(z: complex, what: str) -> complex:
     return z
 
 
+def _ray_angle(angle, what: str):
+    """A ray's direction angle as a finite float, or None for no ray."""
+    if angle is None:
+        return None
+    try:
+        angle = float(angle)
+    except (TypeError, ValueError) as exc:
+        raise ContourError(f"{what} must be a real angle, got {angle!r}") from exc
+    if not math.isfinite(angle):
+        raise ContourError(f"{what} must be finite, got {angle!r}")
+    return angle
+
+
 class Contour:
     """Oriented piecewise path of lines and arcs.
 
@@ -219,8 +232,8 @@ class Contour:
                 raise ContourError(
                     f"discontinuous contour: gap {gap:.3e} between consecutive segments")
         self.segments = segments
-        self.ray_in = None if ray_in is None else float(ray_in)
-        self.ray_out = None if ray_out is None else float(ray_out)
+        self.ray_in = _ray_angle(ray_in, "ray_in")
+        self.ray_out = _ray_angle(ray_out, "ray_out")
         if crossing is None:
             self.crossing = None
             self.crossing_param = None
@@ -329,7 +342,12 @@ class Contour:
                              "radius": s.radius,
                              "theta_start": s.theta_start,
                              "theta_end": s.theta_end})
-        return {"segments": segs, "crossing": self.crossing}
+        out = {"segments": segs, "crossing": self.crossing}
+        # finite paths keep their ray-free JSON
+        for key, angle in (("ray_in", self.ray_in), ("ray_out", self.ray_out)):
+            if angle is not None:
+                out[key] = angle
+        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Contour":
@@ -352,7 +370,8 @@ class Contour:
                 if isinstance(exc, ContourError):
                     raise
                 raise ContourError(f"segment {i}: malformed entry ({exc})") from exc
-        return cls(segs, crossing=data.get("crossing"))
+        return cls(segs, crossing=data.get("crossing"),
+                   ray_in=data.get("ray_in"), ray_out=data.get("ray_out"))
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)

@@ -21,12 +21,16 @@ verification suites.
 of the shifted full-line kernel along paths of bounded slope, recovering
 2 pi f(z2).
 
+Every route, like the functionals, reports an f that overflows or that
+quadrature cannot integrate along the path as AdmissibilityError.
+
 The built-in test-function catalog (:func:`catalog_function`) knows
 "one", "gauss(a)", "poly_gauss(n,a)" and "cos_gauss".
 """
 import cmath
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .contours import (
@@ -181,6 +185,18 @@ def check_analytic(f, path: Contour, samples: int = 20, tol: float = 1e-6):
         k += 1
 
 
+@contextmanager
+def _admissible_f(op: str):
+    """Report an f that overflows, or that quadrature cannot integrate
+    along the path, as AdmissibilityError rather than as the bare error."""
+    try:
+        yield
+    except (OverflowError, QuadratureError) as exc:
+        raise AdmissibilityError(
+            f"{op}: f overflows or cannot be integrated along the path "
+            f"({exc})") from exc
+
+
 def _require_finite_path(path: Contour, op: str):
     if path.is_infinite:
         raise AdmissibilityError(
@@ -272,7 +288,8 @@ def pv_contour(f, path: Contour) -> complex:
     Raises PvDivergenceError when the ladder is not Cauchy (f fails
     admissibility at 0, e.g. has a pole there).
     """
-    pv, _trace, _err = _pv_ladder(f, path)
+    with _admissible_f("pv_contour"):
+        pv, _trace, _err = _pv_ladder(f, path)
     return pv
 
 
@@ -313,15 +330,11 @@ def _plemelj(f, path: Contour, op: str, domain: WedgeDomain,
         raise OrientationError(
             f"{op} requires the crossing to run from the left half "
             "plane to the right half plane")
-    try:
+    with _admissible_f(op):
         f0 = f.at_zero() if isinstance(f, TestFunction) else complex(f(0.0 + 0.0j))
         if not cmath.isfinite(f0):
             raise AdmissibilityError(f"{op}: f(0) = {f0!r} is not finite")
         pv, trace, _err = _pv_ladder(f, path)
-    except (OverflowError, QuadratureError) as exc:
-        raise AdmissibilityError(
-            f"{op}: f overflows or cannot be integrated along the path "
-            f"({exc})") from exc
     delta_part = math.pi * f0
     sides = []
     for s in signs:
@@ -395,8 +408,9 @@ def deformation_route(f, path: Contour, side: str = "above",
             d, t = seg.min_distance(0.0 + 0.0j)
             if d < 4.0 * eps and 1e-9 < t < 1.0 - 1e-9:
                 breaks[i] = (t,)
-        v, _e = integrate_contour(lambda z: sign * f(z) / z, deformed,
-                                  abs_tol=_QUAD_TOL, seg_breakpoints=breaks)
+        with _admissible_f("deformation_route"):
+            v, _e = integrate_contour(lambda z: sign * f(z) / z, deformed,
+                                      abs_tol=_QUAD_TOL, seg_breakpoints=breaks)
         values.append(v)
     limit, _err = richardson(values, ratio=2.0)
     return limit
@@ -493,7 +507,8 @@ def lambda_route(f, path: Contour, kernel: str = "plus",
         raise ValueError(f"kernel must be plus|minus|full_line, got {kernel!r}")
     _check_domain(path, domain, "lambda_route")
     ratio = _ladder_ratio(lambdas, "lambda_route")
-    limit, _err = _regularized_limit(k_of, f, path, lambdas, ratio)
+    with _admissible_f("lambda_route"):
+        limit, _err = _regularized_limit(k_of, f, path, lambdas, ratio)
     return limit
 
 
@@ -562,6 +577,7 @@ def overlap_delta(z2: complex, f, path: Contour,
         raise DomainViolationError(
             f"overlap_delta: z2 = {z2!r} is {dmin:.3e} away from the path; "
             "the sifting point must lie on it")
-    limit, _err = _regularized_limit(full_line_kernel, f, path, lambdas, ratio,
-                                     center=z2)
+    with _admissible_f("overlap_delta"):
+        limit, _err = _regularized_limit(full_line_kernel, f, path, lambdas,
+                                         ratio, center=z2)
     return limit

@@ -19,6 +19,7 @@ Everything here is pure and safe to sweep over grids concurrently.
 """
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import _erfcx_py
@@ -239,6 +240,48 @@ def _verdict(last: complex, limit: complex, schedule) -> tuple:
     return "undecided", last
 
 
+_LOG_SHRINK = math.log1p(-1e-6)   # relative margin on the lower bounds
+_LOG_GROW = math.log1p(1e-6)      # and on the upper bounds
+# The kernels round w^2 = -z^2 / (4 lambda) with an absolute error of a few
+# ulps of |w|^2, and exponentiate it; below this |w|^2 the computed
+# magnitudes stay within 1e-7 of the exact ones, well inside the margin.
+_CERTIFY_MAX_W2 = 1e8
+
+
+def _wedge_diverges(z: complex, c: float,
+                    schedule: RegularizationSchedule) -> bool:
+    """True when the ladder at z, inside the open wedge Re(z^2) < 0, must
+    report diverged, decided without evaluating the kernel.
+
+    There |K(z, lambda)| = sqrt(pi/lambda) exp(a/lambda) with
+    a = -Re(z^2)/4 > 0, and the kernel's magnitude lies within
+    c sqrt(pi/lambda) of it: c = 1/2 for J, as J(z) = K(z) - J(-z) with -z
+    in the upper half plane, and c = 0 for K itself.  The bounds, in log
+    space and widened by a relative 1e-6, certify the ladder's divergence
+    test at the first step k >= 2 whose lower bound passes the threshold
+    and the upper bound of step k-1, whose lower bound passes the upper
+    bound of step k-2.  False means only "not certified"."""
+    x, y = z.real, z.imag
+    a = 0.25 * (y - x) * (y + x)   # the differences are exact near the rays
+    if a < sys.float_info.min:
+        return False   # a lost its relative precision to underflow
+    w2_scale = 0.25 * (x * x + y * y)
+    log_threshold = math.log(schedule.divergence_threshold)
+    lo_prev = hi_prev = hi_prev2 = math.inf
+    for lam in schedule.lambdas:
+        if w2_scale > _CERTIFY_MAX_W2 * lam:
+            return False
+        t = a / lam
+        base = 0.5 * math.log(math.pi / lam) + t
+        r = c * math.exp(-t)
+        lo = base + math.log1p(-r) + _LOG_SHRINK
+        hi = base + math.log1p(r) + _LOG_GROW
+        if lo > log_threshold and lo > hi_prev and lo_prev > hi_prev2:
+            return True
+        lo_prev, hi_prev, hi_prev2 = lo, hi, hi_prev
+    return False
+
+
 def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> tuple:
     """(status, value) of the 'plus', 'minus' or 'full_line' limit at z:
     what kernel_limit, kernel_limit_mirror or full_line_limit report,
@@ -255,19 +298,25 @@ def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> t
     When c sqrt(pi/lambda_min) is below the divergence threshold no step
     can overflow or pass the threshold, so the ladder cannot diverge and
     its last step alone sets the verdict: one kernel evaluation instead of
-    one per lambda.  Inside the wedge(s), or on a schedule deep enough to
-    break the bound, the full ladder runs.
+    one per lambda.  Inside the wedge(s) the same decomposition bounds the
+    kernel's magnitude from both sides in closed form, and
+    :func:`_wedge_diverges` certifies the ladder's divergence without a
+    kernel evaluation.  Where it cannot (next to the boundary rays, on
+    schedules of one or two steps), or on a schedule deep enough to break
+    the bound outside the wedge, the full ladder runs.
     """
     z, schedule = _limit_point(z, schedule)
     if kind == "minus":
         kind, z = "plus", -z
     # Re(z^2) >= 0 is |Re z| >= |Im z|, tested without rounding
     if kind == "plus":
-        kernel, limit = j_kernel, 1j / z
+        kernel, limit, c_wedge = j_kernel, 1j / z, 0.5
         c = 0.5 if z.imag >= 0.0 else 1.5 if abs(z.real) >= -z.imag else None
     else:
-        kernel, limit = _full_line, 0j
+        kernel, limit, c_wedge = _full_line, 0j, 0.0
         c = 1.0 if abs(z.real) >= abs(z.imag) else None
+    if c is None and _wedge_diverges(z, c_wedge, schedule):
+        return "diverged", OVERFLOW
     lam = schedule.lambdas[-1]
     if c is None or c * math.sqrt(math.pi / lam) >= schedule.divergence_threshold:
         res = _ladder(kernel, z, limit, schedule)

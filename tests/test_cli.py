@@ -1,4 +1,5 @@
 """Command-line interface: formats, determinism, exit codes."""
+import hashlib
 import json
 import math
 import os
@@ -100,6 +101,71 @@ def test_cli_domain_map_deterministic(tmp_path):
                     "--grid=-1:1:7,-1:1:7", "--out", str(out))
         assert r.returncode == 0, r.stderr
     assert out1.read_bytes() == out2.read_bytes()
+
+
+_PINNED_GRIDS = {"wide": "-2:2:41,-2:2:41",
+                 "narrow": "-1e-3:1e-3:41,-1e-3:1e-3:41",
+                 # re is -0.0 on every row, im crosses +0.0
+                 "signed_zero": "-0:-0:1,-1:1:3"}
+_PINNED_SCHEDULES = {"default": (),
+                     "deep": ("--lambda-start", "1e-3", "--lambda-steps", "30"),
+                     "two": ("--lambda-steps", "2")}
+# SHA-256 of the CSVs written by the full ladder at every point with one
+# format call per number; they hold every faster path to the same bytes
+_PINNED_CSV_SHA256 = {
+    ("I_plus", "wide", "default"):
+        "592dc5112eed296ad4776e0f43fe5731d1d40a569b7a94d23aa8fdef9d07dae2",
+    ("I_plus", "narrow", "default"):
+        "91e6d52f5291bcbcb8c4141a04044b1c3d1c9676018fec5b14310039afd33aec",
+    ("I_plus", "wide", "deep"):
+        "bff2ae813b3143059d6e16683ec8da6619a3083733b8a4d639ede64889a4c2bb",
+    ("I_plus", "narrow", "deep"):
+        "157fcc0b08ebd3dee3394a9a9b23bea59131999e45c306ad2fc0d49a007191fa",
+    ("I_plus", "wide", "two"):
+        "49525a168e8e2e9d18f0298166c05183438666b9abc616bf36f2ce492a753100",
+    ("I_plus", "narrow", "two"):
+        "91e6d52f5291bcbcb8c4141a04044b1c3d1c9676018fec5b14310039afd33aec",
+    ("I_plus", "signed_zero", "default"):
+        "c5af1a561d6581212fc8f683628da9c4682770f3edf03994aa48943be9b964d5",
+    ("I_minus", "wide", "default"):
+        "ec68218045ac01afb8b5dfd26074c514f83473fa5af7b98f2e3df6f45ce78955",
+    ("I_minus", "narrow", "default"):
+        "91e6d52f5291bcbcb8c4141a04044b1c3d1c9676018fec5b14310039afd33aec",
+    ("I_minus", "wide", "deep"):
+        "cd022384b2e40b27baa08d23ba27910bf76d55e97fba1435f0dae9586c14c9ed",
+    ("I_minus", "narrow", "deep"):
+        "ee5890fcdad9522f7473c00c4c6a44a3f5d52dbfa0c0f833df434a0775e7c08b",
+    ("I_minus", "wide", "two"):
+        "49525a168e8e2e9d18f0298166c05183438666b9abc616bf36f2ce492a753100",
+    ("I_minus", "narrow", "two"):
+        "91e6d52f5291bcbcb8c4141a04044b1c3d1c9676018fec5b14310039afd33aec",
+    ("I_minus", "signed_zero", "default"):
+        "53fd4952327f8de434d678aabd01325cb910ec62486bf818b96854661b4b93d5",
+    ("full_line", "wide", "default"):
+        "69d8e0529d36b127722dc4a17bf7a0bc22af79f44775aeb4788e6f3be333c6b4",
+    ("full_line", "narrow", "default"):
+        "91e6d52f5291bcbcb8c4141a04044b1c3d1c9676018fec5b14310039afd33aec",
+    ("full_line", "wide", "deep"):
+        "44d6d73cea24454976b793002604011b08cdbefbc686f26bf6efa7cbd32cb3f7",
+    ("full_line", "narrow", "deep"):
+        "b3a2bffed4e56b41aef490fb5339a9d0f30bef3eeb9d5a99bab623d7896f5ef3",
+    ("full_line", "wide", "two"):
+        "49525a168e8e2e9d18f0298166c05183438666b9abc616bf36f2ce492a753100",
+    ("full_line", "narrow", "two"):
+        "91e6d52f5291bcbcb8c4141a04044b1c3d1c9676018fec5b14310039afd33aec",
+    ("full_line", "signed_zero", "default"):
+        "9075844292050bcf226522c3df692e552cc0c90790bbad7c46384ba5e8f6d3e1",
+}
+
+
+def test_domain_map_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "m.csv"
+    for (kernel, grid, schedule), digest in _PINNED_CSV_SHA256.items():
+        assert main(["domain-map", "--kernel", kernel,
+                     f"--grid={_PINNED_GRIDS[grid]}", "--out", str(out),
+                     *_PINNED_SCHEDULES[schedule]]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (
+            kernel, grid, schedule)
 
 
 def test_cli_lambda_flags_change_schedule(tmp_path):

@@ -346,6 +346,22 @@ def test_json_round_trip_with_arc():
     assert abs(back.segments[1].point(0.5) - d.segments[1].point(0.5)) == 0.0
 
 
+def test_json_round_trip_keeps_rays():
+    base = segment_path(-1.0, 1.0)
+    assert "ray" not in base.to_json()   # finite paths keep their JSON
+    for ray_in, ray_out in ((None, 0.3), (-0.2, None), (0.1, -0.7)):
+        path = Contour(base.segments, crossing=0, ray_in=ray_in,
+                       ray_out=ray_out)
+        back = Contour.from_json(path.to_json())
+        assert back.is_infinite
+        assert (back.ray_in, back.ray_out) == (ray_in, ray_out)
+        assert back.to_json() == path.to_json()
+    line = '{"segments": [{"type": "line", "start": [0, 0], "end": [1, 0]}]'
+    for bad in ('"ray_out": "east"', '"ray_in": NaN'):
+        with pytest.raises(ContourError):
+            Contour.from_json(line + ", " + bad + "}")
+
+
 def test_json_malformed():
     with pytest.raises(ContourError):
         Contour.from_json("{not json")

@@ -200,6 +200,18 @@ def test_non_finite_test_function_is_inadmissible(name):
             functional(f, segment_path(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("route", [
+    pv_contour,
+    lambda f, path: lambda_route(f, path),
+    lambda f, path: overlap_delta(0.5, f, path),
+    deformation_route,
+], ids=["pv_contour", "lambda_route", "overlap_delta", "deformation_route"])
+def test_routes_report_an_overflowing_test_function(route):
+    # f(1) overflows; no OverflowError or QuadratureError may get through
+    with pytest.raises(AdmissibilityError, match="f overflows"):
+        route(catalog_function("gauss(1+26.645j)"), segment_path(-1.0, 1.0))
+
+
 def test_plus_requires_crossing_marker():
     path = segment_path(-1.0 + 0.5j, 1.0 + 0.5j)
     with pytest.raises(DomainViolationError):

@@ -6,13 +6,14 @@ import random
 import pytest
 
 import plemelj.kernels as kernels
+from plemelj import _erfcx_py
 from plemelj.kernels import (RegularizationSchedule,
                              SingularInputError, TruncationError,
                              _decide, _full_line,
                              direct_quadrature, full_line_kernel,
                              full_line_limit, j_closed_form, j_kernel,
                              kernel_limit, kernel_limit_mirror)
-from plemelj.special_functions import SQRT_PI, is_overflow
+from plemelj.special_functions import OVERFLOW, SQRT_PI, is_overflow
 
 # frozen oracle value for exp(1)*erfc(1) (two-oracle machinery in
 # tests/test_special_functions.py)
@@ -269,6 +270,8 @@ _ALL = {"converged", "diverged", "undecided"}
 _DECIDE_SCHEDULES = ((None, _ALL), (_schedule(5), _ALL),
                      (_schedule(40), {"converged", "diverged"}))
 _WEDGE_RAYS = (-0.75 * math.pi, -0.25 * math.pi, 0.25 * math.pi, 0.75 * math.pi)
+_LIMITS = (("plus", kernel_limit), ("minus", kernel_limit_mirror),
+           ("full_line", full_line_limit))
 
 
 def _decide_points():
@@ -286,9 +289,7 @@ def _decide_points():
 def test_decide_matches_the_full_ladders(schedule, reached):
     statuses = set()
     for z in _decide_points():
-        for kind, limit_of in (("plus", kernel_limit),
-                               ("minus", kernel_limit_mirror),
-                               ("full_line", full_line_limit)):
+        for kind, limit_of in _LIMITS:
             res = limit_of(z, schedule)
             status, value = _decide(kind, z, schedule)
             assert status == res.status, (kind, z)
@@ -326,16 +327,66 @@ def test_decide_evaluates_bounded_points_once(monkeypatch):
     assert ladders == []
 
 
-def test_decide_runs_the_ladder_inside_the_wedge(monkeypatch):
+# schedules for the wedge certificate: one and two steps (too short to
+# certify), the default, 5 and 40 steps, and a slowly decreasing one whose
+# consecutive magnitudes differ by about 5e-4
+_CERTIFY_SCHEDULES = (
+    None, _schedule(1), _schedule(2), _schedule(5), _schedule(40),
+    RegularizationSchedule(lambdas=tuple(1.0 - 0.001 * k for k in range(100))))
+
+
+def _wedge_points():
+    """Seeded points inside the wedges of every kernel, points 1e-6 rad
+    either side of each boundary ray, and tiny and huge |z|."""
+    rng = random.Random(1234)
+    pts = []
+    for centre in (-0.5 * math.pi, 0.5 * math.pi):
+        pts += [cmath.rect(10.0 ** rng.uniform(-1.0, 1.2),
+                           centre + rng.uniform(-0.24, 0.24) * math.pi)
+                for _ in range(12)]
+    for ray in _WEDGE_RAYS:
+        for offset in (-1e-6, 1e-6):
+            for r in (0.3, 1.0, 3.0, 12.0):
+                pts.append(cmath.rect(r, ray + offset))
+    for r in (1e-150, 1e150):
+        for angle in (-0.5 * math.pi, 0.5 * math.pi, -0.3 * math.pi, 0.6 * math.pi):
+            pts.append(cmath.rect(r, angle))
+    return pts
+
+
+@pytest.mark.parametrize("schedule", _CERTIFY_SCHEDULES,
+                         ids=["default", "1", "2", "5", "40", "slow"])
+def test_decide_wedge_certificate_matches_the_ladders(schedule):
+    for z in _wedge_points():
+        for kind, limit_of in _LIMITS:
+            res = limit_of(z, schedule)
+            assert _decide(kind, z, schedule) == (res.status, res.value), (kind, z)
+
+
+def test_decide_certifies_wedge_points_without_erfcx(monkeypatch):
+    erfcx_calls = []
+    erfcx = _erfcx_py.erfcx_complex
+    monkeypatch.setattr(_erfcx_py, "erfcx_complex",
+                        lambda w: erfcx_calls.append(w) or erfcx(w))
+    k_calls = _count_calls(monkeypatch, "_full_line")
     ladders = _count_calls(monkeypatch, "_ladder")
-    assert _decide("plus", -1.0j)[0] == "diverged"
-    assert _decide("minus", 1.0j)[0] == "diverged"
-    assert _decide("full_line", 1.0j)[0] == "diverged"
-    assert len(ladders) == 3
-    # a bounded point on a schedule too deep for the bound
+    rng = random.Random(99)
+    deep = [cmath.rect(rng.uniform(0.3, 3.0),
+                       -0.5 * math.pi + rng.uniform(-0.2, 0.2) * math.pi)
+            for _ in range(20)]
+    for z in deep:
+        assert _decide("plus", z) == ("diverged", OVERFLOW)
+        assert _decide("minus", -z) == ("diverged", OVERFLOW)
+        assert _decide("full_line", z) == ("diverged", OVERFLOW)
+        assert _decide("full_line", -z) == ("diverged", OVERFLOW)
+    assert erfcx_calls == [] and k_calls == [] and ladders == []
+    # a bounded point on a schedule too deep for the bound runs the ladder
     assert _decide("plus", 1.0j, _schedule(40))[0] == "converged"
-    assert len(ladders) == 4
-    assert len(ladders[-1][3].lambdas) == 40
+    assert len(ladders) == 1 and len(ladders[0][3].lambdas) == 40
+    # the counter sees the reference ladder's erfcx calls
+    erfcx_calls.clear()
+    assert kernel_limit(deep[0]).status == "diverged"
+    assert erfcx_calls
 
 
 def test_kernel_bounds_outside_the_wedges():
