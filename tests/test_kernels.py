@@ -262,13 +262,20 @@ def _schedule(steps):
         lambdas=tuple(10.0 ** (-0.5 * n) for n in range(steps)))
 
 
+# 30 steps from 1e-3 down to 10^-17.5: c sqrt(pi/lambda) reaches the
+# divergence threshold 1e6 at step 19 for c = 1/2, 18 for c = 1 and 17 for
+# c = 3/2
+_DEEP = RegularizationSchedule(
+    lambdas=tuple(1e-3 * 10.0 ** (-0.5 * n) for n in range(30)))
+
 # (schedule, statuses the sample reaches on it).  The 5-step schedule stops
-# at lambda = 1e-2; the 40-step one reaches 10^-19.5, where c sqrt(pi/lambda)
-# exceeds the divergence threshold, so the full ladder must run and the
-# boundary rays diverge
+# at lambda = 1e-2; the 40-step one reaches 10^-19.5, and _DEEP 10^-17.5,
+# where c sqrt(pi/lambda) exceeds the divergence threshold, so the ladder
+# must run and the boundary rays diverge
 _ALL = {"converged", "diverged", "undecided"}
 _DECIDE_SCHEDULES = ((None, _ALL), (_schedule(5), _ALL),
-                     (_schedule(40), {"converged", "diverged"}))
+                     (_schedule(40), {"converged", "diverged"}),
+                     (_DEEP, {"converged", "diverged"}))
 _WEDGE_RAYS = (-0.75 * math.pi, -0.25 * math.pi, 0.25 * math.pi, 0.75 * math.pi)
 _LIMITS = (("plus", kernel_limit), ("minus", kernel_limit_mirror),
            ("full_line", full_line_limit))
@@ -325,6 +332,35 @@ def test_decide_evaluates_bounded_points_once(monkeypatch):
     assert [lam for _z, lam in j_calls] == [lam_min] * 3
     assert [lam for _z, lam in k_calls] == [lam_min] * 2
     assert ladders == []
+
+
+def test_decide_skips_the_steps_that_cannot_diverge(monkeypatch):
+    # on _DEEP the walk starts two steps before the first step whose bound
+    # c sqrt(pi/lambda) reaches the threshold, and decides as the ladder
+    j_calls = _count_calls(monkeypatch, "j_kernel")
+    k_calls = _count_calls(monkeypatch, "_full_line")
+    for kind, z, first, calls in (("plus", 1.0j, 19, j_calls),
+                                  ("plus", 2.0 - 1.0j, 17, j_calls),
+                                  ("minus", -1.0j, 19, j_calls),
+                                  ("full_line", 1.0 + 0.5j, 18, k_calls)):
+        res = dict(_LIMITS)[kind](z, _DEEP)
+        calls.clear()
+        assert _decide(kind, z, _DEEP) == (res.status, res.value), (kind, z)
+        assert [lam for _z, lam in calls] == list(_DEEP.lambdas[first - 2:])
+
+
+def test_ladder_reports_a_modulus_beyond_the_double_range_as_diverged():
+    # K(z, 1e-4) has finite parts, 1.54e308 each, but abs() overflows
+    z = 0.0002958399812237108 - 0.5309614746111948j
+    v = _full_line(z, 1e-4)
+    assert math.isfinite(v.real) and math.isfinite(v.imag)
+    assert math.hypot(v.real, v.imag) == math.inf
+    for steps in (1, 3):
+        schedule = RegularizationSchedule(
+            lambdas=tuple(1e-4 * 10.0 ** (0.5 * n) for n in range(steps))[::-1])
+        res = full_line_limit(z, schedule)
+        assert (res.status, res.value) == ("diverged", OVERFLOW)
+        assert _decide("full_line", z, schedule) == (res.status, res.value)
 
 
 # schedules for the wedge certificate: one and two steps (too short to
