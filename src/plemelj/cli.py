@@ -26,7 +26,7 @@ from . import functionals, verify
 from .contours import Contour, ContourError
 from .functionals import (AdmissibilityError, DomainViolationError,
                           OrientationError)
-from .kernels import RegularizationSchedule, _decide
+from .kernels import RegularizationSchedule, _decider
 
 _FMT = "{:.16e}".format   # 17 significant digits, lowercase scientific
 
@@ -72,8 +72,8 @@ def run_domain_map(req: DomainMapRequest):
     """Evaluate the sweep; yields rows (re, im, status, abs_value_or_None)
     in row-major order (im ascending outer, re ascending inner)."""
     re_min, re_max, im_min, im_max, n_re, n_im = req.grid
-    kind = {"I_plus": "plus", "I_minus": "minus",
-            "full_line": "full_line"}[req.kernel]
+    decide = _decider({"I_plus": "plus", "I_minus": "minus",
+                       "full_line": "full_line"}[req.kernel], req.schedule)
     for im in _axis(im_min, im_max, n_im):
         for re in _axis(re_min, re_max, n_re):
             z = complex(re, im)
@@ -82,7 +82,7 @@ def run_domain_map(req: DomainMapRequest):
                 # grows like 1/sqrt(lambda) there, so the limit diverges
                 yield (re, im, "diverged", None)
                 continue
-            status, value = _decide(kind, z, req.schedule)
+            status, value = decide(z)
             absv = abs(value) if status == "converged" else None
             yield (re, im, status, absv)
 

@@ -27,6 +27,8 @@ from .quadrature import gk15
 from .special_functions import OVERFLOW, SQRT_PI, _require_finite, is_overflow
 
 _EXP_OVERFLOW = 709.0
+_EXP_UNDERFLOW = -746.0   # exp of less is 0.0
+_LOG_PI = math.log(math.pi)
 
 
 class SingularInputError(ValueError):
@@ -101,9 +103,24 @@ def j_kernel(z: complex, lam: float) -> complex:
     w = complex(0.5 * z.imag / sq, -0.5 * z.real / sq)   # -i z / (2 sqrt(lam))
     # an overflowed erfcx makes the product non-finite too
     out = (0.5 * SQRT_PI / sq) * _erfcx_py.erfcx_complex(w)
-    if is_overflow(out):
-        return OVERFLOW
+    if is_overflow(out) or not out:
+        # a w beyond the double range ends here too, as NaN or 0
+        if is_overflow(w):
+            return _j_far(z, lam)
+        if is_overflow(out):
+            return OVERFLOW
     return out
+
+
+def _j_far(z: complex, lam: float) -> complex:
+    """J where w = -i z / (2 sqrt(lambda)) is beyond the double range.
+    There sqrt(pi) w erfcx(w) = 1 + O(1/|w|^2) is 1 to double precision
+    for Re w >= 0 (A&S 7.1.23), so J = i/z; below the real axis
+    J(z) = K(z) - J(-z) = K(z) + i/z."""
+    if z.imag >= 0.0:
+        return 1j / z
+    k = _full_line(z, lam)
+    return k if is_overflow(k) else k + 1j / z
 
 
 def j_closed_form(z: complex, lam: float) -> complex:
@@ -129,9 +146,22 @@ def full_line_kernel(z: complex, lam: float) -> complex:
 
 def _full_line(z: complex, lam: float) -> complex:
     ex = -(z * z) / (4.0 * lam)
-    if ex.real > _EXP_OVERFLOW:
-        return OVERFLOW
-    return math.sqrt(math.pi / lam) * cmath.exp(ex)
+    if not ex.real <= _EXP_OVERFLOW:   # or NaN, where z*z overflowed
+        return OVERFLOW if ex.real > _EXP_OVERFLOW else _full_line_far(z, lam)
+    try:
+        return math.sqrt(math.pi / lam) * cmath.exp(ex)
+    except ValueError:   # the phase -Im(z^2) / (4 lambda) overflowed
+        return _full_line_far(z, lam)
+
+
+def _full_line_far(z: complex, lam: float) -> complex:
+    """K where z*z or the phase of the exponent overflowed.  The modulus
+    follows from Re(z^2) = (x - y)(x + y), whose parts do not overflow:
+    0j where it underflows, and otherwise the overflow tag, as the phase
+    is beyond the double range."""
+    x, y = z.real, z.imag
+    log_modulus = 0.5 * (_LOG_PI - math.log(lam)) + (y - x) * (y + x) / (4.0 * lam)
+    return 0j if log_modulus < _EXP_UNDERFLOW else OVERFLOW
 
 
 _TAIL_FACTOR = 1e-16
@@ -245,16 +275,31 @@ def _verdict(last: complex, limit: complex, schedule) -> tuple:
 
 _LOG_SHRINK = math.log1p(-1e-6)   # relative margin on the lower bounds
 _LOG_GROW = math.log1p(1e-6)      # and on the upper bounds
+_GROW = 1.0 + 1e-6
 # The kernels round w^2 = -z^2 / (4 lambda) with an absolute error of a few
 # ulps of |w|^2, and exponentiate it; below this |w|^2 the computed
 # magnitudes stay within 1e-7 of the exact ones, well inside the margin.
 _CERTIFY_MAX_W2 = 1e8
+# Bound on the error of a computed Re(w^2) (J below the axis) or
+# Re(-z^2 / (4 lambda)) (K) relative to |w|^2: a few roundings of w's parts,
+# of their sum, difference and product, about 8e-16 at most.
+_EXP_ROUNDING = 2e-15
+# |sqrt(pi) w erfcx(w) - 1| <= (1 + 2 e^{-3/2}) / |w|^2 for Re w >= 0, from
+# three integrations by parts of erfcx(w) = (2/sqrt(pi)) int_0^inf
+# exp(-t^2 - 2 w t) dt (cf. A&S 7.1.23, DLMF 7.12); rounded up from 1.446260.
+_ERFCX_TAIL = 1.4463
+# Bound on the rounding of a computed J relative to |i/z|, two orders above
+# the erfcx core's measured 8.7e-16 on Re w >= 0.
+_J_ROUNDING = 1e-13
 
 
-def _wedge_diverges(z: complex, c: float,
-                    schedule: RegularizationSchedule) -> bool:
-    """True when the ladder at z, inside the open wedge Re(z^2) < 0, must
-    report diverged, decided without evaluating the kernel.
+def _wedge_diverges(x: float, y: float, c: float, steps: tuple,
+                    log_threshold: float) -> bool:
+    """True when the ladder at z = x + iy, inside the open wedge
+    Re(z^2) < 0, must report diverged, decided without evaluating the
+    kernel.  ``steps`` holds (lambda, log sqrt(pi/lambda), the largest
+    |z|^2/4 certified at lambda) per schedule step, and ``log_threshold``
+    the log of the divergence threshold, both from :func:`_decider`.
 
     There |K(z, lambda)| = sqrt(pi/lambda) exp(a/lambda) with
     a = -Re(z^2)/4 > 0, and the kernel's magnitude lies within
@@ -264,18 +309,16 @@ def _wedge_diverges(z: complex, c: float,
     test at the first step k >= 2 whose lower bound passes the threshold
     and the upper bound of step k-1, whose lower bound passes the upper
     bound of step k-2.  False means only "not certified"."""
-    x, y = z.real, z.imag
     a = 0.25 * (y - x) * (y + x)   # the differences are exact near the rays
     if a < sys.float_info.min:
         return False   # a lost its relative precision to underflow
     w2_scale = 0.25 * (x * x + y * y)
-    log_threshold = math.log(schedule.divergence_threshold)
     lo_prev = hi_prev = hi_prev2 = math.inf
-    for lam in schedule.lambdas:
-        if w2_scale > _CERTIFY_MAX_W2 * lam:
+    for lam, half_log, w2_cap in steps:
+        if w2_scale > w2_cap:
             return False
         t = a / lam
-        base = 0.5 * math.log(math.pi / lam) + t
+        base = half_log + t
         r = c * math.exp(-t)
         lo = base + math.log1p(-r) + _LOG_SHRINK
         hi = base + math.log1p(r) + _LOG_GROW
@@ -285,10 +328,11 @@ def _wedge_diverges(z: complex, c: float,
     return False
 
 
-def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> tuple:
-    """(status, value) of the 'plus', 'minus' or 'full_line' limit at z:
-    what kernel_limit, kernel_limit_mirror or full_line_limit report,
-    without the trace.
+def _decider(kind: str, schedule: RegularizationSchedule):
+    """The decision procedure of :func:`_decide` for one kind ('plus',
+    'minus' or 'full_line') and one schedule: a function z -> (status,
+    value) for a finite z != 0, with every schedule-level constant
+    computed once.  Build one per grid.
 
     Outside the open excluded wedge(s) the kernel obeys
     |kernel(z, lambda)| <= c sqrt(pi/lambda) for every lambda > 0:
@@ -298,40 +342,136 @@ def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> t
       |K(z, lambda)| = sqrt(pi/lambda) exp(-Re(z^2) / (4 lambda));
     * K, Re(z^2) >= 0: c = 1.
 
-    A step whose bound c sqrt(pi/lambda) is below the divergence threshold
-    can neither overflow nor pass the threshold.  So when the last step's
-    bound is below it the ladder cannot diverge, and its last step alone
-    sets the verdict: one kernel evaluation instead of one per lambda.
-    On a deeper schedule the walk starts two steps before the first step
-    whose bound reaches the threshold, as the divergence test looks back
-    two steps.  Inside the wedge(s) the same decomposition bounds the
-    kernel's magnitude from both sides in closed form, and
-    :func:`_wedge_diverges` certifies the ladder's divergence without a
-    kernel evaluation.  Where it cannot (next to the boundary rays, on
-    schedules of one or two steps), the full ladder runs.
+    A step whose bound (widened by a relative 1e-6) is below the
+    divergence threshold can neither overflow nor pass it.  So when the
+    last step's bound is below it, the last step alone sets the verdict,
+    and a point there is certified ``converged`` without any kernel
+    evaluation where the kernel at lambda_min provably lies within tol of
+    the limit.  tol is convergence_tol shrunk by a relative 1e-6, which
+    covers the rounding of K, and for J also by _J_ROUNDING:
+
+    * J, Im z >= 0: |J - i/z| <= (4 C lambda / |z|^2) |i/z| with
+      C = 1 + 2 e^{-3/2} (_ERFCX_TAIL): certified for |z|^2 >= 4 C
+      lambda_min / tol, with the value i/z;
+    * J, Im z < 0: J - i/z = K(z) - (J(-z) + i/z), so certified where
+      |z| |K(z, lambda_min)| + 4 C lambda_min / |z|^2 <= tol;
+    * K: certified where |K(z, lambda_min)| <= tol, i.e. where
+      (x - y)(x + y) passes a fixed bound, with the value 0j.
+
+    Any other such point costs one kernel evaluation at lambda_min.  The
+    certificates refuse where their margin cannot be shown to dominate the
+    kernel's rounding: at |w|^2 = |z|^2 / (4 lambda_min) > _CERTIFY_MAX_W2,
+    for a subnormal lambda_min, and for J when tol is within _J_ROUNDING
+    of 0.  The one-step verdict itself needs the computed kernel to stay
+    below the threshold at every step.  The exponent of K, and of
+    exp(w^2) in J below the axis, carries an error of up to
+    _EXP_ROUNDING |w|^2, so beyond the |w|^2 at which that could lift the
+    bound to the threshold (about 3e15 at the defaults) the full ladder
+    runs.  On a deeper schedule the walk starts two steps before the
+    first step whose bound reaches the threshold, as the divergence test
+    looks back two steps.  Inside the wedge(s) :func:`_wedge_diverges`
+    certifies the ladder's divergence in closed form; where it cannot
+    (next to the boundary rays, on schedules of one or two steps), the
+    full ladder runs.
+    """
+    lams = schedule.lambdas
+    lam = lams[-1]
+    threshold = schedule.divergence_threshold
+    tol = schedule.convergence_tol
+    root = math.sqrt(math.pi / lam)
+
+    def shortcut(c, rounding=_EXP_ROUNDING):
+        """(q_one, first) for points whose kernel is bounded by
+        c sqrt(pi/lambda) and is computed with exponent errors up to
+        rounding |w|^2: the last step alone decides such a point while
+        |z|^2/4 <= q_one, as the computed kernel stays below the threshold
+        and finite at every step; the walk starts at step ``first``
+        otherwise.  On a schedule whose bound reaches the threshold,
+        q_one = -inf and ``first`` is two steps before the first step
+        whose bound does, as the divergence test looks back two steps."""
+        bound = c * _GROW * root
+        if bound < threshold:
+            headroom = min(math.log(threshold / bound), _EXP_OVERFLOW)
+            return (lam * headroom / rounding if rounding else math.inf), 0
+        first = next(k for k, step in enumerate(lams)
+                     if c * _GROW * math.sqrt(math.pi / step) >= threshold)
+        return -math.inf, max(0, first - 2)
+
+    steps = tuple((step, 0.5 * math.log(math.pi / step), _CERTIFY_MAX_W2 * step)
+                  for step in lams)
+    log_threshold = math.log(threshold)
+    # the largest |z|^2/4 a convergence certificate takes
+    q_max = _CERTIFY_MAX_W2 * lam
+    normal = lam >= sys.float_info.min
+
+    if kind == "full_line":
+        q_one, first = shortcut(1.0)
+        # 0.5 log(pi/lambda) - Re(z^2)/(4 lambda) <= log(tol) + _LOG_SHRINK
+        s_min = (4.0 * lam * (0.5 * math.log(math.pi / lam) - math.log(tol)
+                              - _LOG_SHRINK) if normal else math.inf)
+
+        def decide(z):
+            x, y = z.real, z.imag
+            if abs(x) < abs(y):   # Re(z^2) < 0, tested without rounding
+                if _wedge_diverges(x, y, 0.0, steps, log_threshold):
+                    return "diverged", OVERFLOW
+                res = _ladder(_full_line, z, 0j, schedule)
+                return res.status, res.value
+            q = 0.25 * (x * x + y * y)
+            if q <= q_one:
+                if q <= q_max and (x - y) * (x + y) >= s_min:
+                    return "converged", 0j
+                return _verdict(_full_line(z, lam), 0j, schedule)
+            res = _ladder(_full_line, z, 0j, schedule, first)
+            return res.status, res.value
+        return decide
+
+    # J above the axis has no exponential: erfcx(w) for Re w >= 0
+    upper, lower = shortcut(0.5, rounding=0.0), shortcut(1.5)
+    tail = _ERFCX_TAIL * lam   # |J - i/z| / |i/z| <= tail / q, q = |z|^2/4
+    tol_j = tol * (1.0 - 1e-6) - _J_ROUNDING
+    q_min = tail / tol_j if normal and tol_j > 0.0 else math.inf
+    if not q_min >= sys.float_info.min:
+        q_min = math.inf
+    two_root = 2.0 * root
+    mirror = kind == "minus"
+
+    def decide(z):
+        if mirror:
+            z = -z
+        x, y = z.real, z.imag
+        if y >= 0.0:
+            q_one, first = upper
+        elif abs(x) >= -y:   # Re(z^2) >= 0, tested without rounding
+            q_one, first = lower
+        else:
+            if _wedge_diverges(x, y, 0.5, steps, log_threshold):
+                return "diverged", OVERFLOW
+            res = _ladder(j_kernel, z, 1j / z, schedule)
+            return res.status, res.value
+        q = 0.25 * (x * x + y * y)
+        if q <= q_one:
+            if q_min <= q <= q_max and (
+                    y >= 0.0 or two_root * math.sqrt(q)
+                    * math.exp(-0.25 * (x - y) * (x + y) / lam)
+                    + tail / q <= tol_j):
+                return "converged", 1j / z
+            return _verdict(j_kernel(z, lam), 1j / z, schedule)
+        res = _ladder(j_kernel, z, 1j / z, schedule, first)
+        return res.status, res.value
+    return decide
+
+
+def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> tuple:
+    """(status, value) of the 'plus', 'minus' or 'full_line' limit at z:
+    what kernel_limit, kernel_limit_mirror or full_line_limit report,
+    without the trace.  Validates z and builds the :func:`_decider` of
+    the schedule (the default one if None), which decides from closed-form
+    bounds where it can and evaluates the kernel or walks the ladder
+    where it cannot; a sweep builds that decider once instead.
     """
     z, schedule = _limit_point(z, schedule)
-    if kind == "minus":
-        kind, z = "plus", -z
-    # Re(z^2) >= 0 is |Re z| >= |Im z|, tested without rounding
-    if kind == "plus":
-        kernel, limit, c_wedge = j_kernel, 1j / z, 0.5
-        c = 0.5 if z.imag >= 0.0 else 1.5 if abs(z.real) >= -z.imag else None
-    else:
-        kernel, limit, c_wedge = _full_line, 0j, 0.0
-        c = 1.0 if abs(z.real) >= abs(z.imag) else None
-    if c is None:
-        if _wedge_diverges(z, c_wedge, schedule):
-            return "diverged", OVERFLOW
-        res = _ladder(kernel, z, limit, schedule)
-        return res.status, res.value
-    lams, threshold = schedule.lambdas, schedule.divergence_threshold
-    if c * math.sqrt(math.pi / lams[-1]) < threshold:
-        return _verdict(kernel(z, lams[-1]), limit, schedule)
-    first = next(k for k, lam in enumerate(lams)
-                 if c * math.sqrt(math.pi / lam) >= threshold)
-    res = _ladder(kernel, z, limit, schedule, max(0, first - 2))
-    return res.status, res.value
+    return _decider(kind, schedule)(z)
 
 
 def kernel_limit(z: complex, schedule: RegularizationSchedule = None) -> KernelResult:

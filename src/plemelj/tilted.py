@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .contours import Contour, tilted_segment
 from .functionals import TestFunction, check_analytic
-from .kernels import _decide
+from .kernels import RegularizationSchedule, _decider
 from .quadrature import integrate_adaptive
 
 
@@ -205,7 +205,9 @@ def _kernel_route_diverges(line: TiltedLine) -> bool:
     line; True when either side diverges (|phi| beyond the strict range)."""
     q_ref = 0.5 * min(-line.q_min, line.q_max)
     phase = cmath.exp(1j * line.phi)
+    # the probes are finite and nonzero: the line's contour has been built
+    decide = _decider("plus", RegularizationSchedule.default())
     for q in (q_ref, -q_ref):
-        if _decide("plus", q * phase)[0] == "diverged":
+        if decide(q * phase)[0] == "diverged":
             return True
     return False

@@ -182,6 +182,36 @@ def suite_kernels():
                        if want else ray * abs(z) ** 2 >= 1e-4)
     checks.append(_check("kernels/wedge-point-symmetry", mismatches, 0.0))
 
+    # _decide against the full ladders on the default schedule: seeded
+    # points, the boundary rays, and the bands around the radii where the
+    # convergence certificates switch on, |z|^2 = 4 C lambda_min / tol for
+    # J (C = 1 + 2 e^{-3/2}) and Re(z^2) = 4 lambda_min log(sqrt(pi /
+    # lambda_min) / tol) for K
+    schedule = kernels.RegularizationSchedule.default()
+    lam, tol = schedule.lambdas[-1], schedule.convergence_tol
+    r_j = math.sqrt(4.0 * (1.0 + 2.0 * math.exp(-1.5)) * lam / tol)
+    s_k = 4.0 * lam * math.log(math.sqrt(math.pi / lam) / tol)
+    rng = random.Random(20240615)
+    pts = [cmath.rect(r_j * 10.0 ** rng.uniform(-1.0, 1.0),
+                      rng.uniform(-math.pi, math.pi)) for _ in range(40)]
+    for _ in range(40):
+        angle = rng.uniform(-math.pi, math.pi)
+        pts.append(cmath.rect(r_j * rng.uniform(0.9, 1.1), angle))
+        if math.cos(2.0 * angle) > 0.0:
+            pts.append(cmath.rect(math.sqrt(s_k / math.cos(2.0 * angle))
+                                  * rng.uniform(0.9, 1.1), angle))
+    pts += [cmath.rect(r, (0.5 * q + 0.25) * math.pi)
+            for q in range(4) for r in (0.3 * r_j, r_j, 3.0 * r_j)]
+    mismatches = 0
+    for z in pts:
+        for kind, limit_of in (("plus", kernels.kernel_limit),
+                               ("minus", kernels.kernel_limit_mirror),
+                               ("full_line", kernels.full_line_limit)):
+            res = limit_of(z, schedule)
+            mismatches += (kernels._decide(kind, z, schedule)
+                           != (res.status, res.value))
+    checks.append(_check("kernels/decider-matches-ladders", mismatches, 0.0))
+
     half_gauss = kernels.direct_quadrature(0.0, 1.0)
     checks.append(_check("kernels/half-gaussian",
                          abs(half_gauss - 0.5 * SQRT_PI), 1e-12))

@@ -105,6 +105,8 @@ def test_cli_domain_map_deterministic(tmp_path):
 
 _PINNED_GRIDS = {"wide": "-2:2:41,-2:2:41",
                  "narrow": "-1e-3:1e-3:41,-1e-3:1e-3:41",
+                 # straddles the radii of the convergence certificates
+                 "half": "-0.5:0.5:41,-0.5:0.5:41",
                  # re is -0.0 on every row, im crosses +0.0
                  "signed_zero": "-0:-0:1,-1:1:3"}
 _PINNED_SCHEDULES = {"default": (),
@@ -125,6 +127,12 @@ _PINNED_CSV_SHA256 = {
         "49525a168e8e2e9d18f0298166c05183438666b9abc616bf36f2ce492a753100",
     ("I_plus", "narrow", "two"):
         "91e6d52f5291bcbcb8c4141a04044b1c3d1c9676018fec5b14310039afd33aec",
+    ("I_plus", "half", "default"):
+        "e9f9c0efea7c834639061850022693702bb3aab59ddaba32e82c50064fc7b8b1",
+    ("I_minus", "half", "default"):
+        "0b38cb7470ed921c218f43235d618e3eee4894eec57a30ab238a9dd5f7877510",
+    ("full_line", "half", "default"):
+        "6d7062ed553ca87a12a9e15e5a5740df0e9b38c434dba2a6b1b45ff3d1a670ea",
     ("I_plus", "signed_zero", "default"):
         "c5af1a561d6581212fc8f683628da9c4682770f3edf03994aa48943be9b964d5",
     ("I_minus", "wide", "default"):
@@ -185,6 +193,18 @@ def test_cli_domain_map_modulus_beyond_double_range(tmp_path):
                  "--lambda-start", "1e-4", "--lambda-steps", "1",
                  "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1].split(",")[2] == "diverged"
+
+
+def test_cli_domain_map_full_line_beyond_double_range(tmp_path):
+    # z*z and the phase -Im(z^2)/(4 lambda) overflow next to the ray at
+    # -pi/4, where Re(z^2) > 0 and K tends to 0
+    out = tmp_path / "m.csv"
+    z = "7.071067811865476e149:7.071067811865476e149:1,-7.071067811865475e149:-7.071067811865475e149:1"
+    assert main(["domain-map", "--kernel", "full_line", f"--grid={z}",
+                 "--lambda-start", "1e-3", "--lambda-steps", "30",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[2:] == [
+        "converged", "0.0000000000000000e+00"]
 
 
 @pytest.mark.parametrize("grid", ["nonsense", "-1e308:1e308:3,1:1:1"],

@@ -317,21 +317,32 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_decide_evaluates_bounded_points_once(monkeypatch):
+def test_decide_certifies_converged_points_without_the_kernel(monkeypatch):
+    erfcx_calls = []
+    erfcx = _erfcx_py.erfcx_complex
+    monkeypatch.setattr(_erfcx_py, "erfcx_complex",
+                        lambda w: erfcx_calls.append(w) or erfcx(w))
     j_calls = _count_calls(monkeypatch, "j_kernel")
     k_calls = _count_calls(monkeypatch, "_full_line")
     ladders = _count_calls(monkeypatch, "_ladder")
-    # converged: upper half plane, and below the axis outside the wedge
+    # beyond the certificate radii: upper half plane, below the axis
+    # outside the wedge, and the full line off the rays
     assert _decide("plus", 1.0 + 1.0j) == ("converged", 1j / (1.0 + 1.0j))
-    assert _decide("plus", 2.0 - 1.0j)[0] == "converged"
-    assert _decide("minus", 2.0 + 1.0j)[0] == "converged"
-    assert _decide("full_line", 1.0)[0] == "converged"
-    # undecided on a boundary ray, still from the last step
+    assert _decide("plus", 2.0 - 1.0j) == ("converged", 1j / (2.0 - 1.0j))
+    assert _decide("minus", 2.0 + 1.0j) == ("converged", 1j / (-2.0 - 1.0j))
+    assert _decide("full_line", 1.0) == ("converged", 0j)
+    assert _decide("full_line", -0.5 + 0.3j) == ("converged", 0j)
+    assert erfcx_calls == j_calls == k_calls == []
+    # a boundary ray, and points inside the radii (|z|^2 < 4 C lambda_min /
+    # tol = 0.058 for J): evaluated once, at the last step
     assert _decide("full_line", cmath.rect(1.0, math.pi / 4))[0] == "undecided"
+    assert _decide("plus", 0.2j)[0] == "converged"
+    assert _decide("plus", 0.1j)[0] == "undecided"
+    assert _decide("plus", 0.2 - 0.05j)[0] == "converged"
     lam_min = RegularizationSchedule.default().lambdas[-1]
     assert [lam for _z, lam in j_calls] == [lam_min] * 3
-    assert [lam for _z, lam in k_calls] == [lam_min] * 2
-    assert ladders == []
+    assert [lam for _z, lam in k_calls] == [lam_min]
+    assert len(erfcx_calls) == 3 and ladders == []
 
 
 def test_decide_skips_the_steps_that_cannot_diverge(monkeypatch):
@@ -347,6 +358,122 @@ def test_decide_skips_the_steps_that_cannot_diverge(monkeypatch):
         calls.clear()
         assert _decide(kind, z, _DEEP) == (res.status, res.value), (kind, z)
         assert [lam for _z, lam in calls] == list(_DEEP.lambdas[first - 2:])
+
+
+def _certificate_radii(schedule, angle):
+    """|z| at which each convergence certificate of a one-step schedule
+    switches on along the ray at ``angle``: J above the axis, K, and J
+    below it (None where that certificate does not apply)."""
+    lam, tol = schedule.lambdas[-1], schedule.convergence_tol
+    tol_j = tol * (1.0 - 1e-6) - kernels._J_ROUNDING
+    root = math.sqrt(math.pi / lam)
+    r_j = math.sqrt(4.0 * kernels._ERFCX_TAIL * lam / tol_j)
+    c2 = math.cos(2.0 * angle)
+    if c2 <= 0.0:
+        return r_j, None, None
+    r_k = math.sqrt(max(4.0 * lam * math.log(root / tol) / c2, 0.0))
+    # |z| root exp(-|z|^2 c2 / (4 lambda)) = tol_j, by fixed-point iteration
+    r = max(r_k, r_j)
+    for _ in range(40):
+        r = math.sqrt(4.0 * lam * math.log(max(r * root / tol_j, 1.0)) / c2)
+    return r_j, r_k, max(r, r_j)
+
+
+_CERT_SCHEDULES = {
+    "default": RegularizationSchedule.default(),
+    "tol_1e-9": RegularizationSchedule(lambdas=_schedule(13).lambdas,
+                                       divergence_threshold=1e12,
+                                       convergence_tol=1e-9),
+    "tol_0.5": RegularizationSchedule(lambdas=(1.0, 10 ** -0.5, 0.1),
+                                      divergence_threshold=10.0,
+                                      convergence_tol=0.5),
+    "lambda_1e-15": RegularizationSchedule(lambdas=(1e-13, 1e-14, 1e-15),
+                                           divergence_threshold=1e9),
+    "lambda_1e-300": RegularizationSchedule(lambdas=(1e-298, 1e-299, 1e-300),
+                                            divergence_threshold=1e160),
+}
+
+
+def _certificate_points(schedule):
+    """Seeded points at 0.9-1.1 times each certificate radius, on and next
+    to the boundary rays and the real axis, and far out to |z| = 1e300."""
+    rng = random.Random(4321)
+    pts = []
+    for _ in range(40):
+        angle = rng.uniform(-math.pi, math.pi)
+        for r in _certificate_radii(schedule, angle):
+            if r:
+                pts += [cmath.rect(r * rng.uniform(0.9, 1.1), angle),
+                        cmath.rect(r * rng.uniform(0.999, 1.001), angle)]
+    r_j = _certificate_radii(schedule, 0.0)[0]
+    for ray in _WEDGE_RAYS:
+        for offset in (-1e-6, 0.0, 1e-6):
+            for f in (0.5, 0.95, 1.05, 3.0):
+                pts.append(cmath.rect(f * r_j, ray + offset))
+    pts += [complex(s * r_j, 0.0) for s in (-1.05, -0.95, 0.95, 1.05)]
+    pts += [cmath.rect(r, rng.uniform(-math.pi, math.pi))
+            for r in (1e10, 1e50, 1e100, 1e150) for _ in range(4)]
+    # where the rounding of w puts a point onto a ray and the phase of
+    # exp(w^2) overflows, the computed kernel leaves its bound
+    pts += [cmath.rect(r, ray) for r in (1e155, 1e200, 1e300) for ray in _WEDGE_RAYS]
+    return pts
+
+
+@pytest.mark.parametrize("name", list(_CERT_SCHEDULES))
+def test_decide_certificates_match_the_ladders(name):
+    schedule = _CERT_SCHEDULES[name]
+    statuses = set()
+    for z in _certificate_points(schedule):
+        for kind, limit_of in _LIMITS:
+            res = limit_of(z, schedule)
+            assert _decide(kind, z, schedule) == (res.status, res.value), (kind, z)
+            statuses.add(res.status)
+    assert {"converged", "diverged"} <= statuses
+
+
+def test_erfcx_tail_bound_against_mpmath():
+    # |sqrt(pi) w erfcx(w) - 1| |w|^2 <= 1 + 2 e^{-3/2} for Re w >= 0, the
+    # bound behind the J certificates; the imaginary axis is included
+    import mpmath as mp
+    assert 1.0 + 2.0 * math.exp(-1.5) <= kernels._ERFCX_TAIL
+    rng = random.Random(8128)
+    angles = [rng.uniform(-0.5, 0.5) * math.pi for _ in range(150)]
+    angles += [-0.5 * math.pi, 0.5 * math.pi] * 25
+    worst = 0.0
+    with mp.workdps(30):
+        for angle in angles:
+            w = mp.mpc(cmath.rect(10.0 ** rng.uniform(-1.5, 2.0), angle))
+            dev = abs(mp.sqrt(mp.pi) * w * mp.exp(w * w) * mp.erfc(w) - 1)
+            worst = max(worst, float(dev * abs(w) ** 2))
+    assert 0.5 < worst <= 1.0 + 2.0 * math.exp(-1.5)
+
+
+def test_full_line_kernel_beyond_the_double_range():
+    # z*z overflows; Re(z^2) > 0, so K underflows to 0 at every lambda
+    z = 1e155 + 1e154j
+    assert full_line_kernel(z, 1.0) == 0j
+    res = full_line_limit(z)
+    assert (res.status, res.value) == ("converged", 0j)
+    assert _decide("full_line", z) == ("converged", 0j)
+    # the phase -Im(z^2)/(4 lambda) overflows next to the ray at -pi/4
+    z = 7.071067811865476e149 - 7.071067811865475e149j
+    assert _full_line(z, 1e-3 * 10.0 ** -6) == 0j
+    assert full_line_limit(z, _DEEP).status == "converged"
+    # inside the wedge the tag stays
+    assert full_line_kernel(1e154 + 1e155j, 1.0) == OVERFLOW
+    assert _full_line(1e155 + 1e155j, 1.0) == OVERFLOW   # phase lost on the ray
+
+
+def test_j_kernel_with_w_beyond_the_double_range():
+    # w = -iz/(2 sqrt(lambda)) overflows; J = (i/z)(1 + O(lambda/|z|^2))
+    one_step = RegularizationSchedule(lambdas=(1e-300,))
+    for z, status in ((1e200j, "converged"), (1e200 + 1e200j, "converged"),
+                      (1e200 - 1e199j, "converged"), (-1e200j, "diverged")):
+        res = kernel_limit(z, one_step)
+        assert res.status == status, z
+        assert _decide("plus", z, one_step) == (res.status, res.value)
+    assert j_kernel(1e200j, 1e-300) == 1j / 1e200j
+    assert kernel_limit(1e200j, one_step).value == 1j / 1e200j
 
 
 def test_ladder_reports_a_modulus_beyond_the_double_range_as_diverged():
@@ -471,4 +598,13 @@ def test_wedge_point_symmetry_check_can_fail(monkeypatch, flip):
 
     monkeypatch.setattr(kernels, "kernel_limit", flipped)
     check = {c.name: c for c in verify.suite_kernels()}["kernels/wedge-point-symmetry"]
+    assert check.measured > 0 and not check.passed
+
+
+def test_decider_matches_ladders_check_can_fail(monkeypatch):
+    # a J certificate built on too small a tail constant certifies points
+    # whose ladders end undecided
+    from plemelj import verify
+    monkeypatch.setattr(kernels, "_ERFCX_TAIL", 1e-3)
+    check = {c.name: c for c in verify.suite_kernels()}["kernels/decider-matches-ladders"]
     assert check.measured > 0 and not check.passed
