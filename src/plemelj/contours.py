@@ -53,8 +53,11 @@ class Line:
         for v in (self.start, self.end):
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ContourError(f"non-finite segment endpoint {v!r}")
-        if abs(self.end - self.start) == 0.0:
-            raise ContourError("zero-length line segment")
+        # min_distance and radius_hits divide by the squared length
+        length = abs(self.end - self.start)
+        if length * length == 0.0:
+            raise ContourError("zero-length line segment (its squared "
+                               "length is 0 in double precision)")
 
     def point(self, t: float) -> complex:
         return self.start + t * (self.end - self.start)

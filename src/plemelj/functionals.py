@@ -423,6 +423,10 @@ def _ladder_ratio(lambdas, what: str) -> float:
     """Common sqrt-space ratio of a geometric ladder; rejects anything the
     Richardson triangle would silently mis-extrapolate."""
     lambdas = tuple(float(v) for v in lambdas)
+    for v in lambdas:
+        if not (v > 0.0 and math.isfinite(v)):
+            raise ValueError(
+                f"{what} ladder values must be positive finite reals, got {v!r}")
     if len(lambdas) < 4:
         raise ValueError(f"{what} needs at least 4 ladder values")
     ratios = [a / b for a, b in zip(lambdas[:-1], lambdas[1:])]

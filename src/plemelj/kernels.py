@@ -17,7 +17,10 @@ J(-z, lambda) covers the point-reflected wedge.
 
 Everything here is pure and safe to sweep over grids concurrently.
 """
+import bisect
 import cmath
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -148,9 +151,15 @@ def _full_line(z: complex, lam: float) -> complex:
     ex = -(z * z) / (4.0 * lam)
     if not ex.real <= _EXP_OVERFLOW:   # or NaN, where z*z overflowed
         return OVERFLOW if ex.real > _EXP_OVERFLOW else _full_line_far(z, lam)
+    root = math.sqrt(math.pi / lam)
     try:
-        return math.sqrt(math.pi / lam) * cmath.exp(ex)
-    except ValueError:   # the phase -Im(z^2) / (4 lambda) overflowed
+        if root == math.inf:
+            # a subnormal lambda: pi/lambda overflowed, the modulus need not
+            return cmath.exp(complex(0.5 * (_LOG_PI - math.log(lam)) + ex.real,
+                                     ex.imag))
+        return root * cmath.exp(ex)
+    except (ValueError, OverflowError):
+        # the phase -Im(z^2) / (4 lambda), or the modulus, overflowed
         return _full_line_far(z, lam)
 
 
@@ -293,39 +302,91 @@ _ERFCX_TAIL = 1.4463
 _J_ROUNDING = 1e-13
 
 
-def _wedge_diverges(x: float, y: float, c: float, steps: tuple,
-                    log_threshold: float) -> bool:
-    """True when the ladder at z = x + iy, inside the open wedge
-    Re(z^2) < 0, must report diverged, decided without evaluating the
-    kernel.  ``steps`` holds (lambda, log sqrt(pi/lambda), the largest
-    |z|^2/4 certified at lambda) per schedule step, and ``log_threshold``
-    the log of the divergence threshold, both from :func:`_decider`.
+def _wedge_bounds(a: float, lam: float, c: float) -> tuple:
+    """(lower, upper) bounds on log |kernel(z, lambda)| inside the open
+    wedge Re(z^2) < 0, from a = -Re(z^2)/4 > 0 alone.
 
-    There |K(z, lambda)| = sqrt(pi/lambda) exp(a/lambda) with
-    a = -Re(z^2)/4 > 0, and the kernel's magnitude lies within
-    c sqrt(pi/lambda) of it: c = 1/2 for J, as J(z) = K(z) - J(-z) with -z
-    in the upper half plane, and c = 0 for K itself.  The bounds, in log
-    space and widened by a relative 1e-6, certify the ladder's divergence
-    test at the first step k >= 2 whose lower bound passes the threshold
-    and the upper bound of step k-1, whose lower bound passes the upper
-    bound of step k-2.  False means only "not certified"."""
-    a = 0.25 * (y - x) * (y + x)   # the differences are exact near the rays
-    if a < sys.float_info.min:
-        return False   # a lost its relative precision to underflow
-    w2_scale = 0.25 * (x * x + y * y)
-    lo_prev = hi_prev = hi_prev2 = math.inf
-    for lam, half_log, w2_cap in steps:
-        if w2_scale > w2_cap:
-            return False
-        t = a / lam
-        base = half_log + t
-        r = c * math.exp(-t)
-        lo = base + math.log1p(-r) + _LOG_SHRINK
-        hi = base + math.log1p(r) + _LOG_GROW
-        if lo > log_threshold and lo > hi_prev and lo_prev > hi_prev2:
-            return True
-        lo_prev, hi_prev, hi_prev2 = lo, hi, hi_prev
-    return False
+    There |K(z, lambda)| = sqrt(pi/lambda) exp(a/lambda), and the kernel's
+    magnitude lies within c sqrt(pi/lambda) of it: c = 1/2 for J, as
+    J(z) = K(z) - J(-z) with -z in the upper half plane, and c = 0 for K
+    itself.  Both bounds are widened by a relative 1e-6."""
+    t = a / lam
+    base = 0.5 * math.log(math.pi / lam) + t
+    r = c * math.exp(-t)
+    return base + math.log1p(-r) + _LOG_SHRINK, base + math.log1p(r) + _LOG_GROW
+
+
+def _wedge_step_fires(a: float, lams: tuple, k: int, c: float,
+                      log_threshold: float) -> bool:
+    """True when the bounds of :func:`_wedge_bounds` prove that the
+    ladder's divergence test fires at step k >= 2 of ``lams``: the lower
+    bound of step k passes the threshold and the upper bound of step k-1,
+    and the lower bound of step k-1 passes the upper bound of step k-2.
+    Each of the three tests is monotone increasing in a."""
+    _lo, hi_prev2 = _wedge_bounds(a, lams[k - 2], c)
+    lo_prev, hi_prev = _wedge_bounds(a, lams[k - 1], c)
+    lo, _hi = _wedge_bounds(a, lams[k], c)
+    return lo > log_threshold and lo > hi_prev and lo_prev > hi_prev2
+
+
+@functools.lru_cache(maxsize=64)
+def _wedge_thresholds(schedule: RegularizationSchedule, c: float) -> tuple:
+    """A_k for the steps k = 2, 3, ... of the schedule: the least a at
+    which :func:`_wedge_step_fires` holds, found by bisection once per
+    (schedule, c).  Each A_k passes the step test as computed, and as the
+    exact tests are monotone in a and carry a relative margin of 1e-6,
+    every a >= A_k passes them too.  inf where the step cannot fire for
+    any a up to the largest |z|^2/4 certified at it, _CERTIFY_MAX_W2
+    lambda_k (a <= |z|^2/4).  Empty on schedules of one or two steps."""
+    lams = schedule.lambdas
+    log_threshold = math.log(schedule.divergence_threshold)
+    out = []
+    for k in range(2, len(lams)):
+        lo = sys.float_info.min   # a below it has lost relative precision
+        hi = min(_CERTIFY_MAX_W2 * lams[k], sys.float_info.max)
+        if not (lo <= hi and _wedge_step_fires(hi, lams, k, c, log_threshold)):
+            out.append(math.inf)
+            continue
+        if _wedge_step_fires(lo, lams, k, c, log_threshold):
+            out.append(lo)
+            continue
+        # hi passes and lo does not; halve the log of hi/lo, then hi - lo
+        while True:
+            mid = (math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo
+                   else lo + 0.5 * (hi - lo))
+            if not lo < mid < hi:
+                break
+            if _wedge_step_fires(mid, lams, k, c, log_threshold):
+                hi = mid
+            else:
+                lo = mid
+        out.append(hi)
+    return tuple(out)
+
+
+def _wedge_certificate(schedule: RegularizationSchedule, c: float):
+    """A function (x, y) -> True when the ladder at z = x + iy, inside the
+    open wedge Re(z^2) < 0, must report diverged, decided without
+    evaluating the kernel; False means only "not certified".
+
+    The ladder's divergence test fires at the first step k with
+    a = -Re(z^2)/4 >= A_k (:func:`_wedge_thresholds`), found by bisection
+    in the running minimum of the A_k, which needs no order among them.
+    The point is certified there when |z|^2/4 is at most _CERTIFY_MAX_W2
+    lambda_k, the smallest cap the steps up to k allow.  Every A_k is at
+    least the smallest normal double, so an a that lost its relative
+    precision to underflow finds no step."""
+    # negated running minima, ascending: the first k with a >= A_k is the
+    # first index whose entry is >= -a
+    firsts = [-m for m in itertools.accumulate(_wedge_thresholds(schedule, c), min)]
+    caps = [_CERTIFY_MAX_W2 * lam for lam in schedule.lambdas[2:]]
+    n = len(caps)
+
+    def diverges(x, y):
+        a = 0.25 * (y - x) * (y + x)   # the differences are exact near the rays
+        k = bisect.bisect_left(firsts, -a)
+        return k < n and 0.25 * (x * x + y * y) <= caps[k]
+    return diverges
 
 
 def _decider(kind: str, schedule: RegularizationSchedule):
@@ -369,10 +430,11 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     bound to the threshold (about 3e15 at the defaults) the full ladder
     runs.  On a deeper schedule the walk starts two steps before the
     first step whose bound reaches the threshold, as the divergence test
-    looks back two steps.  Inside the wedge(s) :func:`_wedge_diverges`
-    certifies the ladder's divergence in closed form; where it cannot
-    (next to the boundary rays, on schedules of one or two steps), the
-    full ladder runs.
+    looks back two steps.  Inside the wedge(s) one lookup in a table of
+    thresholds on a = -Re(z^2)/4, built once per schedule and kernel
+    (:func:`_wedge_certificate`), certifies the ladder's divergence
+    without evaluating the kernel; where it cannot (next to the boundary
+    rays, on schedules of one or two steps), the full ladder runs.
     """
     lams = schedule.lambdas
     lam = lams[-1]
@@ -397,15 +459,13 @@ def _decider(kind: str, schedule: RegularizationSchedule):
                      if c * _GROW * math.sqrt(math.pi / step) >= threshold)
         return -math.inf, max(0, first - 2)
 
-    steps = tuple((step, 0.5 * math.log(math.pi / step), _CERTIFY_MAX_W2 * step)
-                  for step in lams)
-    log_threshold = math.log(threshold)
     # the largest |z|^2/4 a convergence certificate takes
     q_max = _CERTIFY_MAX_W2 * lam
     normal = lam >= sys.float_info.min
 
     if kind == "full_line":
         q_one, first = shortcut(1.0)
+        wedge_diverges = _wedge_certificate(schedule, 0.0)
         # 0.5 log(pi/lambda) - Re(z^2)/(4 lambda) <= log(tol) + _LOG_SHRINK
         s_min = (4.0 * lam * (0.5 * math.log(math.pi / lam) - math.log(tol)
                               - _LOG_SHRINK) if normal else math.inf)
@@ -413,7 +473,7 @@ def _decider(kind: str, schedule: RegularizationSchedule):
         def decide(z):
             x, y = z.real, z.imag
             if abs(x) < abs(y):   # Re(z^2) < 0, tested without rounding
-                if _wedge_diverges(x, y, 0.0, steps, log_threshold):
+                if wedge_diverges(x, y):
                     return "diverged", OVERFLOW
                 res = _ladder(_full_line, z, 0j, schedule)
                 return res.status, res.value
@@ -428,6 +488,7 @@ def _decider(kind: str, schedule: RegularizationSchedule):
 
     # J above the axis has no exponential: erfcx(w) for Re w >= 0
     upper, lower = shortcut(0.5, rounding=0.0), shortcut(1.5)
+    wedge_diverges = _wedge_certificate(schedule, 0.5)
     tail = _ERFCX_TAIL * lam   # |J - i/z| / |i/z| <= tail / q, q = |z|^2/4
     tol_j = tol * (1.0 - 1e-6) - _J_ROUNDING
     q_min = tail / tol_j if normal and tol_j > 0.0 else math.inf
@@ -445,7 +506,7 @@ def _decider(kind: str, schedule: RegularizationSchedule):
         elif abs(x) >= -y:   # Re(z^2) >= 0, tested without rounding
             q_one, first = lower
         else:
-            if _wedge_diverges(x, y, 0.5, steps, log_threshold):
+            if wedge_diverges(x, y):
                 return "diverged", OVERFLOW
             res = _ladder(j_kernel, z, 1j / z, schedule)
             return res.status, res.value

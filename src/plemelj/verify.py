@@ -202,6 +202,14 @@ def suite_kernels():
                                   * rng.uniform(0.9, 1.1), angle))
     pts += [cmath.rect(r, (0.5 * q + 0.25) * math.pi)
             for q in range(4) for r in (0.3 * r_j, r_j, 3.0 * r_j)]
+    # and both wedges' centre lines, where a = -Re(z^2)/4 = |z|^2/4, at
+    # a = A_k (1 -+ 1e-9) for each threshold A_k of the wedge certificates
+    for c in (0.0, 0.5):
+        for a_k in kernels._wedge_thresholds(schedule, c):
+            if a_k < math.inf:
+                for f in (1.0 - 1e-9, 1.0 + 1e-9):
+                    y = 2.0 * math.sqrt(a_k * f)
+                    pts += [complex(0.0, -y), complex(0.0, y)]
     mismatches = 0
     for z in pts:
         for kind, limit_of in (("plus", kernels.kernel_limit),

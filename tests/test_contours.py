@@ -71,6 +71,16 @@ def test_continuity_enforced():
         Contour([Line(0.0, 1.0), Line(1.0 + 1e-10j, 2.0)])
 
 
+def test_line_whose_squared_length_underflows_is_refused():
+    # min_distance and radius_hits divide by |d|^2, which is 0 here although
+    # |d| = 2e-320 is not
+    for start, end in ((0.0, 0.0), (-1e-320, 1e-320), (1e-170j, 2e-170j)):
+        with pytest.raises(ContourError):
+            Line(start, end)
+    assert Line(0.0, 1e-150).length == 1e-150
+    assert Line(-1e200, 1e200).length == 2e200
+
+
 def test_crossing_must_hit_origin():
     with pytest.raises(ContourError):
         Contour([Line(-1.0 + 0.5j, 1.0 + 0.5j)], crossing=0)

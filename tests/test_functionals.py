@@ -119,6 +119,23 @@ def test_lambda_route_rejects_bad_ladders():
         lambda_route(f, seg, kernel="bogus")
 
 
+@pytest.mark.parametrize("lambdas", [(-8.0, -4.0, -2.0, -1.0),
+                                     (math.inf, 1.0, 0.5, 0.25),
+                                     (0.4, 0.2, 0.1, math.nan)])
+def test_ladder_values_must_be_positive_finite(lambdas):
+    # the negative ladder passes the ratio checks; it is refused before
+    # any integrand is evaluated, by both regularized routes
+    calls = []
+    f = TestFunction(lambda z: calls.append(z) or cmath.exp(-z * z),
+                     value_at_zero=1.0)
+    seg = segment_path(-2.0, 2.0)
+    with pytest.raises(ValueError, match="positive finite"):
+        lambda_route(f, seg, kernel="plus", lambdas=lambdas)
+    with pytest.raises(ValueError, match="positive finite"):
+        overlap_delta(0.0, f, seg, lambdas=lambdas)
+    assert calls == []
+
+
 # -- plemelj plus/minus -----------------------------------------------------------
 
 def test_plus_constant_on_symmetric_segment():

@@ -2,6 +2,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -464,6 +465,20 @@ def test_full_line_kernel_beyond_the_double_range():
     assert _full_line(1e155 + 1e155j, 1.0) == OVERFLOW   # phase lost on the ray
 
 
+def test_full_line_kernel_at_a_subnormal_lambda():
+    # sqrt(pi/lambda) overflows at lambda = 5e-324; the modulus is taken in
+    # log space there: K -> 0 for z = 1, and K = sqrt(pi/lambda) where
+    # |z|^2 underflows
+    assert full_line_kernel(1.0, 5e-324) == 0j
+    k = full_line_kernel(1e-170, 5e-324)
+    assert abs(k - SQRT_PI / math.sqrt(5e-324)) <= 1e-12 * abs(k)
+    assert full_line_kernel(1.0j, 5e-324) == OVERFLOW
+    schedule = RegularizationSchedule(lambdas=(1e-300, 1e-310, 5e-324))
+    res = full_line_limit(1.0, schedule)
+    assert (res.status, res.value) == ("converged", 0j)
+    assert _decide("full_line", 1.0, schedule) == ("converged", 0j)
+
+
 def test_j_kernel_with_w_beyond_the_double_range():
     # w = -iz/(2 sqrt(lambda)) overflows; J = (i/z)(1 + O(lambda/|z|^2))
     one_step = RegularizationSchedule(lambdas=(1e-300,))
@@ -524,6 +539,98 @@ def test_decide_wedge_certificate_matches_the_ladders(schedule):
         for kind, limit_of in _LIMITS:
             res = limit_of(z, schedule)
             assert _decide(kind, z, schedule) == (res.status, res.value), (kind, z)
+
+
+# schedules for the wedge threshold table: 2 and 3 steps, the default, 5,
+# 30 (_DEEP) and 40 steps, a loose and a tight tolerance, lambdas near the
+# bottom of the double range, and an irregular one whose near-equal pair
+# 0.01, 0.00999999999 puts A_3 and A_4 far above A_2 and A_5
+_TABLE_SCHEDULES = {
+    "2": _schedule(2), "3": _schedule(3), "default": RegularizationSchedule.default(),
+    "5": _schedule(5), "30": _DEEP, "40": _schedule(40),
+    "tol_0.5": _CERT_SCHEDULES["tol_0.5"], "tol_1e-9": _CERT_SCHEDULES["tol_1e-9"],
+    "lambda_1e-300": _CERT_SCHEDULES["lambda_1e-300"],
+    "irregular": RegularizationSchedule(
+        lambdas=(1.0, 0.1, 0.01, 0.00999999999, 1e-3, 1e-4)),
+}
+
+
+def _table_points(schedule):
+    """Points of both wedges at a = -Re(z^2)/4 = A_k (1 -+ 1e-9) for every
+    step k of both tables, and at |z|^2/4 = (1 -+ 1e-9) times each step's
+    certification cap."""
+    pts = []
+    caps = [kernels._CERTIFY_MAX_W2 * lam for lam in schedule.lambdas[2:]]
+    for c in (0.0, 0.5):
+        for a_k in kernels._wedge_thresholds(schedule, c):
+            if a_k == math.inf:
+                continue
+            for f in (1.0 - 1e-9, 1.0 + 1e-9):
+                for angle in (-0.5, -0.3, -0.74):
+                    r = math.sqrt(-4.0 * a_k * f / math.cos(2.0 * math.pi * angle))
+                    pts.append(cmath.rect(r, math.pi * angle))
+    for cap in caps:
+        for f in (1.0 - 1e-9, 1.0 + 1e-9):
+            for angle in (-0.5, -0.3):
+                pts.append(cmath.rect(2.0 * math.sqrt(cap * f), math.pi * angle))
+    return pts + [-z for z in pts]
+
+
+def test_wedge_thresholds_pass_the_step_test():
+    # each stored A_k passes the step test as computed, the float below it
+    # does not, and one- and two-step schedules have no table
+    for schedule in _TABLE_SCHEDULES.values():
+        lams = schedule.lambdas
+        log_threshold = math.log(schedule.divergence_threshold)
+        for c in (0.0, 0.5):
+            table = kernels._wedge_thresholds(schedule, c)
+            assert len(table) == max(len(lams) - 2, 0)
+            for k, a_k in enumerate(table, start=2):
+                if a_k == math.inf:
+                    continue
+                assert kernels._wedge_step_fires(a_k, lams, k, c, log_threshold)
+                if a_k > sys.float_info.min:
+                    below = math.nextafter(a_k, 0.0)
+                    assert not kernels._wedge_step_fires(below, lams, k, c,
+                                                         log_threshold)
+    assert any(a_k < math.inf
+               for a_k in kernels._wedge_thresholds(RegularizationSchedule.default(), 0.5))
+    for steps in (1, 2):
+        for c in (0.0, 0.5):
+            assert kernels._wedge_thresholds(_schedule(steps), c) == ()
+
+
+@pytest.mark.parametrize("name", list(_TABLE_SCHEDULES))
+def test_decide_at_the_wedge_thresholds_matches_the_ladders(name):
+    schedule = _TABLE_SCHEDULES[name]
+    for z in _table_points(schedule) + _wedge_points():
+        for kind, limit_of in _LIMITS:
+            res = limit_of(z, schedule)
+            assert _decide(kind, z, schedule) == (res.status, res.value), (kind, z)
+    # the lookup against a walk over the table: certified at the first k
+    # with a >= A_k when |z|^2/4 is within that step's cap; also at every
+    # pairing of a = A_j (1 -+ 1e-9) with |z|^2/4 = (1 -+ 1e-9) cap_k
+    caps = [kernels._CERTIFY_MAX_W2 * lam for lam in schedule.lambdas[2:]]
+    for c in (0.0, 0.5):
+        table = kernels._wedge_thresholds(schedule, c)
+        certified = kernels._wedge_certificate(schedule, c)
+        pts = _table_points(schedule)
+        for a in (a_k * f for a_k in table if a_k < math.inf
+                  for f in (1.0 - 1e-9, 1.0 + 1e-9)):
+            for w2 in (cap * f for cap in caps for f in (1.0 - 1e-9, 1.0 + 1e-9)):
+                if a <= w2:
+                    pts.append(cmath.rect(2.0 * math.sqrt(w2),
+                                          -0.5 * (math.pi - math.acos(a / w2))))
+        outcomes = set()
+        for z in pts:
+            x, y = z.real, z.imag
+            a = 0.25 * (y - x) * (y + x)
+            want = a >= sys.float_info.min and next(
+                (0.25 * (x * x + y * y) <= cap
+                 for a_k, cap in zip(table, caps) if a >= a_k), False)
+            assert certified(x, y) == want, (c, z)
+            outcomes.add(want)
+        assert outcomes == ({True, False} if table else set())
 
 
 def test_decide_certifies_wedge_points_without_erfcx(monkeypatch):

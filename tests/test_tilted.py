@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from plemelj.contours import ContourError
 from plemelj.functionals import catalog_function, plemelj_plus
 from plemelj.tilted import (TiltedLine, arg_limit, arg_regularized,
                             log_branch_residual, tilted_plemelj)
@@ -163,3 +164,11 @@ def test_asymmetric_range():
     res = tilted_plemelj(catalog_function("one"), TiltedLine(0.0, -1.0, 2.0))
     assert abs(res.pv_part - math.log(2.0)) < 1e-9
     assert abs(res.value - (math.log(2.0) - 1j * math.pi)) < 1e-9
+
+
+def test_line_too_short_for_its_squared_length_is_refused():
+    # |q_max - q_min| = 2e-320 squares to 0; the contour refuses the line
+    # instead of dividing by it
+    with pytest.raises(ContourError):
+        tilted_plemelj(catalog_function("gauss(0)"),
+                       TiltedLine(0.1, -1e-320, 1e-320))
