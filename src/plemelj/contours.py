@@ -35,6 +35,7 @@ CROSSING_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 _QUARTER_PI = 0.25 * math.pi
 _THREE_QUARTER_PI = 0.75 * math.pi
+_LONG_LINE = 2.0 ** 500   # |d| ** 2 overflows beyond 2 ** 512 (1.3e154)
 
 
 class ContourError(ValueError):
@@ -53,8 +54,15 @@ class Line:
         for v in (self.start, self.end):
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise ContourError(f"non-finite segment endpoint {v!r}")
-        # min_distance and radius_hits divide by the squared length
-        length = abs(self.end - self.start)
+        try:
+            length = abs(self.end - self.start)
+        except OverflowError:   # finite parts, modulus beyond the double range
+            length = math.inf
+        if length == math.inf:
+            raise ContourError("line segment longer than the double range")
+        # min_distance and radius_hits divide by the squared length.  _frame
+        # rescales lines whose squared length would overflow; below a length
+        # of about 1.5e-162 it underflows to 0, so such lines are refused
         if length * length == 0.0:
             raise ContourError("zero-length line segment (its squared "
                                "length is 0 in double precision)")
@@ -72,10 +80,24 @@ class Line:
     def subsegment(self, t0: float, t1: float) -> "Line":
         return Line(self.point(t0), self.point(t1))
 
+    def _frame(self, p: complex, eps: float = 0.0):
+        """(p - start, end - start, eps), all scaled by one power of two for
+        lines longer than _LONG_LINE, whose squared length overflows beyond
+        1.3e154.  The callers divide products of these by the squared
+        length, so the scale cancels exactly.  Shorter lines are not
+        scaled."""
+        d = self.end - self.start
+        rel = p - self.start
+        length = abs(d)
+        if length > _LONG_LINE:
+            s = math.ldexp(1.0, -math.frexp(length)[1])
+            return rel * s, d * s, eps * s
+        return rel, d, eps
+
     def min_distance(self, p: complex):
         """Closest approach to ``p``: returns (distance, parameter)."""
-        d = self.end - self.start
-        t = ((p - self.start).real * d.real + (p - self.start).imag * d.imag) / (abs(d) ** 2)
+        rel, d, _ = self._frame(p)
+        t = (rel.real * d.real + rel.imag * d.imag) / (abs(d) ** 2)
         t = min(1.0, max(0.0, t))
         return abs(self.point(t) - p), t
 
@@ -86,11 +108,10 @@ class Line:
         quadratic formula, whose discriminant cancels catastrophically when
         eps is small against the endpoint distances.
         """
-        d = self.end - self.start
+        rel, d, eps = self._frame(center, eps)
         len2 = abs(d) ** 2
-        rel = self.start - center
-        t_c = -(rel.real * d.real + rel.imag * d.imag) / len2
-        z_c = rel + t_c * d
+        t_c = (rel.real * d.real + rel.imag * d.imag) / len2
+        z_c = t_c * d - rel
         off2 = (eps * eps - abs(z_c) ** 2) / len2
         if off2 < 0.0:
             return []

@@ -11,9 +11,10 @@ where PV is the symmetric-excision principal value along the contour
 (:func:`pv_contour`, computed on a halving epsilon ladder with Richardson
 extrapolation).  Two independent verification routes are provided:
 :func:`deformation_route` integrates i f(z)/z over the path deformed
-around the origin by a shrinking circular arc, and :func:`lambda_route`
-integrates the Gaussian-regularized kernel against f and extrapolates the
-regularization away — the statement that these agree with the formula
+around the origin by one circular arc (Cauchy's theorem makes the value
+independent of its radius), and :func:`lambda_route` integrates the
+Gaussian-regularized kernel against f and extrapolates the regularization
+away in lambda — the statement that these agree with the formula
 route is the library's central numerical theorem, exercised by the
 verification suites.
 
@@ -381,47 +382,50 @@ def delta_action(f, path: Contour) -> complex:
 
 # -- verification routes ----------------------------------------------------
 
-def deformation_route(f, path: Contour, side: str = "above",
-                      steps: int = 6) -> complex:
-    """Kernel action computed over the origin-deformed path, extrapolated
-    over a shrinking arc radius.
+def deformation_route(f, path: Contour, side: str = "above") -> complex:
+    """Kernel action computed over the path deformed around the origin by a
+    circular arc of radius 0.1 * (the shorter arm length).
 
     side='above' integrates the forward kernel i f(z)/z over the path with
     the origin circled from above and must agree with plemelj_plus;
     side='below' integrates the mirrored kernel -i f(z)/z (the mirrored
     picture) and must agree with plemelj_minus -- for crossings traversed
     left to right that are locally straight.  This is the geometric half
-    of the extended formulas.
+    of the extended formulas.  The integrand is analytic off the origin,
+    so by Cauchy's theorem the deformed integral does not depend on the
+    arc radius, and one radius gives the value.
     """
     _require_finite_path(path, "deformation_route")
     if path.crossing is None:
         raise ContourError("deformation route needs a marked origin crossing")
     sign = 1j if side == "above" else -1j
     before, after = path.arm_lengths()
-    eps0 = 0.1 * min(before, after)
-    values = []
-    for k in range(steps):
-        eps = eps0 * 0.5 ** k
-        deformed = deform_at_origin(path, eps, side)
-        breaks = {}
-        for i, seg in enumerate(deformed.segments):
-            d, t = seg.min_distance(0.0 + 0.0j)
-            if d < 4.0 * eps and 1e-9 < t < 1.0 - 1e-9:
-                breaks[i] = (t,)
-        with _admissible_f("deformation_route"):
-            v, _e = integrate_contour(lambda z: sign * f(z) / z, deformed,
-                                      abs_tol=_QUAD_TOL, seg_breakpoints=breaks)
-        values.append(v)
-    limit, _err = richardson(values, ratio=2.0)
-    return limit
+    eps = 0.1 * min(before, after)
+    deformed = deform_at_origin(path, eps, side)
+    breaks = {}
+    for i, seg in enumerate(deformed.segments):
+        d, t = seg.min_distance(0.0 + 0.0j)
+        if d < 4.0 * eps and 1e-9 < t < 1.0 - 1e-9:
+            breaks[i] = (t,)
+    with _admissible_f("deformation_route"):
+        value, _e = integrate_contour(lambda z: sign * f(z) / z, deformed,
+                                      abs_tol=_QUAD_TOL,
+                                      seg_breakpoints=breaks)
+    return value
 
 
-_LAMBDA_LADDER = tuple(0.0625 * 0.25 ** m for m in range(10))
+# The regularization error is a series in whole powers of lambda: the
+# full-line kernel is the heat kernel, <K_lam(. - z2), f> =
+# 2 pi sum_n lam^n f^(2n)(z2) / n!, and away from the origin J follows
+# A&S 7.1.23 in 1/w^2 = -4 lam / z^2.  Seven values reach the quadrature
+# floor; each smaller lambda costs more panels (see _kernel_breakpoints).
+_LAMBDA_LADDER = tuple(0.0625 * 0.25 ** m for m in range(7))
 
 
 def _ladder_ratio(lambdas, what: str) -> float:
-    """Common sqrt-space ratio of a geometric ladder; rejects anything the
-    Richardson triangle would silently mis-extrapolate."""
+    """Common ratio of a geometric lambda ladder, the step of the Richardson
+    triangle in lambda; rejects anything the triangle would silently
+    mis-extrapolate."""
     lambdas = tuple(float(v) for v in lambdas)
     for v in lambdas:
         if not (v > 0.0 and math.isfinite(v)):
@@ -434,7 +438,7 @@ def _ladder_ratio(lambdas, what: str) -> float:
         raise ValueError(f"{what} ladder must decrease strictly")
     if max(ratios) > min(ratios) * (1.0 + 1e-9):
         raise ValueError(f"{what} ladder must be geometric (constant ratio)")
-    return math.sqrt(ratios[0])
+    return ratios[0]
 
 
 def _kernel_breakpoints(path: Contour, lam: float, center=0.0 + 0.0j):
@@ -491,7 +495,8 @@ def lambda_route(f, path: Contour, kernel: str = "plus",
                  lambdas=_LAMBDA_LADDER) -> complex:
     """Regularization route: integrate the Gaussian-regularized kernel
     against f along the path for a decreasing ladder of regularization
-    strengths and extrapolate to zero (Richardson in sqrt(lambda)).
+    strengths and extrapolate to zero (Richardson in lambda: the
+    regularization error is a series in whole powers of lambda).
 
     kernel: 'plus' (forward half-line kernel), 'minus' (mirrored), or
     'full_line' (nascent delta).  This is the independent oracle against
@@ -518,7 +523,8 @@ def lambda_route(f, path: Contour, kernel: str = "plus",
 
 # -- orthogonality overlap ---------------------------------------------------
 
-_OVERLAP_LADDER = tuple(0.1 * 0.25 ** m for m in range(8))
+# extrapolated in lambda like _LAMBDA_LADDER, for the same reason
+_OVERLAP_LADDER = tuple(0.1 * 0.25 ** m for m in range(7))
 
 
 def _check_slope(path: Contour, op: str):

@@ -81,6 +81,41 @@ def test_line_whose_squared_length_underflows_is_refused():
     assert Line(-1e200, 1e200).length == 2e200
 
 
+def test_line_longer_than_the_double_range_is_refused():
+    # end - start is inf here, and |d| overflows for the second pair
+    for start, end in ((-1e308, 1e308), (-1.5e308 - 1.5e308j, 0.5e308 + 0.5e308j)):
+        with pytest.raises(ContourError):
+            Line(start, end)
+
+
+def test_line_beyond_1e154_keeps_its_geometry():
+    # |d| ** 2 overflows once |d| > 1.3e154; min_distance and radius_hits
+    # used to raise a bare OverflowError on this line
+    line = Line(-1e200, 1e200)
+    assert line.min_distance(1j) == (1.0, 0.5)
+    assert line.min_distance(5e199j) == (5e199, 0.5)
+    assert line.min_distance(3e200) == (2e200, 1.0)
+    assert line.radius_hits(1e199) == pytest.approx([0.45, 0.55], rel=1e-15)
+    assert line.radius_hits(1e199, center=5e199) == pytest.approx([0.7, 0.8], rel=1e-15)
+    assert line.radius_hits(3e200) == []
+    # hits 5e-201 from the crossing round to its parameter
+    assert line.radius_hits(1.0) == [0.5, 0.5]
+
+
+def test_crossing_marked_contours_beyond_1e154():
+    path = segment_path(-1e200, 1e200)
+    assert (path.crossing, path.crossing_param) == (0, 0.5)
+    assert path.arm_lengths() == (1e200, 1e200)
+    assert path.min_distance(1j) == (1.0, (0, 0.5))
+    tilted = tilted_segment(0.3, -1e200, 1e200)
+    assert tilted.crossing == 1
+    assert tilted.arm_lengths() == pytest.approx((1e200, 1e200), rel=1e-15)
+    head, a, b, tail = split_at_radius(path, 1e199)
+    assert a == pytest.approx(-1e199, rel=1e-15)
+    assert b == pytest.approx(1e199, rel=1e-15)
+    assert path_in_domain(path, WedgeDomain.intersection()) == "inside_except_crossing"
+
+
 def test_crossing_must_hit_origin():
     with pytest.raises(ContourError):
         Contour([Line(-1.0 + 0.5j, 1.0 + 0.5j)], crossing=0)

@@ -2,11 +2,12 @@
 import cmath
 import math
 import random
+import warnings
 
 import pytest
 
-from plemelj.contours import (Arc, Contour, ContourError, segment_path,
-                              tilted_segment)
+from plemelj.contours import (Arc, Contour, ContourError, Line,
+                              segment_path, tilted_segment)
 from plemelj.functionals import (CATALOG_EXAMPLES, AdmissibilityError,
                                  DomainViolationError, FunctionalResult,
                                  OrientationError, PvDivergenceError,
@@ -296,6 +297,35 @@ def test_deformed_integrals_are_cauchy_in_eps():
     assert all(d <= 1e-12 for d in diffs)
 
 
+def test_deformation_route_integrates_once(monkeypatch):
+    # the deformed integral does not depend on the arc radius (above), so
+    # the route integrates at one radius and extrapolates nothing
+    import plemelj.functionals as functionals
+    calls = []
+    integrate = functionals.integrate_contour
+
+    def counting(g, contour, **kwargs):
+        calls.append(contour)
+        return integrate(g, contour, **kwargs)
+
+    monkeypatch.setattr(functionals, "integrate_contour", counting)
+    f = catalog_function("gauss(0.3)")
+    seg = segment_path(-3.0, 3.0)
+    value = deformation_route(f, seg, side="above")
+    assert len(calls) == 1
+    assert abs(value - plemelj_plus(f, seg).value) <= 1e-12
+
+
+def test_default_ladders_extrapolate_in_lambda():
+    # the regularization error is a series in whole powers of lambda, so
+    # the Richardson step is the ladder's own ratio, not its square root
+    from plemelj.functionals import (_LAMBDA_LADDER, _OVERLAP_LADDER,
+                                     _ladder_ratio)
+    for ladder in (_LAMBDA_LADDER, _OVERLAP_LADDER):
+        assert len(ladder) == 7
+        assert _ladder_ratio(ladder, "test") == 4.0
+
+
 def test_deformation_route_below_matches_minus():
     f = catalog_function("gauss(0.3)")
     seg = segment_path(-3.0, 3.0)
@@ -331,6 +361,102 @@ def test_lambda_route_rejects_paths_leaving_the_kernel_domain(kernel):
     with pytest.raises(DomainViolationError):
         lambda_route(catalog_function("gauss(0)"),
                      tilted_segment(0.9, -3.0, 3.0), kernel=kernel)
+
+
+# -- accuracy against scipy ----------------------------------------------------------
+#
+# The routes are compared with a reference that shares no code with plemelj:
+# QUADPACK's Cauchy-weight PV along the straight line [q0, q1] e^{i phi},
+# plus pi f(0) (or 2 pi f(0) for the full-line kernel and 2 pi f(z2) for
+# the overlap).  The bent and arc paths have real endpoints and a straight
+# crossing, so by path independence their PV is the one along [-a, b].
+# Errors are relative to max(|reference|, 1), as in the benchmark's oracles.
+
+def _scipy_pv(f, phi, q0, q1):
+    quad = pytest.importorskip("scipy.integrate").quad
+    d = cmath.exp(1j * phi)
+    parts = []
+    for part in (lambda q: f(q * d).real, lambda q: f(q * d).imag):
+        with warnings.catch_warnings():
+            # QUADPACK flags roundoff at this tolerance; the value is good
+            warnings.simplefilter("ignore")
+            v, _err = quad(part, q0, q1, weight="cauchy", wvar=0.0,
+                           epsabs=1e-14, epsrel=1e-13, limit=400)
+        parts.append(v)
+    return complex(*parts)
+
+
+def _seeded_functions(rng):
+    a = f"{rng.uniform(-0.3, 0.3):.3f}{rng.uniform(-0.15, 0.15):+.3f}j"
+    return [catalog_function(name) for name in
+            (f"gauss({a})", f"poly_gauss({rng.choice((1, 2))},{a})", "cos_gauss")]
+
+
+def _seeded_path(rng, family):
+    """(path, (phi, q0, q1)) of the line whose PV the path's PV equals."""
+    a, b = rng.uniform(2.4, 2.8), rng.uniform(2.4, 2.8)
+    sign = rng.choice((-1.0, 1.0))
+    if family == "straight":
+        phi = sign * rng.uniform(0.15, 0.45)
+        d = cmath.exp(1j * phi)
+        return segment_path(-a * d, b * d), (phi, -a, b)
+    if family == "bent":
+        c = rng.uniform(0.5, 0.7) * cmath.exp(1j * sign * rng.uniform(0.3, 0.5))
+        return segment_path(-a, -c, c, b), (0.0, -a, b)
+    # a half circle above or below [-a, -c], outside both wedges
+    c = a * rng.uniform(0.4, 0.5)
+    arc = Arc(-0.5 * (a + c), 0.5 * (a - c), sign * math.pi, 0.0)
+    return Contour([arc, Line(-c, b)], crossing=1), (0.0, -a, b)
+
+
+def _rel_err(value, ref):
+    return abs(value - ref) / max(abs(ref), 1.0)
+
+
+_FAMILIES = ("straight", "bent", "arc")
+
+
+@pytest.mark.parametrize("kernel", ["plus", "minus", "full_line"])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_lambda_route_matches_scipy(family, kernel):
+    rng = random.Random(f"lambda:{family}:{kernel}")
+    path, line = _seeded_path(rng, family)
+    for f in _seeded_functions(rng):
+        f0 = f.at_zero()
+        if kernel == "full_line":
+            ref = 2 * math.pi * f0
+        else:
+            sign = 1j if kernel == "plus" else -1j
+            ref = sign * _scipy_pv(f, *line) + math.pi * f0
+        assert _rel_err(lambda_route(f, path, kernel=kernel), ref) <= 2e-13, f.label
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_deformation_route_matches_scipy(family):
+    rng = random.Random(f"deformation:{family}")
+    path, line = _seeded_path(rng, family)
+    for f in _seeded_functions(rng):
+        pv, f0 = _scipy_pv(f, *line), f.at_zero()
+        for side, sign in (("above", 1j), ("below", -1j)):
+            ref = sign * pv + math.pi * f0
+            assert _rel_err(deformation_route(f, path, side=side), ref) <= 1e-13, \
+                (f.label, side)
+
+
+@pytest.mark.parametrize("family", ["straight", "bent"])
+def test_overlap_matches_two_pi_f_z2(family):
+    rng = random.Random(f"overlap:{family}")
+    a, b = rng.uniform(2.4, 2.8), rng.uniform(2.4, 2.8)
+    if family == "straight":
+        d = cmath.exp(1j * rng.choice((-1.0, 1.0)) * rng.uniform(0.15, 0.45))
+        path, z2 = segment_path(-a * d, b * d), rng.uniform(-0.8, 0.8) * d
+    else:   # slopes below pi/4 on both legs
+        mid = complex(rng.uniform(-0.3, 0.3), rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 0.4))
+        path = segment_path(-a, mid, b, crossing=None)
+        z2 = mid + rng.uniform(0.3, 0.5) * (b - mid)
+    for f in _seeded_functions(rng):
+        ref = 2 * math.pi * f(z2)
+        assert _rel_err(overlap_delta(z2, f, path), ref) <= 1e-13, f.label
 
 
 # -- delta action --------------------------------------------------------------------
