@@ -111,11 +111,12 @@ class Line:
         rel, d, eps = self._frame(center, eps)
         len2 = abs(d) ** 2
         t_c = (rel.real * d.real + rel.imag * d.imag) / len2
-        z_c = t_c * d - rel
-        off2 = (eps * eps - abs(z_c) ** 2) / len2
-        if off2 < 0.0:
+        # compared, then factored: a distance or eps beyond 1.3e154
+        # overflows when squared
+        dist = abs(t_c * d - rel)
+        if dist > eps:
             return []
-        off = math.sqrt(off2)
+        off = math.sqrt((eps - dist) * (eps + dist) / len2)
         return [t for t in (t_c - off, t_c + off) if -1e-12 <= t <= 1.0 + 1e-12]
 
 

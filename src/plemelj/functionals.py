@@ -7,12 +7,16 @@ crosses the origin inside the appropriate wedge domain,
     backward:  <I(-), f> = -i PV (f/z) + pi f(0)
     delta:     <2 pi delta, f> = forward + backward = 2 pi f(0)
 
-where PV is the symmetric-excision principal value along the contour
-(:func:`pv_contour`, computed on a halving epsilon ladder with Richardson
-extrapolation).  Two independent verification routes are provided:
-:func:`deformation_route` integrates i f(z)/z over the path deformed
-around the origin by one circular arc (Cauchy's theorem makes the value
-independent of its radius), and :func:`lambda_route` integrates the
+where PV is the symmetric-excision principal value along the contour.
+:func:`pv_contour` computes it without a limit, by subtracting the
+singularity: PV (f/z) = integral of (f(z) - f(0))/z dz + f(0) L, where the
+first integrand is regular and L = ln|end/start| + i (turn of arg z along
+the path) is the PV of dz/z in closed form.
+
+Two independent verification routes are provided: :func:`deformation_route`
+integrates i f(z)/z over the path deformed around the origin by one
+circular arc (Cauchy's theorem makes the value independent of its
+radius), and :func:`lambda_route` integrates the
 Gaussian-regularized kernel against f and extrapolates the regularization
 away in lambda — the statement that these agree with the formula
 route is the library's central numerical theorem, exercised by the
@@ -38,10 +42,10 @@ from .contours import (
     Arc,
     Contour,
     ContourError,
+    Line,
     WedgeDomain,
     domain_violations,
     radius_cut_locations,
-    split_at_radius,
     subpath_segments,
     deform_at_origin,
 )
@@ -55,7 +59,9 @@ class AdmissibilityError(ValueError):
 
 
 class PvDivergenceError(AdmissibilityError):
-    """The excision ladder is not Cauchy; the principal value does not exist."""
+    """(f(z) - f(0))/z cannot be integrated next to the crossing (f is not
+    analytic there, e.g. has a pole on the path); the principal value does
+    not exist."""
 
 
 class DomainViolationError(ValueError):
@@ -223,74 +229,135 @@ def _check_domain(path: Contour, domain: WedgeDomain, op: str):
 
 # -- principal value -------------------------------------------------------
 
-_PV_STEPS = 8
 _QUAD_TOL = 1e-12
+_TRACE_STEPS = 8   # epsilon_trace: 0.1 * (shorter arm) * 0.5^k, k < 8
 
 
-def _pv_ladder(f, path: Contour):
-    """Excision ladder for PV of f(z)/z along a crossing-marked path.
+def _f_at_zero(f, op: str) -> complex:
+    """f(0), the declared value of a TestFunction checked against an
+    evaluation; AdmissibilityError unless it is finite."""
+    try:
+        f0 = f.at_zero() if isinstance(f, TestFunction) else complex(f(0.0 + 0.0j))
+    except ZeroDivisionError as exc:
+        raise AdmissibilityError(f"{op}: f(0) is not finite ({exc})") from exc
+    if not cmath.isfinite(f0):
+        raise AdmissibilityError(f"{op}: f(0) = {f0!r} is not finite")
+    return f0
 
-    Returns (pv_value, trace, error_estimate) where trace is the tuple of
-    (epsilon, excised integral) pairs, built incrementally from annulus
-    pieces so each epsilon level reuses all earlier quadrature work.
+
+def _pieces(path: Contour, loc0, loc1):
+    """The segments of ``path`` between locations loc0 and loc1 (see
+    :func:`subpath_segments`), the crossing segment cut at the origin when
+    it lies between them.  Each comes paired with whether it starts or
+    ends at the origin."""
+    cross = (path.crossing, path.crossing_param)
+    if not loc0 < cross < loc1:
+        return [(seg, False) for seg in subpath_segments(path, loc0, loc1)]
+    before = subpath_segments(path, loc0, cross)
+    after = subpath_segments(path, cross, loc1)
+    return ([(seg, k == len(before) - 1) for k, seg in enumerate(before)]
+            + [(seg, k == 0) for k, seg in enumerate(after)])
+
+
+def _arc_turn(arc: Arc) -> float:
+    """Turn of arg z along an arc that misses the origin.  With
+    z = c + r e^{i theta}, arg z = arg c + arg(1 + (r/c) e^{i theta}) when
+    the origin lies outside the circle, and theta + arg(1 + (c/r) e^{-i theta})
+    when it lies inside; either second term stays on the principal branch."""
+    c, r = arc.center, arc.radius
+    if abs(c) > r:
+        w, sign, turn = r / c, 1j, 0.0
+    else:
+        w, sign, turn = c / r, -1j, arc.sweep
+    return (turn + cmath.phase(1.0 + w * cmath.exp(sign * arc.theta_end))
+            - cmath.phase(1.0 + w * cmath.exp(sign * arc.theta_start)))
+
+
+def _turn(pieces) -> float:
+    """Turn of arg z along :func:`_pieces`, the jump at the origin left out.
+    A line piece at the origin keeps arg z fixed; an arc piece at the origin
+    turns it by half its sweep (inscribed angle); any other line piece from
+    p to q turns it by phase(q/p), any other arc piece by :func:`_arc_turn`."""
+    total = 0.0
+    for seg, at_origin in pieces:
+        if isinstance(seg, Line):
+            total += 0.0 if at_origin else cmath.phase(seg.end / seg.start)
+        else:
+            total += 0.5 * seg.sweep if at_origin else _arc_turn(seg)
+    return total
+
+
+def _principal_value(f, path: Contour, f0: complex):
+    """PV of f(z)/z along a crossing-marked path, by subtracting the
+    singularity:
+
+        PV = integral of (f(z) - f0)/z dz + f0 (ln|end/start| + i turn)
+
+    where turn is that of arg z along the path (:func:`_turn`).  The first
+    integrand is regular; each piece of the path, the crossing segment cut
+    at the origin, is integrated by adaptive Gauss-Kronrod, none of whose
+    nodes is an endpoint.  Returns (pv, trace, error_estimate), the estimate
+    being the summed quadrature estimates.  The trace holds the
+    (epsilon, excised integral) pairs: the PV less what lies inside the
+    epsilon-disk, the regular integral there and i f0 times the turn there.
+
+    An integral that quadrature cannot finish next to the crossing raises
+    PvDivergenceError.
     """
     _require_finite_path(path, "pv_contour")
     if path.crossing is None:
         raise ContourError("principal value needs a contour marked as crossing 0")
     check_analytic(f, path)
     before, after = path.arm_lengths()
-    eps0 = 0.1 * min(before, after)
-    eps_list = [eps0 * 0.5 ** k for k in range(_PV_STEPS)]
-
-    def g(z):
-        return f(z) / z
-
-    head, _a, _b, tail = split_at_radius(path, eps0)
-    total = 0.0 + 0.0j
-    quad_err = 0.0
-    for seg in head + tail:
-        v, e = integrate_adaptive(
-            lambda t, s=seg: g(s.point(t)) * s.derivative(t), 0.0, 1.0,
-            abs_tol=_QUAD_TOL)
-        total += v
-        quad_err += e
-    values = [total]
+    eps_list = [0.1 * min(before, after) * 0.5 ** k for k in range(_TRACE_STEPS)]
     cuts = [radius_cut_locations(path, eps) for eps in eps_list]
-    for k in range(1, _PV_STEPS):
-        (b_prev, f_prev), (b_new, f_new) = cuts[k - 1], cuts[k]
-        inc = 0.0 + 0.0j
-        for segs in (subpath_segments(path, b_prev, b_new),
-                     subpath_segments(path, f_new, f_prev)):
-            for seg in segs:
-                v, e = integrate_adaptive(
-                    lambda t, s=seg: g(s.point(t)) * s.derivative(t), 0.0, 1.0,
-                    abs_tol=_QUAD_TOL)
-                inc += v
-                quad_err += e
-        values.append(values[-1] + inc)
-    trace = tuple(zip(eps_list, values))
-    diffs = [abs(v1 - v0) for v0, v1 in zip(values[:-1], values[1:])]
-    floor = 1e-10 * max(1.0, abs(values[-1]))
-    if diffs[-1] > floor and diffs[-1] > diffs[-2] and diffs[-2] > diffs[-3]:
-        raise PvDivergenceError(
-            "excision ladder is not Cauchy (last differences "
-            f"{diffs[-3]:.3e}, {diffs[-2]:.3e}, {diffs[-1]:.3e}); "
-            "the test function is not admissible at the origin")
-    pv, rich_err = richardson(values, ratio=2.0)
-    return pv, trace, rich_err + quad_err
+
+    def regular(pieces):
+        total, err = 0.0 + 0.0j, 0.0
+        for seg, at_origin in pieces:
+            def g(t, seg=seg):
+                z = seg.point(t)
+                return (f(z) - f0) / z * seg.derivative(t)
+            try:
+                v, e = integrate_adaptive(g, 0.0, 1.0, abs_tol=_QUAD_TOL)
+            except (QuadratureError, ZeroDivisionError) as exc:
+                if not at_origin:
+                    raise
+                raise PvDivergenceError(
+                    "(f(z) - f(0))/z cannot be integrated next to the "
+                    f"crossing ({exc}); the principal value does not exist") from exc
+            total += v
+            err += e
+        return total, err
+
+    pieces = _pieces(path, (0, 0.0), (len(path.segments) - 1, 1.0))
+    value, err = regular(pieces)
+    log_ratio = math.log(abs(path.end)) - math.log(abs(path.start))
+    pv = value + f0 * complex(log_ratio, _turn(pieces))
+    trace = []
+    for eps, (back, fwd) in zip(eps_list, cuts):
+        disk = _pieces(path, back, fwd)
+        inside, _e = regular(disk)
+        trace.append((eps, pv - inside - 1j * f0 * _turn(disk)))
+    return pv, tuple(trace), err
 
 
 def pv_contour(f, path: Contour) -> complex:
     """Principal value of the integral of f(z)/z along a crossing-marked
     contour: the limit of the integral with a symmetric (radius-epsilon)
-    neighbourhood of the origin excised, Richardson-extrapolated over a
-    halving epsilon ladder.  Extrapolation error estimate <= 1e-8.
+    neighbourhood of the origin excised.  Computed without a limit, as the
+    regular integral of (f(z) - f(0))/z plus f(0) times the closed-form PV
+    of dz/z (:func:`_principal_value`).  Its error is the quadrature's,
+    estimated at 1e-12 per path piece above the roundoff floor of large
+    integrands; a piece that quadrature cannot bring within 100 times that
+    raises.
 
-    Raises PvDivergenceError when the ladder is not Cauchy (f fails
-    admissibility at 0, e.g. has a pole there).
+    Raises AdmissibilityError for a non-finite f(0), and PvDivergenceError
+    when (f(z) - f(0))/z cannot be integrated next to the crossing (f is
+    not admissible at the origin, e.g. has a pole on the path there).
     """
     with _admissible_f("pv_contour"):
-        pv, _trace, _err = _pv_ladder(f, path)
+        pv, _trace, _err = _principal_value(f, path, _f_at_zero(f, "pv_contour"))
     return pv
 
 
@@ -299,14 +366,16 @@ def pv_contour(f, path: Contour) -> complex:
 @dataclass(frozen=True)
 class FunctionalResult:
     """Value of a Plemelj functional with its principal-value / delta
-    decomposition and the excision trace behind the PV part.
+    decomposition and the excision trace of the PV.
 
     For plemelj_plus and plemelj_minus, value = pv_part + delta_part holds
     exactly by construction.  For plemelj_delta, value, pv_part and
     delta_part are the sums of the one-sided ones, so value may differ
     from pv_part + delta_part in the last bits.  For all three the
-    epsilon trace holds the (epsilon, excised integral of f/z) pairs,
-    whose limit is PV(f/z); it must be Cauchy (enforced when it is built).
+    epsilon trace holds the (epsilon, excised integral of f/z) pairs for
+    epsilon = 0.1 * (shorter arm) * 0.5^k, k = 0..7; each is the PV less
+    the part of it inside the epsilon-disk, so the trace converges to
+    PV(f/z) like O(epsilon).
     """
     value: complex
     pv_part: complex
@@ -323,7 +392,7 @@ def _plemelj(f, path: Contour, op: str, domain: WedgeDomain,
              signs: tuple) -> FunctionalResult:
     """Sum over the one-sided kernels s = +i (forward) and s = -i (mirrored)
     in ``signs`` of s PV(f/z) + pi f(0), from one domain check, one f(0)
-    and one excision ladder.  A two-sided sum (the delta) must also cross
+    and one principal value.  A two-sided sum (the delta) must also cross
     the origin from the left half plane to the right half plane."""
     _require_finite_path(path, op)
     _check_domain(path, domain, op)
@@ -332,10 +401,8 @@ def _plemelj(f, path: Contour, op: str, domain: WedgeDomain,
             f"{op} requires the crossing to run from the left half "
             "plane to the right half plane")
     with _admissible_f(op):
-        f0 = f.at_zero() if isinstance(f, TestFunction) else complex(f(0.0 + 0.0j))
-        if not cmath.isfinite(f0):
-            raise AdmissibilityError(f"{op}: f(0) = {f0!r} is not finite")
-        pv, trace, _err = _pv_ladder(f, path)
+        f0 = _f_at_zero(f, op)
+        pv, trace, _err = _principal_value(f, path, f0)
     delta_part = math.pi * f0
     sides = []
     for s in signs:

@@ -2,8 +2,7 @@
 
 Complex-valued adaptive Gauss-Kronrod (G7/K15) integration over real
 parameter intervals and over piecewise contours, plus generic Richardson
-extrapolation for the ladder limits used by the principal-value and
-regularization-schedule routines.
+extrapolation for the regularization ladders of the lambda routes.
 """
 import heapq
 import math
@@ -152,18 +151,18 @@ def integrate_contour(g, contour, abs_tol=1e-12, seg_breakpoints=None,
     return total, err
 
 
-def richardson(values, ratio: float = 2.0, first_power: int = 1):
+def richardson(values, ratio: float):
     """Richardson-extrapolate a ladder of approximations to its limit.
 
     ``values[k]`` is assumed to carry an error expansion in powers
-    h_k^m (m = first_power, first_power+1, ...) with h_k = h_0 / ratio**k.
+    h_k^m (m = 1, 2, ...) with h_k = h_0 / ratio**k.
     Returns (limit_estimate, error_estimate) from the full triangle.
     """
     if not values:
         raise ValueError("empty extrapolation ladder")
     level = list(values)
     prev_best = level[-1]
-    for m in range(first_power, first_power + len(values) - 1):
+    for m in range(1, len(values)):
         mult = ratio ** m
         level = [(mult * level[i + 1] - level[i]) / (mult - 1.0)
                  for i in range(len(level) - 1)]

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .contours import Contour, tilted_segment
-from .functionals import TestFunction, check_analytic
+from .functionals import _admissible_f, _f_at_zero, check_analytic
 from .kernels import RegularizationSchedule, _decider
 from .quadrature import integrate_adaptive
 
@@ -138,8 +138,8 @@ def _pv_real_line(g, q_min: float, q_max: float):
 
     Folds the symmetric part into the regular combination
     (g(q) - g(-q))/q and integrates it directly; the cutoff ladder trace
-    is reported for the Cauchy diagnostic.  Independent of the complex
-    excision machinery in functionals._pv_ladder.
+    is reported for the Cauchy diagnostic.  Independent of the singularity
+    subtraction along contours in functionals._principal_value.
     """
     m = min(-q_min, q_max)
 
@@ -185,16 +185,20 @@ def tilted_plemelj(f, line: TiltedLine) -> TiltedResult:
     -i * plemelj_plus(f, line.to_contour()).value; for pi/4 < |phi| < pi/2
     the formula route stays valid but the Gaussian-regularized kernel
     diverges on the line, which the kernel_mismatch flag reports.
+
+    An f whose value at 0 is not finite, or that overflows or cannot be
+    integrated along the line, raises AdmissibilityError.
     """
     path = line.to_contour()
-    check_analytic(f, path)
     phase = cmath.exp(1j * line.phi)
 
     def g(q):
         return f(q * phase)
 
-    f0 = f.at_zero() if isinstance(f, TestFunction) else complex(f(0.0 + 0.0j))
-    pv, trace, _err = _pv_real_line(g, line.q_min, line.q_max)
+    with _admissible_f("tilted_plemelj"):
+        check_analytic(f, path)
+        f0 = _f_at_zero(f, "tilted_plemelj")
+        pv, trace, _err = _pv_real_line(g, line.q_min, line.q_max)
     delta_part = -1j * math.pi * f0
     mismatch = _kernel_route_diverges(line)
     return TiltedResult(pv + delta_part, pv, delta_part, trace, mismatch)

@@ -242,23 +242,24 @@ def suite_plemelj():
     gauss = functionals.catalog_function("gauss(0)")
     seg = segment_path(-3.0, 3.0)
 
+    # <I(+), f> - <I(-), f> = 2i PV, with the one-sided actions taken
+    # over the path deformed above and below the origin
     worst = 0.0
     for f, path in ((gauss, seg), (functionals.catalog_function("cos_gauss"), seg)):
         pv = functionals.pv_contour(f, path)
-        plus = functionals.plemelj_plus(f, path)
-        minus = functionals.plemelj_minus(f, path)
-        worst = max(worst, abs((plus.value - minus.value) - 2j * pv))
+        above = functionals.deformation_route(f, path, side="above")
+        below = functionals.deformation_route(f, path, side="below")
+        worst = max(worst, abs((above - below) - 2j * pv))
     checks.append(_check("plemelj/decomposition-identity", worst, 1e-14))
 
+    # <I(+), f> + <I(-), f> = 2 pi f(0), through the nascent delta
     worst = 0.0
     paths = (seg, tilted_segment(math.pi / 10, -2.0, 2.5))
     for name in functionals.CATALOG_EXAMPLES:
         f = functionals.catalog_function(name)
         for path in paths:
-            plus = functionals.plemelj_plus(f, path)
-            minus = functionals.plemelj_minus(f, path)
-            target = 2.0 * math.pi * f.at_zero()
-            worst = max(worst, abs(plus.value + minus.value - target))
+            delta = functionals.lambda_route(f, path, kernel="full_line")
+            worst = max(worst, abs(delta - 2.0 * math.pi * f.at_zero()))
     checks.append(_check("plemelj/delta-sum-identity", worst, 1e-10))
 
     pv_exp = functionals.pv_contour(

@@ -305,13 +305,13 @@ def test_functional_delta_report_is_sum_of_one_sided_reports():
 def test_functional_delta_domain_check_precedes_pv_ladder(monkeypatch):
     import plemelj.functionals as functionals
     calls = []
-    ladder = functionals._pv_ladder
+    principal_value = functionals._principal_value
 
-    def counting(f, path):
+    def counting(f, path, f0):
         calls.append(path)
-        return ladder(f, path)
+        return principal_value(f, path, f0)
 
-    monkeypatch.setattr(functionals, "_pv_ladder", counting)
+    monkeypatch.setattr(functionals, "_principal_value", counting)
     upper = segment_path(-1.0, -0.5 + 0.9j, 0.0, 1.0, crossing=2)
     with pytest.raises(DomainViolationError) as info:
         run_functional("delta", "gauss(0)", upper)

@@ -100,6 +100,8 @@ def test_line_beyond_1e154_keeps_its_geometry():
     assert line.radius_hits(3e200) == []
     # hits 5e-201 from the crossing round to its parameter
     assert line.radius_hits(1.0) == [0.5, 0.5]
+    # a short line 1e200 from the centre: its distance is not squared
+    assert Line(1e200j, 1e200j + 1).radius_hits(1.0) == []
 
 
 def test_crossing_marked_contours_beyond_1e154():

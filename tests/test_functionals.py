@@ -102,11 +102,70 @@ def test_pv_requires_crossing():
 
 
 def test_pv_error_estimate_within_contract():
-    from plemelj.functionals import _pv_ladder
+    from plemelj.functionals import _principal_value
     for name in ("gauss(0.3)", "cos_gauss", "poly_gauss(2,0.3)"):
-        _pv, _trace, err = _pv_ladder(catalog_function(name),
-                                      segment_path(-3.0, 3.0))
+        f = catalog_function(name)
+        _pv, _trace, err = _principal_value(f, segment_path(-3.0, 3.0),
+                                            f.at_zero())
         assert err <= 1e-8
+
+
+def test_pv_kinked_crossing_matches_mpmath():
+    import mpmath as mp
+    a, b = -2.0 - 0.5j, 2.0 - 0.3j
+    path = Contour([Line(a, 0.0), Line(0.0, b)], crossing=1)
+    with mp.workdps(30):
+        c = mp.mpf("0.3")
+
+        def fm(z):
+            return mp.exp(-(z - c) ** 2)
+
+        u_in, u_out = mp.mpc(a) / abs(a), mp.mpc(b) / abs(b)
+        m = min(abs(a), abs(b))
+        # symmetric excision at |z| = eps, folded over the rays at distance s
+        ref = (mp.quad(lambda s: (fm(s * u_out) - fm(s * u_in)) / s, [0, m])
+               + mp.quad(lambda s: fm(s * u_out) / s, [m, abs(b)])
+               - mp.quad(lambda s: fm(s * u_in) / s, [m, abs(a)]))
+    pv = pv_contour(catalog_function("gauss(0.3)"), path)
+    assert abs(pv - complex(ref)) <= 1e-14 * abs(complex(ref))
+
+
+def test_pv_arc_through_origin_matches_mpmath():
+    import mpmath as mp
+    # the lower half of the unit circle about i, through 0 at theta = -pi/2
+    path = Contour([Arc(1j, 1.0, -math.pi, 0.0), Line(1.0 + 1j, 2.0 + 1j)],
+                   crossing=0)
+    with mp.workdps(30):
+        c = mp.mpf("0.3")
+
+        def fm(z):
+            return mp.exp(-(z - c) ** 2)
+
+        def h(u, s):   # f(z)/z dz/dtheta at theta = -pi/2 + s u
+            # z = i + e^{i theta} = 2 s sin(u/2) e^{i s u/2}, written so
+            # that it does not cancel next to the origin
+            z = 2 * s * mp.sin(u / 2) * mp.expj(s * u / 2)
+            return fm(z) * mp.expj(s * u) / z
+
+        # |z| = 2 sin(u/2) on both sides: the eps-disk is symmetric in u
+        ref = (mp.quad(lambda u: h(u, 1) + h(u, -1), [0, mp.pi / 2])
+               + mp.quad(lambda x: fm(x + 1j) / (x + 1j), [1, 2]))
+    pv = pv_contour(catalog_function("gauss(0.3)"), path)
+    assert abs(pv - complex(ref)) <= 1e-14 * abs(complex(ref))
+
+
+def test_pv_pole_next_to_the_path():
+    # f = 1/(z - a) with a 1e-7 off the path: f/z = (1/(z - a) - 1/z)/a
+    a = 1e-5 + 1e-7j
+    f = TestFunction(lambda z: 1.0 / (z - a), value_at_zero=-1.0 / a)
+    ref = (cmath.log(1.0 - a) - cmath.log(-1.0 - a)) / a
+    pv = pv_contour(f, segment_path(-1.0, 1.0))
+    assert abs(pv - ref) <= 1e-10 * abs(ref)
+
+
+def test_pv_pole_at_the_origin_is_inadmissible():
+    with pytest.raises(AdmissibilityError, match="not finite"):
+        pv_contour(TestFunction(lambda z: 1.0 / z), segment_path(-1.0, 1.0))
 
 
 def test_lambda_route_rejects_bad_ladders():
@@ -443,6 +502,24 @@ def test_deformation_route_matches_scipy(family):
                 (f.label, side)
 
 
+@pytest.mark.parametrize("half_length", [30.0, 100.0, 300.0, 1e3, 1e6])
+def test_plus_on_long_paths(half_length):
+    # gauss(0.3) is below 1e-300 beyond |z| = 27, so [-30, 30] carries the
+    # whole PV; scipy's own quad misses the narrow peak on the long lines
+    f = catalog_function("gauss(0.3)")
+    ref = 1j * _scipy_pv(f, 0.0, -30.0, 30.0) + math.pi * f.at_zero()
+    value = plemelj_plus(f, segment_path(-half_length, half_length)).value
+    assert _rel_err(value, ref) <= 1e-10
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_pv_matches_scipy(family):
+    rng = random.Random(f"pv:{family}")
+    path, line = _seeded_path(rng, family)
+    for f in _seeded_functions(rng):
+        assert _rel_err(pv_contour(f, path), _scipy_pv(f, *line)) <= 1e-14, f.label
+
+
 @pytest.mark.parametrize("family", ["straight", "bent"])
 def test_overlap_matches_two_pi_f_z2(family):
     rng = random.Random(f"overlap:{family}")
@@ -491,13 +568,13 @@ def test_delta_rejects_wedge_path():
 def test_delta_runs_one_pv_ladder(monkeypatch):
     import plemelj.functionals as functionals
     calls = []
-    ladder = functionals._pv_ladder
+    principal_value = functionals._principal_value
 
-    def counting(f, path):
+    def counting(f, path, f0):
         calls.append(path)
-        return ladder(f, path)
+        return principal_value(f, path, f0)
 
-    monkeypatch.setattr(functionals, "_pv_ladder", counting)
+    monkeypatch.setattr(functionals, "_principal_value", counting)
     bent = segment_path(-2.0, -0.5 + 0.4j, 0.0, 0.5 + 0.4j, 2.0)
     f = catalog_function("gauss(0.3)")
     val = delta_action(f, bent)

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from plemelj.contours import ContourError
-from plemelj.functionals import catalog_function, plemelj_plus
+from plemelj.functionals import (AdmissibilityError, TestFunction,
+                                 catalog_function, plemelj_plus)
 from plemelj.tilted import (TiltedLine, arg_limit, arg_regularized,
                             log_branch_residual, tilted_plemelj)
 
@@ -172,3 +173,15 @@ def test_line_too_short_for_its_squared_length_is_refused():
     with pytest.raises(ContourError):
         tilted_plemelj(catalog_function("gauss(0)"),
                        TiltedLine(0.1, -1e-320, 1e-320))
+
+
+def test_non_finite_f_at_zero_is_inadmissible():
+    f = TestFunction(lambda z: complex("nan") if z == 0 else 1.0)
+    with pytest.raises(AdmissibilityError, match="not finite"):
+        tilted_plemelj(f, TiltedLine(0.1, -1.0, 1.0))
+
+
+def test_overflowing_test_function_is_inadmissible():
+    # f(0) = exp(900) overflows
+    with pytest.raises(AdmissibilityError, match="f overflows"):
+        tilted_plemelj(catalog_function("gauss(30j)"), TiltedLine(0.1, -1.0, 1.0))
