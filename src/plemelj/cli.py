@@ -7,7 +7,7 @@ Subcommands:
   (columns re, im, status, abs_value) for external plotting.
 * ``functional``  -- evaluate one of the extended Plemelj functionals for
   a catalog test function along a contour read from JSON, emitting a JSON
-  report with the PV/delta split, the excision trace and (optionally) the
+  report with the value, its PV/delta split and (optionally) the
   regularization-route cross-check.
 * ``verify``      -- run the library's invariant suites and report one
   measured-vs-tolerance line per check.
@@ -194,8 +194,6 @@ def run_functional(kernel: str, function_name: str, contour: Contour,
         "value": _c_dict(res.value),
         "pv_part": _c_dict(res.pv_part),
         "delta_part": _c_dict(res.delta_part),
-        "epsilon_trace": [{"epsilon": float(e), "value": _c_dict(v)}
-                          for e, v in res.epsilon_trace],
         "cross_check": None,
     }
     if cross_check:

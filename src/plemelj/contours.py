@@ -540,14 +540,15 @@ def path_in_domain(path: Contour, domain: WedgeDomain) -> str:
 
     Returns 'fully_inside', 'inside_except_crossing' (the only non-inside
     point is the marked origin crossing sitting at the apex) or 'violates'.
-    Raises ContourError if the path passes within 1e-12 of the apex without
-    a crossing marker there.  The verdict is exact (module docstring).
+    Raises ContourError if the path passes within 1e-12 of the apex
+    anywhere but at a crossing marker there.  The verdict is exact (module
+    docstring).
     """
     detail = domain_violations(path, domain)
     if detail["unmarked_apex"]:
         raise ContourError(
             f"path passes within {CROSSING_TOL:.0e} of the domain apex "
-            f"{domain.apex!r} without a crossing marker")
+            f"{domain.apex!r} away from a marked crossing")
     if detail["violations"]:
         return "violates"
     return "inside_except_crossing" if detail["apex_crossing"] else "fully_inside"
@@ -561,14 +562,15 @@ def domain_violations(path: Contour, domain: WedgeDomain) -> dict:
     Returns {'violations': [] or [(segment_index, t, point)], the first
     outside candidate in path order (rays are indexed -1 and len(segments),
     t being the distance from their finite end), 'apex_crossing': bool,
-    'unmarked_apex': bool}.
+    'unmarked_apex': bool}, the last set when the path comes within
+    CROSSING_TOL of the apex other than at a marked crossing there.
     """
     apex = domain.apex
-    dmin, _loc = path.min_distance(apex)
     crossing_at_apex = (
         path.crossing is not None
         and abs(path.point((path.crossing, path.crossing_param)) - apex) <= CROSSING_TOL)
-    unmarked = dmin <= CROSSING_TOL and not crossing_at_apex
+    unmarked = (meets_off_crossing(path, apex) if crossing_at_apex
+                else path.min_distance(apex)[0] <= CROSSING_TOL)
     signs = {"plus": (1.0,), "minus": (-1.0,), "intersection": (1.0, -1.0)}[domain.kind]
     candidates = []
     for i, seg in enumerate(path.segments):
@@ -652,6 +654,38 @@ def subpath_segments(path: Contour, loc0, loc1):
     if t1 > 1e-13:
         out.append(path.segments[i1].subsegment(0.0, t1))
     return out
+
+
+def crossing_arms(path: Contour):
+    """The segments of a crossing-marked path before and after its marked
+    crossing, the crossing segment cut there: (before, after), each in path
+    order."""
+    cross = (path.crossing, path.crossing_param)
+    return (subpath_segments(path, (0, 0.0), cross),
+            subpath_segments(path, cross, (len(path.segments) - 1, 1.0)))
+
+
+def meets_off_crossing(path: Contour, point: complex) -> bool:
+    """Whether a path whose marked crossing lies at ``point`` comes within
+    CROSSING_TOL of it anywhere else: walking out from the crossing along
+    either arm, the path must leave that disk and stay out.  The distance
+    to a point is convex along a line and has one minimum on a circle, so
+    a piece that starts inside and ends outside cannot dip back in; an arc
+    that ends inside has closed up on the crossing if its midpoint is out.
+    """
+    before, after = crossing_arms(path)
+    for arm in ([(seg.start, seg) for seg in reversed(before)],
+                [(seg.end, seg) for seg in after]):
+        left = False
+        for far, seg in arm:
+            if left:
+                if seg.min_distance(point)[0] <= CROSSING_TOL:
+                    return True
+            elif abs(far - point) > CROSSING_TOL:
+                left = True
+            elif isinstance(seg, Arc) and abs(seg.point(0.5) - point) > CROSSING_TOL:
+                return True
+    return False
 
 
 def split_at_radius(path: Contour, eps: float):

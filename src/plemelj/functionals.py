@@ -44,14 +44,15 @@ from .contours import (
     ContourError,
     Line,
     WedgeDomain,
+    crossing_arms,
     domain_violations,
+    meets_off_crossing,
     radius_cut_locations,
-    subpath_segments,
     deform_at_origin,
 )
 from .kernels import full_line_kernel, j_kernel
-from .quadrature import (QuadratureError, integrate_adaptive,
-                         integrate_contour, richardson)
+from .quadrature import (QuadratureError, integrate_contour,
+                         integrate_segment, richardson)
 
 
 class AdmissibilityError(ValueError):
@@ -215,7 +216,7 @@ def _check_domain(path: Contour, domain: WedgeDomain, op: str):
     detail = domain_violations(path, domain)
     if detail["unmarked_apex"]:
         raise ContourError(
-            f"{op}: path passes through the domain apex without a crossing marker")
+            f"{op}: path passes through the domain apex away from a marked crossing")
     if detail["violations"]:
         seg, t, z = detail["violations"][0]
         raise DomainViolationError(
@@ -227,10 +228,22 @@ def _check_domain(path: Contour, domain: WedgeDomain, op: str):
             segment_index=None)
 
 
+def _check_one_crossing(path: Contour, op: str):
+    """The test :func:`_check_domain` makes at the apex, for the routes
+    that check no domain: the path meets the origin at its marked crossing,
+    between its ends, and nowhere else."""
+    if path.crossing is None:
+        raise ContourError(f"{op} needs a contour marked as crossing 0")
+    if 0.0 in path.arm_lengths():
+        raise ContourError(f"{op}: the marked crossing is an end of the path")
+    if meets_off_crossing(path, 0.0 + 0.0j):
+        raise ContourError(
+            f"{op}: path passes through the origin away from its marked crossing")
+
+
 # -- principal value -------------------------------------------------------
 
 _QUAD_TOL = 1e-12
-_TRACE_STEPS = 8   # epsilon_trace: 0.1 * (shorter arm) * 0.5^k, k < 8
 
 
 def _f_at_zero(f, op: str) -> complex:
@@ -243,20 +256,6 @@ def _f_at_zero(f, op: str) -> complex:
     if not cmath.isfinite(f0):
         raise AdmissibilityError(f"{op}: f(0) = {f0!r} is not finite")
     return f0
-
-
-def _pieces(path: Contour, loc0, loc1):
-    """The segments of ``path`` between locations loc0 and loc1 (see
-    :func:`subpath_segments`), the crossing segment cut at the origin when
-    it lies between them.  Each comes paired with whether it starts or
-    ends at the origin."""
-    cross = (path.crossing, path.crossing_param)
-    if not loc0 < cross < loc1:
-        return [(seg, False) for seg in subpath_segments(path, loc0, loc1)]
-    before = subpath_segments(path, loc0, cross)
-    after = subpath_segments(path, cross, loc1)
-    return ([(seg, k == len(before) - 1) for k, seg in enumerate(before)]
-            + [(seg, k == 0) for k, seg in enumerate(after)])
 
 
 def _arc_turn(arc: Arc) -> float:
@@ -274,10 +273,11 @@ def _arc_turn(arc: Arc) -> float:
 
 
 def _turn(pieces) -> float:
-    """Turn of arg z along :func:`_pieces`, the jump at the origin left out.
-    A line piece at the origin keeps arg z fixed; an arc piece at the origin
-    turns it by half its sweep (inscribed angle); any other line piece from
-    p to q turns it by phase(q/p), any other arc piece by :func:`_arc_turn`."""
+    """Turn of arg z along (segment, at_origin) pieces, the jump at the
+    origin left out.  A line piece at the origin keeps arg z fixed; an arc
+    piece at the origin turns it by half its sweep (inscribed angle); any
+    other line piece from p to q turns it by phase(q/p), any other arc
+    piece by :func:`_arc_turn`."""
     total = 0.0
     for seg, at_origin in pieces:
         if isinstance(seg, Line):
@@ -295,51 +295,37 @@ def _principal_value(f, path: Contour, f0: complex):
 
     where turn is that of arg z along the path (:func:`_turn`).  The first
     integrand is regular; each piece of the path, the crossing segment cut
-    at the origin, is integrated by adaptive Gauss-Kronrod, none of whose
-    nodes is an endpoint.  Returns (pv, trace, error_estimate), the estimate
-    being the summed quadrature estimates.  The trace holds the
-    (epsilon, excised integral) pairs: the PV less what lies inside the
-    epsilon-disk, the regular integral there and i f0 times the turn there.
+    at the origin (:func:`crossing_arms`), is integrated by adaptive
+    Gauss-Kronrod, none of whose nodes is an endpoint.  Returns
+    (pv, error_estimate), the estimate being the summed quadrature
+    estimates.
 
-    An integral that quadrature cannot finish next to the crossing raises
+    A path that meets the origin anywhere but at its marked crossing, or
+    whose crossing is one of its ends, raises ContourError; an integral
+    that quadrature cannot finish next to the crossing raises
     PvDivergenceError.
     """
     _require_finite_path(path, "pv_contour")
-    if path.crossing is None:
-        raise ContourError("principal value needs a contour marked as crossing 0")
+    _check_one_crossing(path, "pv_contour")
     check_analytic(f, path)
-    before, after = path.arm_lengths()
-    eps_list = [0.1 * min(before, after) * 0.5 ** k for k in range(_TRACE_STEPS)]
-    cuts = [radius_cut_locations(path, eps) for eps in eps_list]
-
-    def regular(pieces):
-        total, err = 0.0 + 0.0j, 0.0
-        for seg, at_origin in pieces:
-            def g(t, seg=seg):
-                z = seg.point(t)
-                return (f(z) - f0) / z * seg.derivative(t)
-            try:
-                v, e = integrate_adaptive(g, 0.0, 1.0, abs_tol=_QUAD_TOL)
-            except (QuadratureError, ZeroDivisionError) as exc:
-                if not at_origin:
-                    raise
-                raise PvDivergenceError(
-                    "(f(z) - f(0))/z cannot be integrated next to the "
-                    f"crossing ({exc}); the principal value does not exist") from exc
-            total += v
-            err += e
-        return total, err
-
-    pieces = _pieces(path, (0, 0.0), (len(path.segments) - 1, 1.0))
-    value, err = regular(pieces)
+    before, after = crossing_arms(path)
+    pieces = ([(seg, k == len(before) - 1) for k, seg in enumerate(before)]
+              + [(seg, k == 0) for k, seg in enumerate(after)])
+    value, err = 0.0 + 0.0j, 0.0
+    for seg, at_origin in pieces:
+        try:
+            v, e = integrate_segment(lambda z: (f(z) - f0) / z, seg,
+                                     abs_tol=_QUAD_TOL)
+        except (QuadratureError, ZeroDivisionError) as exc:
+            if not at_origin:
+                raise
+            raise PvDivergenceError(
+                "(f(z) - f(0))/z cannot be integrated next to the "
+                f"crossing ({exc}); the principal value does not exist") from exc
+        value += v
+        err += e
     log_ratio = math.log(abs(path.end)) - math.log(abs(path.start))
-    pv = value + f0 * complex(log_ratio, _turn(pieces))
-    trace = []
-    for eps, (back, fwd) in zip(eps_list, cuts):
-        disk = _pieces(path, back, fwd)
-        inside, _e = regular(disk)
-        trace.append((eps, pv - inside - 1j * f0 * _turn(disk)))
-    return pv, tuple(trace), err
+    return value + f0 * complex(log_ratio, _turn(pieces)), err
 
 
 def pv_contour(f, path: Contour) -> complex:
@@ -352,12 +338,14 @@ def pv_contour(f, path: Contour) -> complex:
     integrands; a piece that quadrature cannot bring within 100 times that
     raises.
 
-    Raises AdmissibilityError for a non-finite f(0), and PvDivergenceError
-    when (f(z) - f(0))/z cannot be integrated next to the crossing (f is
-    not admissible at the origin, e.g. has a pole on the path there).
+    Raises ContourError for a path that meets the origin away from its
+    marked crossing, AdmissibilityError for a non-finite f(0), and
+    PvDivergenceError when (f(z) - f(0))/z cannot be integrated next to
+    the crossing (f is not admissible at the origin, e.g. has a pole on
+    the path there).
     """
     with _admissible_f("pv_contour"):
-        pv, _trace, _err = _principal_value(f, path, _f_at_zero(f, "pv_contour"))
+        pv, _err = _principal_value(f, path, _f_at_zero(f, "pv_contour"))
     return pv
 
 
@@ -366,21 +354,16 @@ def pv_contour(f, path: Contour) -> complex:
 @dataclass(frozen=True)
 class FunctionalResult:
     """Value of a Plemelj functional with its principal-value / delta
-    decomposition and the excision trace of the PV.
+    decomposition.
 
     For plemelj_plus and plemelj_minus, value = pv_part + delta_part holds
     exactly by construction.  For plemelj_delta, value, pv_part and
     delta_part are the sums of the one-sided ones, so value may differ
-    from pv_part + delta_part in the last bits.  For all three the
-    epsilon trace holds the (epsilon, excised integral of f/z) pairs for
-    epsilon = 0.1 * (shorter arm) * 0.5^k, k = 0..7; each is the PV less
-    the part of it inside the epsilon-disk, so the trace converges to
-    PV(f/z) like O(epsilon).
+    from pv_part + delta_part in the last bits.
     """
     value: complex
     pv_part: complex
     delta_part: complex
-    epsilon_trace: tuple
 
 
 def _crossing_moves_left_to_right(path: Contour) -> bool:
@@ -402,19 +385,16 @@ def _plemelj(f, path: Contour, op: str, domain: WedgeDomain,
             "plane to the right half plane")
     with _admissible_f(op):
         f0 = _f_at_zero(f, op)
-        pv, trace, _err = _principal_value(f, path, f0)
+        pv, _err = _principal_value(f, path, f0)
     delta_part = math.pi * f0
-    sides = []
-    for s in signs:
-        pv_part = s * pv
-        sides.append(FunctionalResult(pv_part + delta_part, pv_part,
-                                      delta_part, trace))
+    sides = [FunctionalResult(s * pv + delta_part, s * pv, delta_part)
+             for s in signs]
     if len(sides) == 1:
         return sides[0]
     plus, minus = sides
     return FunctionalResult(
         plus.value + minus.value, plus.pv_part + minus.pv_part,
-        plus.delta_part + minus.delta_part, trace)
+        plus.delta_part + minus.delta_part)
 
 
 def plemelj_plus(f, path: Contour) -> FunctionalResult:
@@ -460,11 +440,11 @@ def deformation_route(f, path: Contour, side: str = "above") -> complex:
     left to right that are locally straight.  This is the geometric half
     of the extended formulas.  The integrand is analytic off the origin,
     so by Cauchy's theorem the deformed integral does not depend on the
-    arc radius, and one radius gives the value.
+    arc radius, and one radius gives the value.  A path that meets the
+    origin away from its marked crossing raises ContourError.
     """
     _require_finite_path(path, "deformation_route")
-    if path.crossing is None:
-        raise ContourError("deformation route needs a marked origin crossing")
+    _check_one_crossing(path, "deformation_route")
     sign = 1j if side == "above" else -1j
     before, after = path.arm_lengths()
     eps = 0.1 * min(before, after)

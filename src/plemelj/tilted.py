@@ -17,11 +17,12 @@ polar logarithm and taking the limit yields the tilted Plemelj identity
                  = PV(1/k) - i pi delta(k)
 
 whose action on a test function :func:`tilted_plemelj` computes in the
-real variable q (an evaluation route independent of the complex-contour
-machinery in :mod:`plemelj.functionals`).  The identity as derived holds
-for |phi| < pi/2, but the Gaussian-regularized kernel route only converges
-for |phi| < pi/4; outside that range the result carries a raised
-``kernel_mismatch`` flag instead of a silently wrong cross-check.
+real variable q, independently of the complex-contour machinery in
+:mod:`plemelj.functionals`: its PV folds q and -q into the regular
+(g(q) - g(-q))/q and takes no cutoff to zero.  The identity as derived
+holds for |phi| < pi/2, but the Gaussian-regularized kernel route only
+converges for |phi| < pi/4; outside that range the result carries a
+raised ``kernel_mismatch`` flag instead of a silently wrong cross-check.
 """
 import cmath
 import math
@@ -119,26 +120,22 @@ def log_branch_residual(q: float, phi: float, epsilon: float,
 
 @dataclass(frozen=True)
 class TiltedResult:
-    """Tilted Plemelj action with its PV / delta split, the lower-cutoff
-    trace of the PV evaluation, and the kernel-validity mismatch flag
-    (True when the regularized-kernel route diverges on this line even
-    though the formula route remains well defined)."""
+    """Tilted Plemelj action with its PV / delta split and the
+    kernel-validity mismatch flag (True when the regularized-kernel route
+    diverges on this line even though the formula route remains well
+    defined)."""
     value: complex
     pv_part: complex
     delta_part: complex
-    epsilon_trace: tuple
     kernel_mismatch: bool
-
-
-_PV_STEPS = 8
 
 
 def _pv_real_line(g, q_min: float, q_max: float):
     """PV of integral g(q)/q dq over [q_min, q_max] through the pole at 0.
 
-    Folds the symmetric part into the regular combination
-    (g(q) - g(-q))/q and integrates it directly; the cutoff ladder trace
-    is reported for the Cauchy diagnostic.  Independent of the singularity
+    Integrates the regular fold (g(q) - g(-q))/q over (0, m], m the
+    shorter side, and g(q)/q over the rest of the longer side.  Returns
+    (pv, summed quadrature error estimate).  Independent of the singularity
     subtraction along contours in functionals._principal_value.
     """
     m = min(-q_min, q_max)
@@ -149,29 +146,12 @@ def _pv_real_line(g, q_min: float, q_max: float):
     core, core_err = integrate_adaptive(folded, 0.0, m, abs_tol=1e-13,
                                         breakpoints=(m * 1e-6, m * 1e-3))
     rest = 0.0 + 0.0j
-    if q_max > m:
-        v, e = integrate_adaptive(lambda q: g(q) / q, m, q_max, abs_tol=1e-13)
-        rest += v
-        core_err += e
-    if -q_min > m:
-        v, e = integrate_adaptive(lambda q: g(q) / q, q_min, -m, abs_tol=1e-13)
-        rest += v
-        core_err += e
-    pv = core + rest
-    # lower-cutoff trace: the symmetric excision at eps equals pv minus the
-    # folded integral over (0, eps)
-    eps0 = 0.1 * m
-    trace = []
-    excised = pv
-    prev_eps = 0.0
-    for k in range(_PV_STEPS - 1, -1, -1):
-        eps = eps0 * 0.5 ** k
-        v, _e = integrate_adaptive(folded, prev_eps, eps, abs_tol=1e-13)
-        excised -= v
-        trace.append((eps, excised))
-        prev_eps = eps
-    trace.reverse()
-    return pv, tuple(trace), core_err
+    for lo, hi in ((m, q_max), (q_min, -m)):   # the longer side's excess
+        if hi > lo:
+            v, e = integrate_adaptive(lambda q: g(q) / q, lo, hi, abs_tol=1e-13)
+            rest += v
+            core_err += e
+    return core + rest, core_err
 
 
 def tilted_plemelj(f, line: TiltedLine) -> TiltedResult:
@@ -198,10 +178,10 @@ def tilted_plemelj(f, line: TiltedLine) -> TiltedResult:
     with _admissible_f("tilted_plemelj"):
         check_analytic(f, path)
         f0 = _f_at_zero(f, "tilted_plemelj")
-        pv, trace, _err = _pv_real_line(g, line.q_min, line.q_max)
+        pv, _err = _pv_real_line(g, line.q_min, line.q_max)
     delta_part = -1j * math.pi * f0
     mismatch = _kernel_route_diverges(line)
-    return TiltedResult(pv + delta_part, pv, delta_part, trace, mismatch)
+    return TiltedResult(pv + delta_part, pv, delta_part, mismatch)
 
 
 def _kernel_route_diverges(line: TiltedLine) -> bool:

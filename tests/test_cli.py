@@ -11,7 +11,7 @@ import pytest
 import plemelj
 from plemelj.cli import (DomainMapRequest, dump_json, main, run_domain_map,
                          run_functional, write_domain_map_csv)
-from plemelj.contours import segment_path
+from plemelj.contours import Arc, Contour, Line, segment_path
 from plemelj.functionals import DomainViolationError
 
 
@@ -243,9 +243,8 @@ def test_functional_report_symmetric_gaussian(tmp_path):
     assert abs(rep["value"]["re"] - math.pi) < 1e-6
     assert abs(rep["value"]["im"]) < 1e-6
     assert rep["cross_check"] is None
-    assert len(rep["epsilon_trace"]) == 8
-    eps = [e["epsilon"] for e in rep["epsilon_trace"]]
-    assert all(b < a for a, b in zip(eps[:-1], eps[1:]))
+    assert list(rep) == ["kernel", "function", "value", "pv_part",
+                         "delta_part", "cross_check"]
 
 
 def test_functional_delta_bent_path_cross_check(tmp_path):
@@ -298,8 +297,6 @@ def test_functional_delta_report_is_sum_of_one_sided_reports():
 
     for key in ("value", "pv_part", "delta_part"):
         assert bits(delta[key]) == bits_of_sum(plus[key], minus[key]), key
-    # all three report the same excision trace, whose limit is PV(f/z)
-    assert delta["epsilon_trace"] == plus["epsilon_trace"] == minus["epsilon_trace"]
 
 
 def test_functional_delta_domain_check_precedes_pv_ladder(monkeypatch):
@@ -364,13 +361,56 @@ def test_functional_report_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+_PINNED_PATHS = {
+    "straight": (segment_path(-3.0, 3.0), "gauss(0.3)"),
+    "bent": (segment_path(-2.0, -0.5 + 0.4j, 0.0, 0.5 + 0.4j, 2.0),
+             "poly_gauss(2,0.3)"),
+    "arc": (Contour([Arc(-1.9, 0.7, math.pi, 0.0), Line(-1.2, 2.5)], crossing=1),
+            "cos_gauss"),
+}
+# SHA-256 of the functional reports without cross-check; they hold every
+# change to the PV or the report to the same bytes
+_PINNED_REPORT_SHA256 = {
+    ("I_plus", "straight"):
+        "8909f3526c04ab04a136aebfe174e89dcc6809b18162b3356d087740d789f613",
+    ("I_plus", "bent"):
+        "b0f83929a51ed68c4987ce362ac1bca6306ff1b218f939ceb39cbe08baaeb4cf",
+    ("I_plus", "arc"):
+        "a53c90233cf889057a73b35289c33c3cc92f5523f47a71994f30927b482f95e9",
+    ("I_minus", "straight"):
+        "a9873d54ab641bba81773770167828effefaa6f933b47bcf627efda73101593a",
+    ("I_minus", "bent"):
+        "520018e3d0377e29708d709d6191052c1412d0e217235d10280ebad5f3aa9652",
+    ("I_minus", "arc"):
+        "35d7f3321706ef6049a6ae756a9b59d6821a0952cce376818805518b57e4ed6d",
+    ("delta", "straight"):
+        "43b24dd24addca4b80f97d20ad7249cda3bde54c44789fcb5a5d00bef4dd746d",
+    ("delta", "bent"):
+        "203609cefe25332c84c0e7abbafbcd67afdfb77e036838d6a4cdd12c0c373871",
+    ("delta", "arc"):
+        "70c35da40963d90e4c71cd6b328018ea9311d98bf7ecd2cdd09aa7f0a24cfe0c",
+}
+
+
+def test_functional_report_bytes_are_pinned(tmp_path):
+    contour, out = tmp_path / "c.json", tmp_path / "r.json"
+    for (kernel, name), digest in _PINNED_REPORT_SHA256.items():
+        path, function = _PINNED_PATHS[name]
+        contour.write_text(path.to_json())
+        assert main(["functional", "--kernel", kernel, "--function", function,
+                     "--contour", str(contour), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (
+            kernel, name)
+
+
 # -- verify ---------------------------------------------------------------------------
 
-def test_verify_special_suite_passes():
-    r = run_cli("verify", "--suite", "special")
+@pytest.mark.parametrize("suite", ["special", "kernels", "plemelj", "tilted"])
+def test_verify_suite_passes(suite):
+    r = run_cli("verify", "--suite", suite)
     assert r.returncode == 0, r.stdout + r.stderr
     lines = [l for l in r.stdout.splitlines() if l.startswith("[")]
-    assert all(l.startswith("[PASS]") for l in lines)
+    assert lines and all(l.startswith("[PASS]") for l in lines)
     assert all("measured=" in l and "tol=" in l for l in lines)
 
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from plemelj.contours import (Arc, Contour, ContourError, Line, WedgeDomain,
                               classify_point, deform_at_origin,
-                              domain_violations, path_in_domain,
-                              segment_path, split_at_radius, tilted_segment)
+                              domain_violations, meets_off_crossing,
+                              path_in_domain, segment_path, split_at_radius,
+                              tilted_segment)
 
 
 # -- wedge membership -------------------------------------------------------
@@ -170,6 +171,31 @@ def test_unmarked_crossing_raises():
     unmarked = Contour([Line(-1.0, 1.0)])
     with pytest.raises(ContourError):
         path_in_domain(unmarked, WedgeDomain.plus())
+
+
+def test_second_passage_through_the_apex_raises():
+    twice = segment_path(-1.0, 2.0, 2.0 + 1j, -1.0 + 1j, -1.0, 1.0, crossing=0)
+    assert domain_violations(twice, WedgeDomain.plus())["unmarked_apex"]
+    with pytest.raises(ContourError, match="away from a marked crossing"):
+        path_in_domain(twice, WedgeDomain.plus())
+
+
+@pytest.mark.parametrize("path, meets", [
+    # the stretch next to the crossing, kinked there, is the crossing itself
+    (segment_path(-1.0, 0.0, 1.0 + 0.5j), False),
+    # a second passage 7e-12 away misses CROSSING_TOL; 7e-14 away it meets
+    (segment_path(-1.0, 1.0, 1.0 + 1e-11 + 1j, -1.0 + 1e-11 - 1j, crossing=0),
+     False),
+    (segment_path(-1.0, 1.0, 1.0 + 1e-13 + 1j, -1.0 + 1e-13 - 1j, crossing=0),
+     True),
+    # an arc leaving the crossing that closes up on it
+    (Contour([Line(-1.0, 0.0), Arc(0.5, 0.5, math.pi, 3.0 * math.pi),
+              Line(0.0, 1.0)], crossing=0), True),
+    (Contour([Line(-1.0, 0.0), Arc(0.5, 0.5, math.pi, 2.5 * math.pi),
+              Line(0.5 + 0.5j, 1.0 + 0.5j)], crossing=0), False),
+], ids=["kinked", "near-miss", "second-passage", "closed-arc", "open-arc"])
+def test_meets_off_crossing(path, meets):
+    assert meets_off_crossing(path, 0.0 + 0.0j) is meets
 
 
 def test_fully_inside_without_crossing():

@@ -101,12 +101,45 @@ def test_pv_requires_crossing():
         pv_contour(catalog_function("one"), segment_path(-1.0 + 1j, 1.0 + 1j))
 
 
+# passes through 0 on its marked first segment and again on its last
+_TWICE_THROUGH_ZERO = segment_path(-1.0, 2.0, 2.0 + 1j, -1.0 + 1j, -1.0, 1.0,
+                                   crossing=0)
+
+
+def test_pv_refuses_a_second_passage_through_the_origin():
+    # a Gauss-Kronrod node of the unmarked passage lands on 0
+    path = segment_path(-1.0, 1.0, 1.0 + 1j, -1.0 - 1j, -1.0 + 2j)
+    with pytest.raises(ContourError, match="away from its marked crossing"):
+        pv_contour(catalog_function("one"), path)
+
+
+@pytest.mark.parametrize("points", [(0.0, 1.0), (-1.0, 0.0)], ids=["start", "end"])
+def test_pv_refuses_a_crossing_at_an_end_of_the_path(points):
+    # PV of dz/z diverges like ln|z| at an end of the path
+    with pytest.raises(ContourError, match="an end of the path"):
+        pv_contour(catalog_function("gauss(0.3)"), segment_path(*points, crossing=0))
+
+
+def test_plus_refuses_a_second_passage_through_the_origin():
+    with pytest.raises(ContourError, match="away from a marked crossing"):
+        plemelj_plus(catalog_function("gauss(0.3)"), _TWICE_THROUGH_ZERO)
+
+
+def test_deformation_route_refuses_a_second_passage_through_the_origin():
+    with pytest.raises(ContourError, match="away from its marked crossing"):
+        deformation_route(catalog_function("gauss(0.3)"), _TWICE_THROUGH_ZERO)
+
+
+def test_lambda_route_refuses_a_second_passage_through_the_origin():
+    with pytest.raises(ContourError, match="away from a marked crossing"):
+        lambda_route(catalog_function("gauss(0.3)"), _TWICE_THROUGH_ZERO)
+
+
 def test_pv_error_estimate_within_contract():
     from plemelj.functionals import _principal_value
     for name in ("gauss(0.3)", "cos_gauss", "poly_gauss(2,0.3)"):
         f = catalog_function(name)
-        _pv, _trace, err = _principal_value(f, segment_path(-3.0, 3.0),
-                                            f.at_zero())
+        _pv, err = _principal_value(f, segment_path(-3.0, 3.0), f.at_zero())
         assert err <= 1e-8
 
 
@@ -216,12 +249,25 @@ def test_result_bookkeeping_identity():
     assert isinstance(res, FunctionalResult)
 
 
-def test_epsilon_trace_is_cauchy():
-    res = plemelj_plus(catalog_function("gauss(0.3)"), segment_path(-3.0, 3.0))
-    eps, vals = zip(*res.epsilon_trace)
-    assert all(e1 < e0 for e0, e1 in zip(eps[:-1], eps[1:]))
-    diffs = [abs(v1 - v0) for v0, v1 in zip(vals[:-1], vals[1:])]
-    assert diffs[-1] <= diffs[-3] + 1e-12
+@pytest.mark.parametrize("path, pieces", [
+    (segment_path(-3.0, 3.0), 2),
+    (segment_path(-2.0, -0.5 + 0.4j, 0.0, 0.5 + 0.4j, 2.0), 4),
+    (Contour([Arc(-1.9, 0.7, math.pi, 0.0), Line(-1.2, 2.5)], crossing=1), 3),
+], ids=["straight", "bent", "arc"])
+def test_plus_integrates_once_per_path_piece(monkeypatch, path, pieces):
+    # the PV needs one regular integral per piece of the path, the
+    # crossing segment cut at the origin, and nothing more
+    import plemelj.quadrature as quadrature
+    calls = []
+    integrate = quadrature.integrate_adaptive
+
+    def counting(g, a, b, **kwargs):
+        calls.append((a, b))
+        return integrate(g, a, b, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", counting)
+    plemelj_plus(catalog_function("gauss(0.3)"), path)
+    assert len(calls) == pieces
 
 
 def test_minus_mirror_constant():

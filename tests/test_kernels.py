@@ -715,3 +715,13 @@ def test_decider_matches_ladders_check_can_fail(monkeypatch):
     monkeypatch.setattr(kernels, "_ERFCX_TAIL", 1e-3)
     check = {c.name: c for c in verify.suite_kernels()}["kernels/decider-matches-ladders"]
     assert check.measured > 0 and not check.passed
+
+
+def test_upper_half_exactness_check_can_fail(monkeypatch):
+    # a J that jumps straight to its limit i/z still converges there, but
+    # misses the last ladder value's first A&S 7.1.23 correction,
+    # (i/z) 2 lambda / z^2, by about 5e-6
+    from plemelj import verify
+    monkeypatch.setattr(kernels, "j_kernel", lambda z, lam: 1j / z)
+    check = {c.name: c for c in verify.suite_kernels()}["kernels/upper-half-exactness"]
+    assert check.measured > 1e-6 and not check.passed

@@ -151,13 +151,22 @@ def test_kernel_mismatch_bracketing():
         assert res.kernel_mismatch == expect, phi
 
 
-def test_epsilon_trace_cauchy():
-    res = tilted_plemelj(catalog_function("gauss(0.2)"),
-                         TiltedLine(0.1, -2.0, 2.0))
-    eps, vals = zip(*res.epsilon_trace)
-    assert all(e1 < e0 for e0, e1 in zip(eps[:-1], eps[1:]))
-    diffs = [abs(v1 - v0) for v0, v1 in zip(vals[:-1], vals[1:])]
-    assert diffs[-1] <= diffs[0] + 1e-12
+@pytest.mark.parametrize("line", [TiltedLine(0.1, -2.0, 2.0),
+                                  TiltedLine(0.0, -1.0, 2.0),
+                                  TiltedLine(-0.3, -2.5, 0.5)],
+                         ids=["symmetric", "longer-right", "longer-left"])
+def test_pv_takes_at_most_three_integrals(monkeypatch, line):
+    import plemelj.tilted as tilted
+    calls = []
+    integrate = tilted.integrate_adaptive
+
+    def counting(g, a, b, **kwargs):
+        calls.append((a, b))
+        return integrate(g, a, b, **kwargs)
+
+    monkeypatch.setattr(tilted, "integrate_adaptive", counting)
+    tilted_plemelj(catalog_function("gauss(0.2)"), line)
+    assert 1 <= len(calls) <= 3
 
 
 def test_asymmetric_range():
