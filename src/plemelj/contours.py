@@ -80,6 +80,10 @@ class Line:
     def subsegment(self, t0: float, t1: float) -> "Line":
         return Line(self.point(t0), self.point(t1))
 
+    def shifted(self, d: complex) -> "Line":
+        """The same line moved by ``d``."""
+        return Line(self.start + d, self.end + d)
+
     def _frame(self, p: complex, eps: float = 0.0):
         """(p - start, end - start, eps), all scaled by one power of two for
         lines longer than _LONG_LINE, whose squared length overflows beyond
@@ -169,6 +173,10 @@ class Arc:
 
     def subsegment(self, t0: float, t1: float) -> "Arc":
         return Arc(self.center, self.radius, self._theta(t0), self._theta(t1))
+
+    def shifted(self, d: complex) -> "Arc":
+        """The same arc moved by ``d``."""
+        return Arc(self.center + d, self.radius, self.theta_start, self.theta_end)
 
     def _param_of_theta(self, theta: float):
         """Map an absolute angle to t in [0, 1] if it lies on the arc."""
@@ -554,6 +562,19 @@ def path_in_domain(path: Contour, domain: WedgeDomain) -> str:
     return "inside_except_crossing" if detail["apex_crossing"] else "fully_inside"
 
 
+def _ray_meets(z0: complex, d: complex, point: complex) -> bool:
+    """Whether the ray z0 + s d (s > 0, d a unit vector) comes within
+    CROSSING_TOL of ``point`` beyond its finite end z0, which belongs to
+    the path's segments and is judged with them.  The distance is convex
+    along the ray, so its closest approach decides: at s = -Re((z0 - point)
+    conj(d)), where it is |Im((z0 - point) conj(d))|."""
+    v = z0 - point
+    if abs(v) <= CROSSING_TOL:
+        return False
+    s = -(v.real * d.real + v.imag * d.imag)
+    return s > 0.0 and abs(v.imag * d.real - v.real * d.imag) <= CROSSING_TOL
+
+
 def domain_violations(path: Contour, domain: WedgeDomain) -> dict:
     """Exact domain check used by path_in_domain and error reporting.
 
@@ -562,15 +583,22 @@ def domain_violations(path: Contour, domain: WedgeDomain) -> dict:
     Returns {'violations': [] or [(segment_index, t, point)], the first
     outside candidate in path order (rays are indexed -1 and len(segments),
     t being the distance from their finite end), 'apex_crossing': bool,
-    'unmarked_apex': bool}, the last set when the path comes within
-    CROSSING_TOL of the apex other than at a marked crossing there.
+    'unmarked_apex': bool}, the last set when the path, rays included,
+    comes within CROSSING_TOL of the apex other than at a marked crossing
+    there.
     """
     apex = domain.apex
     crossing_at_apex = (
         path.crossing is not None
         and abs(path.point((path.crossing, path.crossing_param)) - apex) <= CROSSING_TOL)
+    # (index, finite end, unit direction) of each ray
+    rays = [(i, z0, sense * cmath.exp(1j * angle))
+            for i, z0, angle, sense in ((-1, path.start, path.ray_in, -1.0),
+                                        (len(path.segments), path.end, path.ray_out, 1.0))
+            if angle is not None]
     unmarked = (meets_off_crossing(path, apex) if crossing_at_apex
                 else path.min_distance(apex)[0] <= CROSSING_TOL)
+    unmarked = unmarked or any(_ray_meets(z0, d, apex) for _i, z0, d in rays)
     signs = {"plus": (1.0,), "minus": (-1.0,), "intersection": (1.0, -1.0)}[domain.kind]
     candidates = []
     for i, seg in enumerate(path.segments):
@@ -579,12 +607,9 @@ def domain_violations(path: Contour, domain: WedgeDomain) -> dict:
         else:
             ts = _arc_params(seg, apex)
         candidates += [(i, t, seg.point(t)) for t in ts]
-    for i, z0, angle, sense in ((-1, path.start, path.ray_in, -1.0),
-                                (len(path.segments), path.end, path.ray_out, 1.0)):
-        if angle is not None:
-            d = sense * cmath.exp(1j * angle)
-            candidates += [(i, s, z0 + s * d)
-                           for s in _line_params(z0 - apex, d, signs, math.inf)]
+    for i, z0, d in rays:
+        candidates += [(i, s, z0 + s * d)
+                       for s in _line_params(z0 - apex, d, signs, math.inf)]
     candidates.sort(key=lambda c: c[:2])
     first = next((c for c in candidates if classify_point(c[2], domain) == "outside"), None)
     return {"violations": [] if first is None else [first],

@@ -47,7 +47,6 @@ from .contours import (
     crossing_arms,
     domain_violations,
     meets_off_crossing,
-    radius_cut_locations,
     deform_at_origin,
 )
 from .kernels import full_line_kernel, j_kernel
@@ -465,7 +464,9 @@ def deformation_route(f, path: Contour, side: str = "above") -> complex:
 # full-line kernel is the heat kernel, <K_lam(. - z2), f> =
 # 2 pi sum_n lam^n f^(2n)(z2) / n!, and away from the origin J follows
 # A&S 7.1.23 in 1/w^2 = -4 lam / z^2.  Seven values reach the quadrature
-# floor; each smaller lambda costs more panels (see _kernel_breakpoints).
+# floor; each smaller lambda costs more panels next to the kernel centre
+# (see _regularized_limit).  The ratio 4 halves sqrt(lambda) exactly from
+# one value to the next, which lets the rungs share kernel values.
 _LAMBDA_LADDER = tuple(0.0625 * 0.25 ** m for m in range(7))
 
 
@@ -488,53 +489,124 @@ def _ladder_ratio(lambdas, what: str) -> float:
     return ratios[0]
 
 
-def _kernel_breakpoints(path: Contour, lam: float, center=0.0 + 0.0j):
-    """Geometric pre-splits clustering panel edges around the kernel peak."""
-    breaks = {}
-    if center == 0 and path.crossing is not None:
-        before, after = path.arm_lengths()
-        r = 0.5 * min(before, after)
-        floor = 0.4 * math.sqrt(lam)
-        while r > floor:
-            try:
-                (bi, bt), (fi, ft) = radius_cut_locations(path, r)
-            except ContourError:
-                break
-            for i, t in ((bi, bt), (fi, ft)):
-                if 1e-9 < t < 1.0 - 1e-9:
-                    breaks.setdefault(i, set()).add(t)
-            r *= 0.5
-        ci, ct = path.crossing, path.crossing_param
-        if 1e-9 < ct < 1.0 - 1e-9:
-            breaks.setdefault(ci, set()).add(ct)
-    else:
-        dmin, (ci, ct) = path.min_distance(center)
-        seg = path.segments[ci]
-        if 1e-9 < ct < 1.0 - 1e-9:
-            breaks.setdefault(ci, set()).add(ct)
-        r = 0.25 * seg.length
-        floor = 0.4 * math.sqrt(lam)
-        while r > floor:
-            for i, seg_i in enumerate(path.segments):
-                for t in seg_i.radius_hits(r, center=center):
-                    if 1e-9 < t < 1.0 - 1e-9:
-                        breaks.setdefault(i, set()).add(t)
-            r *= 0.5
-    return {i: tuple(sorted(ts)) for i, ts in breaks.items()}
+def _centred_pieces(path: Contour, loc, center: complex):
+    """The path in the offset zeta = z - center, cut at ``loc``, its point
+    next to the kernel centre.  Returns (arms, rest): arms are (Line, sign)
+    pairs, each a Line from exactly zeta = 0 outwards, the one before the
+    cut reversed (sign -1); rest are (segment, breakpoints) pairs, the
+    other pieces in path order.  The signed integrals add up to the path's.
+
+    The pieces next to the cut become arms where all of them are Lines (or
+    the path ends there).  That moves the vertex from the cut, within
+    CROSSING_TOL of a marked crossing or 1e-10 of overlap's z2, to the
+    centre; the path stays continuous and its ends stay fixed, so by
+    Cauchy's theorem the integral of the analytic integrand does not change.
+    An arc next to the cut keeps the vertex where it is, and an arc cut
+    inside is integrated whole, with the cut as a breakpoint.
+    """
+    segs = [seg.shifted(-center) for seg in path.segments]
+    i, t = loc
+    if 1e-13 < t < 1.0 - 1e-13:      # inside segment i
+        if isinstance(segs[i], Arc):
+            return [], [(seg, (t,) if k == i else ()) for k, seg in enumerate(segs)]
+        b = a = i
+    else:                            # at the vertex after segment b
+        b = i - 1 if t <= 1e-13 else i
+        a = b + 1
+        if not all(isinstance(seg, Line) for seg in segs[max(b, 0):a + 1]):
+            return [], [(seg, ()) for seg in segs]
+    arms = []
+    if b >= 0:
+        arms.append((Line(0.0, segs[b].start), -1.0))
+    if a < len(segs):
+        arms.append((Line(0.0, segs[a].end), 1.0))
+    rest = [(seg, ()) for k, seg in enumerate(segs) if not b <= k <= a]
+    return arms, rest
+
+
+def _rung_kernel(kernel, lam: float, lam0: float, s: float, memo: dict):
+    """zeta -> kernel(zeta, lam), through the memo of kernel(., lam0), for
+    s = 2^m on rung m of the ladder.
+
+    Substituting x -> x/s in the defining integrals gives the scaling law
+    s J(s zeta, s^2 lam) = J(zeta, lam), and the same for the mirrored and
+    the full-line kernel.  Where s^2 lam = lam0, the evaluation scales
+    exactly: the w of J and the exponent of K come out identical, and the
+    prefactor and the product with it scale by s.  So s * memo[s zeta] is
+    kernel(zeta, lam) to the bit wherever each part of it is 0 or at least
+    s times the smallest normal double (beneath that, the memo value
+    underflows, and the two differ by less than s 2^-1075), and a node
+    zeta of this rung reuses the value computed at the node 2 zeta of the
+    rung before.  A rung whose lambda is not lam0 / 4^m, or a scaled value
+    that is not finite, evaluates directly.
+    """
+    if s * s * lam != lam0:
+        return lambda zeta: kernel(zeta, lam)
+
+    def scaled(zeta):
+        key = s * zeta
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = kernel(key, lam0)
+        v = s * v
+        return v if cmath.isfinite(v) else kernel(zeta, lam)
+    return scaled
 
 
 def _regularized_limit(kernel, f, path: Contour, lambdas, ratio: float,
-                       center=0.0 + 0.0j):
+                       loc, center=0.0 + 0.0j):
     """Integrate kernel(z - center, lambda) f(z) along the path for each
     lambda of the ladder and Richardson-extrapolate the regularization
-    away.  Returns (limit, error_estimate)."""
+    away.  ``loc`` is the path's point at the centre.  Returns
+    (limit, error_estimate).
+
+    The path is integrated in zeta = z - center, cut at the centre into
+    arms and other pieces (:func:`_centred_pieces`).  Each arm is pre-split
+    at t = 2^-k and each other piece where it crosses a circle of radius
+    2^-k times the shorter side of the path, k >= 1, down to 0.4
+    sqrt(lambda).  As sqrt(lambda) halves from one rung to the next, the
+    arm panels, their G7/K15 nodes and their bisection midpoints of one
+    rung are exact halves of those of the rung before, and one memo of
+    kernel values per call serves the whole ladder (:func:`_rung_kernel`).
+    """
+    arms, rest = _centred_pieces(path, loc, center)
+    i, t = loc
+    before = sum(seg.length for seg in path.segments[:i]) + t * path.segments[i].length
+    side = min(v for v in (before, path.length - before)
+               if v > 1e-13 * path.length)
+    tol = 1e-11 / (len(arms) + len(rest))
+    memo = {}
     values = []
+    s = 1.0
     for lam in lambdas:
-        breaks = _kernel_breakpoints(path, lam, center=center)
-        v, _e = integrate_contour(
-            lambda z, lam=lam: kernel(z - center, lam) * f(z), path,
-            abs_tol=1e-11, seg_breakpoints=breaks, max_panels=16384)
-        values.append(v)
+        k_of = _rung_kernel(kernel, lam, lambdas[0], s, memo)
+        s *= 2.0
+        floor = 0.4 * math.sqrt(lam)
+        radii = []
+        r = 0.5 * side
+        while r > floor:
+            radii.append(r)
+            r *= 0.5
+
+        def g(zeta):
+            return k_of(zeta) * f(center + zeta)
+        value = 0.0 + 0.0j
+        for arm, sign in arms:
+            splits, u = [], 0.5
+            while u * arm.length > floor:
+                splits.append(u)
+                u *= 0.5
+            v, _e = integrate_segment(g, arm, abs_tol=tol, breakpoints=splits,
+                                      max_panels=16384)
+            value += sign * v
+        for seg, cut in rest:
+            splits = [u for r in radii for u in seg.radius_hits(r)
+                      if 1e-9 < u < 1.0 - 1e-9]
+            v, _e = integrate_segment(g, seg, abs_tol=tol,
+                                      breakpoints=splits + list(cut),
+                                      max_panels=16384)
+            value += v
+        values.append(value)
     return richardson(values, ratio=ratio)
 
 
@@ -564,7 +636,8 @@ def lambda_route(f, path: Contour, kernel: str = "plus",
     _check_domain(path, domain, "lambda_route")
     ratio = _ladder_ratio(lambdas, "lambda_route")
     with _admissible_f("lambda_route"):
-        limit, _err = _regularized_limit(k_of, f, path, lambdas, ratio)
+        limit, _err = _regularized_limit(
+            k_of, f, path, lambdas, ratio, (path.crossing, path.crossing_param))
     return limit
 
 
@@ -629,12 +702,12 @@ def overlap_delta(z2: complex, f, path: Contour,
         length = (math.sqrt(4.0 * lam0 * 40.0 / decay)
                   + abs(z2 - path.start) + abs(z2 - path.end))
         path = path.truncated(length, length)
-    dmin, _loc = path.min_distance(z2)
+    dmin, loc = path.min_distance(z2)
     if dmin > 1e-10:
         raise DomainViolationError(
             f"overlap_delta: z2 = {z2!r} is {dmin:.3e} away from the path; "
             "the sifting point must lie on it")
     with _admissible_f("overlap_delta"):
         limit, _err = _regularized_limit(full_line_kernel, f, path, lambdas,
-                                         ratio, center=z2)
+                                         ratio, loc, center=z2)
     return limit

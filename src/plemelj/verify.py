@@ -7,6 +7,7 @@ suites are deterministic: identical runs produce identical numbers.
 import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from . import functionals, kernels, tilted
@@ -151,6 +152,31 @@ def suite_kernels():
                 continue
             worst = max(worst, abs(base - other) / max(1.0, abs(base)))
     checks.append(_check("kernels/scaling-identity", worst, 1e-10))
+
+    # the same law on the lambda routes' ladders, lambda_m = lambda_0 / 4^m,
+    # where it holds to the bit: 2^m kernel(2^m z, lambda_0) == kernel(z,
+    # lambda_m), which lets their rungs share kernel values.  Exact wherever
+    # each part of the value is 0 or at least 2^m times the smallest normal
+    # double, so that the scaled-down one does not underflow
+    worst = 0.0
+    rng = random.Random(20240616)
+    pts = [cmath.rect(10.0 ** rng.uniform(-2.0, 1.0), rng.uniform(-math.pi, math.pi))
+           for _ in range(40)]
+    for kernel in (kernels.j_kernel, lambda z, lam: kernels.j_kernel(-z, lam),
+                   kernels.full_line_kernel):
+        for ladder in (functionals._LAMBDA_LADDER, functionals._OVERLAP_LADDER):
+            for m, lam in enumerate(ladder):
+                s = 2.0 ** m
+                normal = s * sys.float_info.min
+                for z in pts:
+                    base = kernel(z, lam)
+                    other = s * kernel(s * z, ladder[0])
+                    if (is_overflow(base) or is_overflow(other)
+                            or 0.0 < abs(base.real) < normal
+                            or 0.0 < abs(base.imag) < normal):
+                        continue
+                    worst = max(worst, abs(base - other) / max(1.0, abs(base)))
+    checks.append(_check("kernels/scaling-identity-dyadic", worst, 0.0))
 
     worst = 0.0
     rng = random.Random(20240613)

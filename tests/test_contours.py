@@ -180,6 +180,31 @@ def test_second_passage_through_the_apex_raises():
         path_in_domain(twice, WedgeDomain.plus())
 
 
+@pytest.mark.parametrize("path", [
+    Contour([Line(1.0, 2.0)], ray_in=0.0),
+    Contour([Line(-2.0 + 1j, -1.0)], ray_out=0.0),
+    # beyond the ray's finite end, 1e-13 from the apex
+    Contour([Line(-2.0 + 1j, -1.0 + 1e-13j)], ray_out=0.0),
+], ids=["ray-in", "ray-out", "ray-out-grazing"])
+def test_ray_through_the_apex_raises(path):
+    # the truncated path raises too: the ray is a part of the path
+    plus = WedgeDomain.plus()
+    assert domain_violations(path, plus)["unmarked_apex"]
+    for p in (path, path.truncated(5.0, 5.0)):
+        with pytest.raises(ContourError, match="away from a marked crossing"):
+            path_in_domain(p, plus)
+
+
+@pytest.mark.parametrize("path, verdict", [
+    (Contour([Line(1.0 + 1e-11j, 2.0 + 1e-11j)], ray_in=0.0), "fully_inside"),
+    # the ray leaves from the marked crossing at the end of the segments
+    (Contour([Line(-1.0, 0.0)], crossing=0, ray_out=0.0),
+     "inside_except_crossing"),
+], ids=["near-miss", "from-the-crossing"])
+def test_ray_past_the_apex_passes(path, verdict):
+    assert path_in_domain(path, WedgeDomain.plus()) == verdict
+
+
 @pytest.mark.parametrize("path, meets", [
     # the stretch next to the crossing, kinked there, is the crossing itself
     (segment_path(-1.0, 0.0, 1.0 + 0.5j), False),

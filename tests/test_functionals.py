@@ -582,6 +582,81 @@ def test_overlap_matches_two_pi_f_z2(family):
         assert _rel_err(overlap_delta(z2, f, path), ref) <= 1e-13, f.label
 
 
+def test_lambda_route_on_a_ladder_that_is_not_a_power_of_4():
+    # ratio 3: no rung's lambda is lambda_0 / 4^k, so every kernel value is
+    # evaluated directly, none through the shared memo
+    rng = random.Random("lambda:ratio-3")
+    path, line = _seeded_path(rng, "straight")
+    lambdas = tuple(0.05 * 3.0 ** -m for m in range(7))
+    for f in _seeded_functions(rng):
+        f0 = f.at_zero()
+        for kernel, ref in (("plus", 1j * _scipy_pv(f, *line) + math.pi * f0),
+                            ("minus", -1j * _scipy_pv(f, *line) + math.pi * f0),
+                            ("full_line", 2 * math.pi * f0)):
+            value = lambda_route(f, path, kernel=kernel, lambdas=lambdas)
+            assert _rel_err(value, ref) <= 1e-10, (f.label, kernel)
+
+
+_ARC_ANGLE = 0.8
+_ARC_START = 1j + cmath.exp(1j * (-0.5 * math.pi - _ARC_ANGLE))
+
+
+@pytest.mark.parametrize("path", [
+    # the unit circle about i passes through 0 at its lowest point
+    Contour([Line(-2.5, _ARC_START),
+             Arc(1j, 1.0, -0.5 * math.pi - _ARC_ANGLE, -0.5 * math.pi + _ARC_ANGLE),
+             Line(1j + cmath.exp(1j * (-0.5 * math.pi + _ARC_ANGLE)), 2.5)],
+            crossing=1),
+    Contour([Line(-2.5, _ARC_START),
+             Arc(1j, 1.0, -0.5 * math.pi - _ARC_ANGLE, -0.5 * math.pi),
+             Line(0.0, 2.5)], crossing=2),
+], ids=["inside-the-arc", "arc-then-line"])
+def test_lambda_route_crossing_on_an_arc(path):
+    # an arc next to the crossing: no arm is cut there, the arc is
+    # integrated whole
+    for name in ("gauss(0.1-0.05j)", "poly_gauss(2,0.2+0.1j)", "cos_gauss"):
+        f = catalog_function(name)
+        ref = plemelj_plus(f, path).value
+        assert _rel_err(lambda_route(f, path), ref) <= 1e-10, name
+
+
+def test_lambda_route_shares_kernel_values_across_the_ladder(monkeypatch):
+    # on the default ladder sqrt(lambda) halves from rung to rung, and so
+    # do the arm nodes: most kernel values of a rung are the last rung's
+    import plemelj.functionals as functionals
+    import plemelj.quadrature as quadrature
+    counts = {"kernel": 0, "integrand": 0}
+    j, gk15 = functionals.j_kernel, quadrature.gk15
+
+    def counting_j(z, lam):
+        counts["kernel"] += 1
+        return j(z, lam)
+
+    def counting_gk15(g, a, b):
+        counts["integrand"] += 15
+        return gk15(g, a, b)
+
+    monkeypatch.setattr(functionals, "j_kernel", counting_j)
+    monkeypatch.setattr(quadrature, "gk15", counting_gk15)
+    lambda_route(catalog_function("gauss(0.3)"), segment_path(-2.5, 2.5))
+    assert 0 < 2 * counts["kernel"] <= counts["integrand"]
+
+
+@pytest.mark.parametrize("where", ["vertex", "off-segment", "off-vertex"])
+def test_overlap_at_a_vertex_and_next_to_the_path(where):
+    # z2 at the bend, or 1e-11 off the path (within the 1e-10 the route
+    # allows): the arms start exactly at z2, which by Cauchy's theorem
+    # leaves the integral as it is
+    mid, end = 0.2 + 0.35j, 2.6
+    path = segment_path(-2.5, mid, end, crossing=None)
+    normal = 1j * (end - mid) / abs(end - mid)
+    z2 = {"vertex": mid, "off-segment": mid + 0.4 * (end - mid) + 1e-11 * normal,
+          "off-vertex": mid + 1e-11j}[where]
+    for name in ("gauss(0.1-0.05j)", "poly_gauss(2,0.2+0.1j)", "cos_gauss"):
+        f = catalog_function(name)
+        assert _rel_err(overlap_delta(z2, f, path), 2 * math.pi * f(z2)) <= 1e-13, name
+
+
 # -- delta action --------------------------------------------------------------------
 
 def test_delta_examples():

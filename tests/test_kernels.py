@@ -5,6 +5,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plemelj.kernels as kernels
 from plemelj import _erfcx_py
@@ -129,6 +131,55 @@ def test_scaling_identity():
         for s in (0.5, 2.0, 10.0):
             scaled = s * j_kernel(s * z, s * s * lam)
             assert abs(base - scaled) <= 1e-10 * max(1.0, abs(base))
+
+
+_DYADIC_KERNELS = {"j_kernel": j_kernel,
+                   "mirrored": lambda z, lam: j_kernel(-z, lam),
+                   "full_line_kernel": full_line_kernel}
+
+
+@pytest.mark.parametrize("ladder", ["lambda_route", "overlap_delta"])
+@pytest.mark.parametrize("name", list(_DYADIC_KERNELS))
+def test_dyadic_scaling_is_exact(name, ladder):
+    # on the lambda routes' ladders, lambda_m = lambda_0 / 4^m, so
+    # s = 2^m scales w, the exponent and the prefactor exactly, and
+    # 2^m kernel(2^m z, lambda_0) is kernel(z, lambda_m) to the bit: the
+    # premise of the routes' shared kernel values.  Where a part of the
+    # value is below 2^m times the smallest normal double, the scaled-down
+    # one underflows and the law holds only to 2^m * 2^-1075
+    from plemelj.functionals import _LAMBDA_LADDER, _OVERLAP_LADDER
+    lams = {"lambda_route": _LAMBDA_LADDER, "overlap_delta": _OVERLAP_LADDER}[ladder]
+    kernel = _DYADIC_KERNELS[name]
+    rng = random.Random(f"dyadic:{name}:{ladder}")
+    pts = [cmath.rect(10.0 ** rng.uniform(-3.0, 1.5), rng.uniform(-math.pi, math.pi))
+           for _ in range(300)]
+    compared = 0
+    for m, lam in enumerate(lams):
+        s = 2.0 ** m
+        assert s * s * lam == lams[0]
+        normal = s * sys.float_info.min
+        for z in pts:
+            base = kernel(z, lam)
+            if is_overflow(base) or any(0.0 < abs(p) < normal
+                                        for p in (base.real, base.imag)):
+                continue
+            assert s * kernel(s * z, lams[0]) == base, (z, lam)
+            compared += 1
+    assert compared > 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(1e-3, 30.0),
+       theta=st.floats(-0.25 * math.pi + 0.1, 1.25 * math.pi - 0.1),
+       log_lam=st.floats(-6.0, 1.0), log_s=st.floats(-4.0, 4.0))
+def test_scaling_law_for_any_s(r, theta, log_lam, log_s):
+    # x -> x/s in the defining integral: s J(s z, s^2 lambda) = J(z, lambda),
+    # here for real s > 0 that round, inside J's domain 0.1 rad from its rays
+    z, lam, s = cmath.rect(r, theta), 10.0 ** log_lam, 10.0 ** log_s
+    base = j_kernel(z, lam)
+    scaled = s * j_kernel(s * z, s * s * lam)
+    assert not is_overflow(base)
+    assert abs(scaled - base) <= 1e-12 * abs(base)
 
 
 # -- limit classification ------------------------------------------------------
@@ -725,3 +776,14 @@ def test_upper_half_exactness_check_can_fail(monkeypatch):
     monkeypatch.setattr(kernels, "j_kernel", lambda z, lam: 1j / z)
     check = {c.name: c for c in verify.suite_kernels()}["kernels/upper-half-exactness"]
     assert check.measured > 1e-6 and not check.passed
+
+
+def test_dyadic_scaling_check_can_fail(monkeypatch):
+    # a J one ulp off below lambda = 0.01, where both ladders have their
+    # deeper rungs, breaks the bit-exact law the check holds at tolerance 0
+    from plemelj import verify
+    j = kernels.j_kernel
+    monkeypatch.setattr(kernels, "j_kernel", lambda z, lam: j(z, lam) * (
+        1.0 + 2.0 ** -52 if lam < 0.01 else 1.0))
+    check = {c.name: c for c in verify.suite_kernels()}["kernels/scaling-identity-dyadic"]
+    assert check.measured > 0 and not check.passed
