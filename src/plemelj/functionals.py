@@ -50,8 +50,8 @@ from .contours import (
     deform_at_origin,
 )
 from .kernels import full_line_kernel, j_kernel
-from .quadrature import (QuadratureError, integrate_contour,
-                         integrate_segment, richardson)
+from .quadrature import (QuadratureError, integrate_adaptive,
+                         integrate_contour, integrate_segment, richardson)
 
 
 class AdmissibilityError(ValueError):
@@ -87,8 +87,10 @@ class TestFunction:
 
     ``value_at_zero`` may be supplied (it is cross-checked against an
     evaluation at 0 and a mismatch beyond 1e-10 is an error) or left None
-    to be evaluated.  ``decay_class`` governs admissibility on infinite
-    paths.  Handles must be pure: they are called concurrently.
+    to be evaluated.  ``decay_class`` is validated and recorded; no route
+    reads it yet.  Handles must be pure: they are called concurrently, and
+    the routes memoise f within a call, evaluating it once per distinct
+    point.
     """
     eval: callable
     value_at_zero: complex = None
@@ -245,6 +247,11 @@ def _check_one_crossing(path: Contour, op: str):
 _QUAD_TOL = 1e-12
 
 
+def _evaluator(f):
+    """The plain callable behind f: a TestFunction's ``eval``, or f itself."""
+    return f.eval if isinstance(f, TestFunction) else f
+
+
 def _f_at_zero(f, op: str) -> complex:
     """f(0), the declared value of a TestFunction checked against an
     evaluation; AdmissibilityError unless it is finite."""
@@ -310,10 +317,11 @@ def _principal_value(f, path: Contour, f0: complex):
     before, after = crossing_arms(path)
     pieces = ([(seg, k == len(before) - 1) for k, seg in enumerate(before)]
               + [(seg, k == 0) for k, seg in enumerate(after)])
+    f_of = _evaluator(f)
     value, err = 0.0 + 0.0j, 0.0
     for seg, at_origin in pieces:
         try:
-            v, e = integrate_segment(lambda z: (f(z) - f0) / z, seg,
+            v, e = integrate_segment(lambda z: (f_of(z) - f0) / z, seg,
                                      abs_tol=_QUAD_TOL)
         except (QuadratureError, ZeroDivisionError) as exc:
             if not at_origin:
@@ -453,8 +461,9 @@ def deformation_route(f, path: Contour, side: str = "above") -> complex:
         d, t = seg.min_distance(0.0 + 0.0j)
         if d < 4.0 * eps and 1e-9 < t < 1.0 - 1e-9:
             breaks[i] = (t,)
+    f_of = _evaluator(f)
     with _admissible_f("deformation_route"):
-        value, _e = integrate_contour(lambda z: sign * f(z) / z, deformed,
+        value, _e = integrate_contour(lambda z: sign * f_of(z) / z, deformed,
                                       abs_tol=_QUAD_TOL,
                                       seg_breakpoints=breaks)
     return value
@@ -524,35 +533,6 @@ def _centred_pieces(path: Contour, loc, center: complex):
     return arms, rest
 
 
-def _rung_kernel(kernel, lam: float, lam0: float, s: float, memo: dict):
-    """zeta -> kernel(zeta, lam), through the memo of kernel(., lam0), for
-    s = 2^m on rung m of the ladder.
-
-    Substituting x -> x/s in the defining integrals gives the scaling law
-    s J(s zeta, s^2 lam) = J(zeta, lam), and the same for the mirrored and
-    the full-line kernel.  Where s^2 lam = lam0, the evaluation scales
-    exactly: the w of J and the exponent of K come out identical, and the
-    prefactor and the product with it scale by s.  So s * memo[s zeta] is
-    kernel(zeta, lam) to the bit wherever each part of it is 0 or at least
-    s times the smallest normal double (beneath that, the memo value
-    underflows, and the two differ by less than s 2^-1075), and a node
-    zeta of this rung reuses the value computed at the node 2 zeta of the
-    rung before.  A rung whose lambda is not lam0 / 4^m, or a scaled value
-    that is not finite, evaluates directly.
-    """
-    if s * s * lam != lam0:
-        return lambda zeta: kernel(zeta, lam)
-
-    def scaled(zeta):
-        key = s * zeta
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = kernel(key, lam0)
-        v = s * v
-        return v if cmath.isfinite(v) else kernel(zeta, lam)
-    return scaled
-
-
 def _regularized_limit(kernel, f, path: Contour, lambdas, ratio: float,
                        loc, center=0.0 + 0.0j):
     """Integrate kernel(z - center, lambda) f(z) along the path for each
@@ -567,7 +547,22 @@ def _regularized_limit(kernel, f, path: Contour, lambdas, ratio: float,
     sqrt(lambda).  As sqrt(lambda) halves from one rung to the next, the
     arm panels, their G7/K15 nodes and their bisection midpoints of one
     rung are exact halves of those of the rung before, and one memo of
-    kernel values per call serves the whole ladder (:func:`_rung_kernel`).
+    kernel values per call serves the whole ladder.
+
+    Substituting x -> x/s in the defining integrals gives the scaling law
+    s J(s zeta, s^2 lam) = J(zeta, lam), and the same for the mirrored and
+    the full-line kernel.  On rung m, s = 2^m, and where s^2 lam = lam0
+    (the first rung's lambda) the evaluation scales exactly: the w of J
+    and the exponent of K come out identical, and the prefactor and the
+    product with it scale by s.  So s * memo[s zeta], the memo holding
+    kernel(., lam0), is kernel(zeta, lam) to the bit wherever each part of
+    it is 0 or at least s times the smallest normal double (beneath that,
+    the memo value underflows, and the two differ by less than s 2^-1075),
+    and a node zeta of this rung reuses the value computed at the node
+    2 zeta of the rung before.  A rung whose lambda is not lam0 / 4^m, or
+    a scaled value that is not finite, evaluates directly.  f(center +
+    zeta) does not depend on lambda, so a second memo, keyed by zeta,
+    evaluates f once per distinct node of the call.
     """
     arms, rest = _centred_pieces(path, loc, center)
     i, t = loc
@@ -575,38 +570,73 @@ def _regularized_limit(kernel, f, path: Contour, lambdas, ratio: float,
     side = min(v for v in (before, path.length - before)
                if v > 1e-13 * path.length)
     tol = 1e-11 / (len(arms) + len(rest))
-    memo = {}
+    f_of = _evaluator(f)
+    exp, isfinite = cmath.exp, cmath.isfinite
+    lam0 = lambdas[0]
+    k_memo, f_memo = {}, {}
+
+    def integrand(seg, lam, s):
+        """t -> kernel(zeta, lam) f(center + zeta) dzeta/dt along ``seg``,
+        with zeta and dzeta/dt the expressions of its ``point`` and
+        ``derivative``, on the rung of lam, s."""
+        scaled = s * s * lam == lam0
+        line = isinstance(seg, Line)
+        if line:
+            a, d = seg.start, seg.end - seg.start
+        else:
+            c, r, t0, sweep = seg.center, seg.radius, seg.theta_start, seg.sweep
+            dr = 1j * sweep * r
+
+        def h(t):
+            if line:
+                zeta, dz = a + t * d, d
+            else:
+                e = exp(1j * (t0 + t * sweep))
+                zeta, dz = c + r * e, dr * e
+            if scaled:
+                key = s * zeta
+                k = k_memo.get(key)
+                if k is None:
+                    k = k_memo[key] = kernel(key, lam0)
+                k = s * k
+                if not isfinite(k):
+                    k = kernel(zeta, lam)
+            else:
+                k = kernel(zeta, lam)
+            v = f_memo.get(zeta)
+            if v is None:
+                v = f_memo[zeta] = f_of(center + zeta)
+            return k * v * dz
+        return h
+
     values = []
     s = 1.0
     for lam in lambdas:
-        k_of = _rung_kernel(kernel, lam, lambdas[0], s, memo)
-        s *= 2.0
         floor = 0.4 * math.sqrt(lam)
         radii = []
         r = 0.5 * side
         while r > floor:
             radii.append(r)
             r *= 0.5
-
-        def g(zeta):
-            return k_of(zeta) * f(center + zeta)
         value = 0.0 + 0.0j
         for arm, sign in arms:
             splits, u = [], 0.5
             while u * arm.length > floor:
                 splits.append(u)
                 u *= 0.5
-            v, _e = integrate_segment(g, arm, abs_tol=tol, breakpoints=splits,
-                                      max_panels=16384)
+            v, _e = integrate_adaptive(integrand(arm, lam, s), 0.0, 1.0,
+                                       abs_tol=tol, breakpoints=splits,
+                                       max_panels=16384)
             value += sign * v
         for seg, cut in rest:
             splits = [u for r in radii for u in seg.radius_hits(r)
                       if 1e-9 < u < 1.0 - 1e-9]
-            v, _e = integrate_segment(g, seg, abs_tol=tol,
-                                      breakpoints=splits + list(cut),
-                                      max_panels=16384)
+            v, _e = integrate_adaptive(integrand(seg, lam, s), 0.0, 1.0,
+                                       abs_tol=tol, breakpoints=splits + list(cut),
+                                       max_panels=16384)
             value += v
         values.append(value)
+        s *= 2.0
     return richardson(values, ratio=ratio)
 
 

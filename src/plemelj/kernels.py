@@ -430,7 +430,9 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     bound to the threshold (about 3e15 at the defaults) the full ladder
     runs.  On a deeper schedule the walk starts two steps before the
     first step whose bound reaches the threshold, as the divergence test
-    looks back two steps.  Inside the wedge(s) one lookup in a table of
+    looks back two steps, where that exponent error can neither lift a
+    step it skips to the threshold nor overflow it; from step 0
+    elsewhere.  Inside the wedge(s) one lookup in a table of
     thresholds on a = -Re(z^2)/4, built once per schedule and kernel
     (:func:`_wedge_certificate`), certifies the ladder's divergence
     without evaluating the kernel; where it cannot (next to the boundary
@@ -443,28 +445,36 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     root = math.sqrt(math.pi / lam)
 
     def shortcut(c, rounding=_EXP_ROUNDING):
-        """(q_one, first) for points whose kernel is bounded by
+        """(q_one, first, q_late) for points whose kernel is bounded by
         c sqrt(pi/lambda) and is computed with exponent errors up to
-        rounding |w|^2: the last step alone decides such a point while
-        |z|^2/4 <= q_one, as the computed kernel stays below the threshold
-        and finite at every step; the walk starts at step ``first``
-        otherwise.  On a schedule whose bound reaches the threshold,
-        q_one = -inf and ``first`` is two steps before the first step
-        whose bound does, as the divergence test looks back two steps."""
-        bound = c * _GROW * root
-        if bound < threshold:
+        rounding |w|^2.  The computed kernel at a step whose bound is
+        below the threshold stays below it, and finite, while |z|^2/4 is
+        at most that step's q_safe.  So the last step alone decides a
+        point while |z|^2/4 <= q_one, its q_safe.  On a schedule whose
+        bound reaches the threshold, q_one = -inf, and the walk may skip
+        the steps before ``first``, two steps before the first step whose
+        bound does (the divergence test looks back two steps), while
+        |z|^2/4 <= q_late, the least q_safe of the skipped steps; it
+        starts at step 0 otherwise."""
+        def q_safe(step):
+            bound = c * _GROW * math.sqrt(math.pi / step)
             headroom = min(math.log(threshold / bound), _EXP_OVERFLOW)
-            return (lam * headroom / rounding if rounding else math.inf), 0
+            return step * headroom / rounding if rounding else math.inf
+
+        if c * _GROW * root < threshold:
+            return q_safe(lam), 0, math.inf
         first = next(k for k, step in enumerate(lams)
                      if c * _GROW * math.sqrt(math.pi / step) >= threshold)
-        return -math.inf, max(0, first - 2)
+        first = max(0, first - 2)
+        # q_safe falls from step to step, so the last skipped one is least
+        return -math.inf, first, (q_safe(lams[first - 1]) if first else math.inf)
 
     # the largest |z|^2/4 a convergence certificate takes
     q_max = _CERTIFY_MAX_W2 * lam
     normal = lam >= sys.float_info.min
 
     if kind == "full_line":
-        q_one, first = shortcut(1.0)
+        q_one, first, q_late = shortcut(1.0)
         wedge_diverges = _wedge_certificate(schedule, 0.0)
         # 0.5 log(pi/lambda) - Re(z^2)/(4 lambda) <= log(tol) + _LOG_SHRINK
         s_min = (4.0 * lam * (0.5 * math.log(math.pi / lam) - math.log(tol)
@@ -482,7 +492,7 @@ def _decider(kind: str, schedule: RegularizationSchedule):
                 if q <= q_max and (x - y) * (x + y) >= s_min:
                     return "converged", 0j
                 return _verdict(_full_line(z, lam), 0j, schedule)
-            res = _ladder(_full_line, z, 0j, schedule, first)
+            res = _ladder(_full_line, z, 0j, schedule, first if q <= q_late else 0)
             return res.status, res.value
         return decide
 
@@ -502,9 +512,9 @@ def _decider(kind: str, schedule: RegularizationSchedule):
             z = -z
         x, y = z.real, z.imag
         if y >= 0.0:
-            q_one, first = upper
+            q_one, first, q_late = upper
         elif abs(x) >= -y:   # Re(z^2) >= 0, tested without rounding
-            q_one, first = lower
+            q_one, first, q_late = lower
         else:
             if wedge_diverges(x, y):
                 return "diverged", OVERFLOW
@@ -518,7 +528,7 @@ def _decider(kind: str, schedule: RegularizationSchedule):
                     + tail / q <= tol_j):
                 return "converged", 1j / z
             return _verdict(j_kernel(z, lam), 1j / z, schedule)
-        res = _ladder(j_kernel, z, 1j / z, schedule, first)
+        res = _ladder(j_kernel, z, 1j / z, schedule, first if q <= q_late else 0)
         return res.status, res.value
     return decide
 

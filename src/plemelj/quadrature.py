@@ -4,8 +4,11 @@ Complex-valued adaptive Gauss-Kronrod (G7/K15) integration over real
 parameter intervals and over piecewise contours, plus generic Richardson
 extrapolation for the regularization ladders of the lambda routes.
 """
+import cmath
 import heapq
 import math
+
+from .contours import Line
 
 # QUADPACK G7/K15 nodes and weights (positive half; rule is symmetric).
 _XGK = (
@@ -41,6 +44,13 @@ class QuadratureError(Exception):
     """Adaptive refinement failed to reach the requested tolerance."""
 
 
+# (node, Kronrod weight, Gauss weight or 0.0) of the node pairs off the
+# centre, in the order gk15 sums them
+_GK15_PAIRS = tuple(zip(_XGK[:7], _WGK[:7],
+                        (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
+_WGK_CENTRE, _WG_CENTRE = _WGK[7], _WG[3]
+
+
 def gk15(g, a: float, b: float):
     """One G7/K15 panel of ``g`` over [a, b].
 
@@ -50,17 +60,18 @@ def gk15(g, a: float, b: float):
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fc = g(mid)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    mag = _WGK[7] * abs(fc)
-    for i in range(7):
-        dx = half * _XGK[i]
+    kron = _WGK_CENTRE * fc
+    gauss = _WG_CENTRE * fc
+    mag = _WGK_CENTRE * abs(fc)
+    for x, wk, wg in _GK15_PAIRS:
+        dx = half * x
         fl = g(mid - dx)
         fr = g(mid + dx)
-        kron += _WGK[i] * (fl + fr)
-        mag += _WGK[i] * (abs(fl) + abs(fr))
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * (fl + fr)
+        pair = fl + fr
+        kron += wk * pair
+        mag += wk * (abs(fl) + abs(fr))
+        if wg:
+            gauss += wg * pair
     kron *= half
     gauss *= half
     mag *= abs(half)
@@ -124,9 +135,22 @@ def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
 
 
 def integrate_segment(g, segment, abs_tol=1e-12, breakpoints=(), max_panels=4096):
-    """Integrate g(z) dz over one parametrized contour segment."""
-    def integrand(t):
-        return g(segment.point(t)) * segment.derivative(t)
+    """Integrate g(z) dz over one contour segment, a Line or an Arc.  The
+    integrand evaluates the expressions of the segment's ``point`` and
+    ``derivative`` inline, with one exponential per node on an arc."""
+    if isinstance(segment, Line):
+        a, d = segment.start, segment.end - segment.start
+
+        def integrand(t):
+            return g(a + t * d) * d
+    else:
+        c, r, t0, sweep = (segment.center, segment.radius,
+                           segment.theta_start, segment.sweep)
+        dr = 1j * sweep * r
+
+        def integrand(t):
+            e = cmath.exp(1j * (t0 + t * sweep))
+            return g(c + r * e) * (dr * e)
     return integrate_adaptive(integrand, 0.0, 1.0, abs_tol=abs_tol,
                               breakpoints=breakpoints, max_panels=max_panels)
 

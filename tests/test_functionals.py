@@ -5,6 +5,8 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plemelj.contours import (Arc, Contour, ContourError, Line,
                               segment_path, tilted_segment)
@@ -640,6 +642,47 @@ def test_lambda_route_shares_kernel_values_across_the_ladder(monkeypatch):
     monkeypatch.setattr(quadrature, "gk15", counting_gk15)
     lambda_route(catalog_function("gauss(0.3)"), segment_path(-2.5, 2.5))
     assert 0 < 2 * counts["kernel"] <= counts["integrand"]
+
+
+def test_lambda_route_evaluates_f_once_per_point():
+    # f(z) does not depend on lambda, so one memo per call serves every
+    # rung: no point is evaluated twice (without it, the seven rungs make
+    # 3,780 evaluations at 990 points)
+    points = []
+
+    def gauss(z):
+        points.append(z)
+        return cmath.exp(-(z - 0.3) * (z - 0.3))
+
+    lambda_route(TestFunction(gauss), segment_path(-2.5, 2.5))
+    assert 0 < len(points) <= 1300
+    assert len(set(points)) == len(points)
+
+
+def test_routes_take_a_plain_callable():
+    # a plain callable goes through the routes as its TestFunction does
+    f = catalog_function("cos_gauss")
+    path = segment_path(-2.5, -0.6 - 0.3j, 0.6 + 0.3j, 2.6)
+    for route in (lambda g: lambda_route(g, path),
+                  lambda g: lambda_route(g, path, kernel="full_line"),
+                  lambda g: overlap_delta(0.3 + 0.15j, g, path),
+                  lambda g: pv_contour(g, path),
+                  lambda g: deformation_route(g, path)):
+        assert repr(route(f.eval)) == repr(route(f))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(phi=st.floats(-0.2 * math.pi, 0.2 * math.pi),
+       q_min=st.floats(-3.0, -1.5), q_max=st.floats(1.5, 3.0),
+       re=st.floats(-0.5, 0.5), im=st.floats(-0.3, 0.3))
+def test_lambda_route_plus_and_minus_sum_to_two_pi_f0(phi, q_min, q_max, re, im):
+    # J(z) + J(-z) is the full-line kernel, the nascent 2 pi delta: the
+    # two one-sided routes add up to 2 pi f(0) on a tilted straight path
+    f = catalog_function(f"gauss({re!r}{im:+.17g}j)")
+    path = tilted_segment(phi, q_min, q_max)
+    total = lambda_route(f, path, kernel="plus") + lambda_route(f, path, kernel="minus")
+    target = 2.0 * math.pi * f.at_zero()
+    assert _rel_err(total, target) <= 1e-12
 
 
 @pytest.mark.parametrize("where", ["vertex", "off-segment", "off-vertex"])

@@ -412,6 +412,26 @@ def test_decide_skips_the_steps_that_cannot_diverge(monkeypatch):
         assert [lam for _z, lam in calls] == list(_DEEP.lambdas[first - 2:])
 
 
+@pytest.mark.parametrize("schedule", [_DEEP, _schedule(40), None],
+                         ids=["30-steps-from-1e-3", "40-steps", "default"])
+def test_decide_matches_the_full_ladders_next_to_the_rays_at_huge_z(schedule):
+    # at |z| > 1.3e154, |z|^2 overflows, and the kernel's exponent error can
+    # lift a step whose bound is below the threshold to overflow: the walk
+    # may skip no such step (a late start missed it, e.g. at
+    # 7.079221983598495e+154 - 7.079221983598494e+154j on _DEEP)
+    rng = random.Random(18)
+    mismatches = []
+    for _ in range(4000):
+        a = 10.0 ** rng.uniform(153.0, 158.0)
+        b = a * (1.0 + rng.randint(-4, 4) * 2.0 ** -52)
+        z = complex(rng.choice((-a, a)), rng.choice((-b, b)))
+        kind, limit_of = rng.choice(_LIMITS)
+        res = limit_of(z, schedule)
+        if _decide(kind, z, schedule) != (res.status, res.value):
+            mismatches.append((kind, z))
+    assert mismatches == []
+
+
 def _certificate_radii(schedule, angle):
     """|z| at which each convergence certificate of a one-step schedule
     switches on along the ray at ``angle``: J above the axis, K, and J

@@ -1,10 +1,12 @@
 """Quadrature and extrapolation building blocks."""
+import cmath
 import math
 
 import pytest
 
+from plemelj.contours import Arc, Line
 from plemelj.quadrature import (QuadratureError, gk15, integrate_adaptive,
-                                richardson)
+                                integrate_segment, richardson)
 
 
 def test_kronrod_polynomial_exactness():
@@ -49,6 +51,33 @@ def test_adaptive_raises_when_stalled():
 def test_adaptive_raises_on_non_finite_integrand(bad):
     with pytest.raises(QuadratureError):
         integrate_adaptive(lambda x: bad if x < 0.5 else 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("segment", [
+    Line(-0.7 + 0.2j, 1.3 - 0.4j),
+    Arc(0.2 - 0.1j, 0.9, -2.0, 1.1),
+    Arc(0.2 - 0.1j, 0.9, 1.1, -2.0),
+    Line(-2.0 ** 501 + 0.5j, 2.0 ** 501 + 2.0 ** 499 * 1j),
+], ids=["line", "arc-positive-sweep", "arc-negative-sweep", "line-beyond-2^500"])
+def test_segment_integrand_is_point_and_derivative(segment):
+    # integrate_segment evaluates the segment's point and derivative
+    # inline; the nodes and the result must be those of the methods, to
+    # the bit
+    scale = 1.0 / segment.length
+    nodes = []
+
+    def g(z):
+        nodes.append(z)
+        w = scale * z
+        return cmath.exp(-(w - 0.3j) * (w - 0.3j)) + 1.0 / (2.0 + w)
+
+    ref = integrate_adaptive(lambda t: g(segment.point(t)) * segment.derivative(t),
+                             0.0, 1.0, abs_tol=1e-12, breakpoints=(0.25,))
+    ref_nodes = nodes[:]
+    nodes.clear()
+    got = integrate_segment(g, segment, abs_tol=1e-12, breakpoints=(0.25,))
+    assert repr(nodes) == repr(ref_nodes)
+    assert repr(got) == repr(ref)
 
 
 def test_richardson_geometric_ladder():
