@@ -17,6 +17,7 @@ All emitted floats use 17 significant digits in lowercase scientific
 notation, so identical requests produce byte-identical files.
 """
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -50,6 +51,8 @@ class DomainMapRequest:
         if re_min > re_max or im_min > im_max:
             raise ValueError("grid bounds must be ordered min <= max")
         for n, lo, hi in ((n_re, re_min, re_max), (n_im, im_min, im_max)):
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"grid resolution must be an int, got {n!r}")
             if n < 1 or (n == 1 and lo != hi):
                 raise ValueError(
                     "grid resolution must be >= 2 (or 1 with equal bounds)")
@@ -68,46 +71,94 @@ def _axis(lo, hi, n):
     return [lo + k * step for k in range(n)]
 
 
-def run_domain_map(req: DomainMapRequest):
-    """Evaluate the sweep; yields rows (re, im, status, abs_value_or_None)
-    in row-major order (im ascending outer, re ascending inner)."""
-    re_min, re_max, im_min, im_max, n_re, n_im = req.grid
-    decide = _decider({"I_plus": "plus", "I_minus": "minus",
-                       "full_line": "full_line"}[req.kernel], req.schedule)
-    for im in _axis(im_min, im_max, n_im):
-        for re in _axis(re_min, re_max, n_re):
-            z = complex(re, im)
-            if abs(z) <= 1e-14:
-                # the apex: every wedge pinches it and the half-line kernel
-                # grows like 1/sqrt(lambda) there, so the limit diverges
-                yield (re, im, "diverged", None)
-                continue
-            status, value = decide(z)
-            absv = abs(value) if status == "converged" else None
-            yield (re, im, status, absv)
+# the apex: every wedge pinches it and the half-line kernel grows like
+# 1/sqrt(lambda) there, so the limit diverges at |z| <= _APEX
+_APEX = 1e-14
+_ZERO = _FMT(0.0)   # abs_value of every converged full_line point
 
 
-def _column_formatter():
-    """_FMT with a cache, for a grid column that repeats a few values.
-    Zeros bypass it: 0.0 == -0.0 would share one key and one text."""
-    cache = {}
+class DomainMap:
+    """The grid of a :class:`DomainMapRequest`, decided one row at a time
+    as it is read; no more than one row is held.
 
-    def fmt(x):
-        text = cache.get(x)
-        if text is None:
-            text = _FMT(x)
-            if x:
-                cache[x] = text
-        return text
-    return fmt
+    :meth:`rows` yields (im, runs) per grid row, im ascending: the runs
+    (stop, status, value) of ``kernels._decider``'s row form over the Re
+    axis ``re``, with the apex points as diverged runs of their own.
+    Iterating yields the points of those rows as
+    (re, im, status, abs_value_or_None) in row-major order (im ascending
+    outer, re ascending inner); abs_value is given for converged points.
+    """
+
+    def __init__(self, req: DomainMapRequest):
+        re_min, re_max, im_min, im_max, n_re, n_im = req.grid
+        self.re = _axis(re_min, re_max, n_re)
+        self._im = _axis(im_min, im_max, n_im)
+        self._decide_row = _decider(
+            {"I_plus": "plus", "I_minus": "minus",
+             "full_line": "full_line"}[req.kernel], req.schedule)[1]
+
+    def rows(self):
+        for im in self._im:
+            yield im, self._row(im)
+
+    def _row(self, im):
+        re = self.re
+        if abs(im) > _APEX:   # |z| >= |im|: no apex point on this row
+            return self._decide_row(im, re)
+        runs = []
+        start = 0
+        for apex, group in itertools.groupby(
+                re, lambda x: abs(complex(x, im)) <= _APEX):
+            xs = list(group)
+            if apex:
+                runs.append((start + len(xs), "diverged", None))
+            else:
+                runs += [(start + stop, status, value) for stop, status, value
+                         in self._decide_row(im, xs)]
+            start += len(xs)
+        return runs
+
+    def __iter__(self):
+        re = self.re
+        for im, runs in self.rows():
+            start = 0
+            for stop, status, value in runs:
+                if type(value) is not list:
+                    value = [value] * (stop - start)
+                for x, v in zip(re[start:stop], value):
+                    yield x, im, status, abs(v) if status == "converged" else None
+                start = stop
 
 
-def write_domain_map_csv(rows, stream):
+def run_domain_map(req: DomainMapRequest) -> DomainMap:
+    """The sweep, decided lazily row by row as it is read (see
+    :class:`DomainMap`)."""
+    return DomainMap(req)
+
+
+def write_domain_map_csv(rows: DomainMap, stream):
+    """Write the CSV of a :func:`run_domain_map` grid: the Re axis is
+    formatted once, Im once per row, and each row is one write."""
     stream.write("re,im,status,abs_value\n")
-    fmt_re, fmt_im = _column_formatter(), _column_formatter()
-    for re, im, status, absv in rows:
-        tail = "" if absv is None else _FMT(absv)
-        stream.write(f"{fmt_re(re)},{fmt_im(im)},{status},{tail}\n")
+    re = [_FMT(x) for x in rows.re]
+    for im, runs in rows.rows():
+        mid = f",{_FMT(im)},"
+        parts = []
+        start = 0
+        for stop, status, value in runs:
+            if status != "converged":
+                end = f"{mid}{status},\n"
+            elif type(value) is list:
+                parts += [f"{x}{mid}converged,{_FMT(abs(v))}\n"
+                          for x, v in zip(re[start:stop], value)]
+                start = stop
+                continue
+            else:
+                end = f"{mid}converged,{_FMT(abs(value)) if value else _ZERO}\n"
+            parts.append(end.join(re[start:stop]))
+            parts.append(end)
+            start = stop
+        stream.write("".join(parts))
 
 
 def _parse_grid(text: str):

@@ -389,11 +389,79 @@ def _wedge_certificate(schedule: RegularizationSchedule, c: float):
     return diverges
 
 
+def _first(test, xs, lo: int, hi: int) -> int:
+    """The least index in [lo, hi) at which test(xs[index]) holds, or hi,
+    by bisection; test must hold on a tail of the range."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(xs[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _spans(xs, up, down) -> tuple:
+    """The index ranges [lo, hi) of the ascending xs on which up(x) and
+    down(x) both hold, one left of 0 and one right of it (either may be
+    empty), for an up that holds from some |x| on and a down that holds up
+    to some |x| along each side.  O(log n) evaluations of each test."""
+    n = len(xs)
+    p = bisect.bisect_left(xs, 0.0)   # |x| falls before p and rises from p
+    lo = _first(down, xs, 0, p)
+    hi = _first(lambda x: not up(x), xs, lo, p)
+    lo_right = _first(up, xs, p, n)
+    return ((lo, hi),
+            (lo_right, _first(lambda x: not down(x), xs, lo_right, n)))
+
+
+def _row_runs(decide, y: float, xs, spans, values) -> list:
+    """The row x + iy, x in xs, as runs (stop, status, value) that cover
+    xs[start:stop], start being the previous run's stop (0 first): the
+    certified ``spans`` as one converged run each, with the value
+    values(lo, hi), and the points between them decided by decide, one
+    run for each stretch of equal (status, value)."""
+    runs = []
+    start = 0
+    n = len(xs)
+    for lo, hi in (*spans, (n, n)):
+        last = None
+        for k, x in enumerate(xs[start:lo], start):
+            point = decide(complex(x, y))
+            if point != last:
+                if last:
+                    runs.append((k, *last))
+                last = point
+        if last:
+            runs.append((lo, *last))
+        if lo < hi:
+            runs.append((hi, "converged", values(lo, hi)))
+        start = hi
+    return runs
+
+
 def _decider(kind: str, schedule: RegularizationSchedule):
     """The decision procedure of :func:`_decide` for one kind ('plus',
-    'minus' or 'full_line') and one schedule: a function z -> (status,
-    value) for a finite z != 0, with every schedule-level constant
-    computed once.  Build one per grid.
+    'minus' or 'full_line') and one schedule, with every schedule-level
+    constant computed once: a pair (decide, decide_row).  Build one per
+    grid.
+
+    decide maps a finite z != 0 to (status, value).  decide_row(y, xs)
+    decides the row of points x + iy, for ascending finite xs with no
+    x + iy = 0, as runs (stop, status, value): each covers xs[start:stop],
+    start being the previous run's stop (0 for the first), and its value
+    is the common value of its points or a list of one value per point.
+    Each point gets decide's (status, value).  Along a row, each test of
+    the convergence certificates below is, as computed, monotone in |x|
+    on either side of x = 0: |x| >= |y|, q = (x^2 + y^2)/4 against its
+    bounds, and, where |x| >= |y|, (x - y)(x + y) >= s_min, a product of
+    two non-negative factors that do not fall as |x| grows.  So the points
+    a certificate holds for form at most one span on each side, found by
+    bisection that evaluates those tests, and each span is one run.  The
+    wedge test is not monotone so (the rounded factors of
+    a = (y - x)(y + x)/4 move in opposite directions), nor is J's
+    exponential test below the real axis: those points, refused
+    certificates and walks down the schedule go to decide.
 
     Outside the open excluded wedge(s) the kernel obeys
     |kernel(z, lambda)| <= c sqrt(pi/lambda) for every lambda > 0:
@@ -494,7 +562,19 @@ def _decider(kind: str, schedule: RegularizationSchedule):
                 return _verdict(_full_line(z, lam), 0j, schedule)
             res = _ladder(_full_line, z, 0j, schedule, first if q <= q_late else 0)
             return res.status, res.value
-        return decide
+
+        def decide_row(y, xs):
+            ay = abs(y)
+
+            def up(x):     # decide's certificate tests that pass from an |x| on
+                return abs(x) >= ay and (x - y) * (x + y) >= s_min
+
+            def down(x):   # and those that pass up to an |x|
+                q = 0.25 * (x * x + y * y)
+                return q <= q_one and q <= q_max
+            return _row_runs(decide, y, xs, _spans(xs, up, down),
+                             lambda lo, hi: 0j)
+        return decide, decide_row
 
     # J above the axis has no exponential: erfcx(w) for Re w >= 0
     upper, lower = shortcut(0.5, rounding=0.0), shortcut(1.5)
@@ -530,7 +610,27 @@ def _decider(kind: str, schedule: RegularizationSchedule):
             return _verdict(j_kernel(z, lam), 1j / z, schedule)
         res = _ladder(j_kernel, z, 1j / z, schedule, first if q <= q_late else 0)
         return res.status, res.value
-    return decide
+
+    q_one_upper = upper[0]
+
+    def decide_row(y, xs):
+        # decide mirrors z to -z; q is the same for both, bit for bit
+        if not (-y if mirror else y) >= 0.0:   # the exp test: point by point
+            return _row_runs(decide, y, xs, (), None)
+
+        def up(x):
+            return q_min <= 0.25 * (x * x + y * y)
+
+        def down(x):
+            q = 0.25 * (x * x + y * y)
+            return q <= q_max and q <= q_one_upper
+
+        def values(lo, hi):
+            if mirror:
+                return [1j / complex(-x, -y) for x in xs[lo:hi]]
+            return [1j / complex(x, y) for x in xs[lo:hi]]
+        return _row_runs(decide, y, xs, _spans(xs, up, down), values)
+    return decide, decide_row
 
 
 def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> tuple:
@@ -542,7 +642,7 @@ def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> t
     where it cannot; a sweep builds that decider once instead.
     """
     z, schedule = _limit_point(z, schedule)
-    return _decider(kind, schedule)(z)
+    return _decider(kind, schedule)[0](z)
 
 
 def kernel_limit(z: complex, schedule: RegularizationSchedule = None) -> KernelResult:

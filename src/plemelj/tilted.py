@@ -190,7 +190,7 @@ def _kernel_route_diverges(line: TiltedLine) -> bool:
     q_ref = 0.5 * min(-line.q_min, line.q_max)
     phase = cmath.exp(1j * line.phi)
     # the probes are finite and nonzero: the line's contour has been built
-    decide = _decider("plus", RegularizationSchedule.default())
+    decide = _decider("plus", RegularizationSchedule.default())[0]
     for q in (q_ref, -q_ref):
         if decide(q * phase)[0] == "diverged":
             return True

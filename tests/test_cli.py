@@ -1,22 +1,28 @@
 """Command-line interface: formats, determinism, exit codes."""
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import plemelj
-from plemelj.cli import (DomainMapRequest, dump_json, main, run_domain_map,
+from plemelj import cli, kernels
+from plemelj.cli import (DomainMapRequest, _axis, _decider, _parse_grid,
+                         _schedule_from_args, dump_json, main, run_domain_map,
                          run_functional, write_domain_map_csv)
 from plemelj.contours import Arc, Contour, Line, segment_path
 from plemelj.functionals import DomainViolationError
+from plemelj.kernels import RegularizationSchedule, _decide
 
 
 # the CLI subprocess imports the same plemelj tree as this test process
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(plemelj.__file__)))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(*args):
@@ -50,6 +56,13 @@ def test_grid_validation():
     with pytest.raises(ValueError):    # finite span, last point rounds to inf
         DomainMapRequest(grid=(0.0, 1.0, 0.0, sys.float_info.max, 2, 4),
                          kernel="I_plus")
+
+
+@pytest.mark.parametrize("n", [5.5, 5.0, True, "5", None])
+def test_grid_resolution_must_be_an_int(n):
+    for grid in ((0, 1, 0, 1, n, 5), (0, 1, 0, 1, 5, n)):
+        with pytest.raises(ValueError, match="resolution"):
+            DomainMapRequest(grid=grid, kernel="I_plus")
 
 
 def test_row_order_and_origin_row(tmp_path):
@@ -108,10 +121,14 @@ _PINNED_GRIDS = {"wide": "-2:2:41,-2:2:41",
                  # straddles the radii of the convergence certificates
                  "half": "-0.5:0.5:41,-0.5:0.5:41",
                  # re is -0.0 on every row, im crosses +0.0
-                 "signed_zero": "-0:-0:1,-1:1:3"}
+                 "signed_zero": "-0:-0:1,-1:1:3",
+                 # neither square nor symmetric; the last re point
+                 # overshoots its bound by one ulp, the last im by two
+                 "asym": "-1.3:2.9:37,-2.2:0.7:29"}
 _PINNED_SCHEDULES = {"default": (),
                      "deep": ("--lambda-start", "1e-3", "--lambda-steps", "30"),
-                     "two": ("--lambda-steps", "2")}
+                     "two": ("--lambda-steps", "2"),
+                     "one": ("--lambda-steps", "1")}
 # SHA-256 of the CSVs written by the full ladder at every point with one
 # format call per number; they hold every faster path to the same bytes
 _PINNED_CSV_SHA256 = {
@@ -163,6 +180,18 @@ _PINNED_CSV_SHA256 = {
         "91e6d52f5291bcbcb8c4141a04044b1c3d1c9676018fec5b14310039afd33aec",
     ("full_line", "signed_zero", "default"):
         "9075844292050bcf226522c3df692e552cc0c90790bbad7c46384ba5e8f6d3e1",
+    ("I_plus", "asym", "default"):
+        "22f6078ee2a30791626037b4532553af696a16eb3459128b93077c5331357282",
+    ("I_plus", "asym", "deep"):
+        "169dc18a84d694ef0d85edec3ad7bae853373c5b4c32fcceddac1fd7aed04535",
+    ("I_minus", "asym", "default"):
+        "078ca3f6b92574ee88f945d35c8f86028dc71abc690786ec0fb97a6da4ec60a2",
+    ("I_minus", "asym", "deep"):
+        "f9f8640df34fb2a1d3db07619853e2a751dae9e6a53605ab0058edd9ddc081f2",
+    ("full_line", "asym", "default"):
+        "2bca1d3d2307c64251687642b966a649a5bb276dde7055bf19d3454c41b7c0b3",
+    ("full_line", "asym", "deep"):
+        "e5a924f3865c4accd14953447048f8a245094222ef68ffc18714d2f15eaecc4b",
 }
 
 
@@ -174,6 +203,218 @@ def test_domain_map_csv_bytes_are_pinned(tmp_path):
                      *_PINNED_SCHEDULES[schedule]]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (
             kernel, grid, schedule)
+
+
+# -- the row decider ----------------------------------------------------------------
+
+_KINDS = {"I_plus": "plus", "I_minus": "minus", "full_line": "full_line"}
+
+
+def _schedule(flags):
+    """The schedule the CLI builds from its --lambda-start/--lambda-steps
+    flags."""
+    args = cli._build_parser().parse_args(
+        ["domain-map", "--kernel=I_plus", "--grid=0:0:1,1:1:1", "--out=-",
+         *flags])
+    return _schedule_from_args(args)
+
+
+def _grid_rows(grid):
+    """(im, re axis) of each row of a --grid text, as the CLI builds them."""
+    re_min, re_max, im_min, im_max, n_re, n_im = _parse_grid(grid)
+    re = _axis(re_min, re_max, n_re)
+    return [(im, re) for im in _axis(im_min, im_max, n_im)]
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of kernel evaluations and of the calls the row form makes to
+    decide, from the moment they are reset."""
+    counts = {"kernel": 0, "decide": 0}
+    for name in ("j_kernel", "_full_line"):
+        fn = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda z, lam, fn=fn: (
+            counts.__setitem__("kernel", counts["kernel"] + 1) or fn(z, lam)))
+    row_runs = kernels._row_runs
+
+    def counted_runs(decide, *args):
+        def point(z):
+            counts["decide"] += 1
+            return decide(z)
+        return row_runs(point, *args)
+    monkeypatch.setattr(kernels, "_row_runs", counted_runs)
+    return counts
+
+
+def _row_mismatches(counts, kind, schedule, rows, decide):
+    """The points at which decide_row's runs differ from decide, over rows
+    (y, ascending xs), and how many points the runs decided in bulk.  The
+    row form takes no z = 0 (the CLI's apex), so the rows are split there.
+
+    Besides the results, the work must match (``counts`` from the ``work``
+    fixture): the row form evaluates the kernel as often as decide, and
+    leaves to decide exactly the points that decide does not certify
+    converged without a kernel evaluation in the part of the plane where
+    its certificates are monotone in |x| (J on and above the real axis,
+    mirrored for 'minus'; the full line where |x| >= |y|).  So a run that
+    ends one point early or late fails too."""
+    decide_row = _decider(kind, schedule)[1]
+
+    def run(fn, *args):
+        counts.update(kernel=0, decide=0)
+        return fn(*args), counts["kernel"], counts["decide"]
+
+    mismatches, bulk = [], 0
+    for y, xs in rows:
+        pieces = [[]]
+        for x in xs:
+            if complex(x, y) == 0:
+                pieces.append([])
+            else:
+                pieces[-1].append(x)
+        for piece in pieces:
+            runs, kernel_calls, decide_calls = run(decide_row, y, piece)
+            got, start = [], 0
+            for stop, status, value in runs:
+                n = stop - start
+                assert n > 0
+                if type(value) is not list:
+                    value = [value] * n
+                assert len(value) == n
+                got += [(status, v) for v in value]
+                start = stop
+            assert start == len(piece)
+            certified = 0
+            for x, have in zip(piece, got):
+                want, k, _ = run(decide, complex(x, y))
+                kernel_calls -= k
+                mismatches += [(kind, complex(x, y))] if have != want else []
+                monotone = (abs(x) >= abs(y) if kind == "full_line"
+                            else (-y if kind == "minus" else y) >= 0.0)
+                certified += monotone and want[0] == "converged" and k == 0
+            assert kernel_calls == 0, (kind, y)
+            assert decide_calls == len(piece) - certified, (kind, y)
+            bulk += certified
+    return mismatches, bulk
+
+
+def _ray_rows(rng):
+    """Rows next to the rays |x| = |y| at |z| in [1e153, 1e158], where
+    |z|^2 overflows: y = +-b and x within 4 ulps of +-b, and a few x
+    further out."""
+    rows = []
+    for _ in range(12):
+        b = 10.0 ** rng.uniform(153.0, 158.0)
+        xs = sorted({s * b * f for s in (-1.0, 1.0)
+                     for f in [1.0 + k * 2.0 ** -52 for k in range(-4, 5)]
+                     + [0.5, 0.99, 1.01, 2.0]})
+        rows += [(b, xs), (-b, xs)]
+    return rows
+
+
+# rows through the apex: signed zeros and points within 1e-14 of it
+_APEX_ROWS = [(y, [-1.0, -1e-15, -1e-300, -0.0, 1e-300, 1e-15, 0.5])
+              for y in (0.0, -0.0, 1e-15, -1e-15, 1e-300)]
+# rows out to |z| = 1e3, where the certificates of the one- and two-step
+# schedules hold (|z| >= 240 and 135 for J)
+_FAR_ROWS = [(y, _axis(-1e3, 1e3, 81)) for y in (-500.0, -50.0, 0.0, 50.0, 500.0)]
+
+
+@pytest.mark.parametrize("flags", list(_PINNED_SCHEDULES.values()),
+                         ids=list(_PINNED_SCHEDULES))
+def test_row_decider_matches_decide(work, flags):
+    # every point of the pinned grids, of rows next to the rays at huge
+    # |z|, through the apex and far out, on one-, two- and 13-step and deep
+    # schedules
+    schedule = _schedule(flags)
+    rows = [row for grid in _PINNED_GRIDS.values() for row in _grid_rows(grid)]
+    rows += _ray_rows(random.Random(19)) + _APEX_ROWS + _FAR_ROWS
+    bulk = 0
+    for kind in _KINDS.values():
+        mismatches, n = _row_mismatches(
+            work, kind, schedule, rows,
+            lambda z: _decide(kind, z, schedule))
+        assert mismatches == []
+        bulk += n
+    # the deep schedule's bound reaches the threshold, so no point is
+    # certified and every one walks the ladder
+    assert (bulk == 0) == (flags == _PINNED_SCHEDULES["deep"])
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_row_decider_matches_decide_on_the_benchmark_sweep(work, seed):
+    # the sweep pools of perfbench/workloads.py; decide is the function
+    # _decide calls once it has validated z
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(_ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    schedule = RegularizationSchedule.default()
+    bulk = 0
+    for req in workloads.generate("sweep", seed):
+        kind = _KINDS[req["args"]["kernel"]]
+        re_min, re_max, im_min, im_max, n_re, n_im = req["args"]["grid"]
+        re = _axis(re_min, re_max, n_re)
+        mismatches, n = _row_mismatches(
+            work, kind, schedule,
+            [(im, re) for im in _axis(im_min, im_max, n_im)],
+            _decider(kind, schedule)[0])
+        assert mismatches == []
+        bulk += n
+    assert bulk > 10000
+
+
+def test_domain_map_decides_one_row_at_a_time(monkeypatch):
+    # a 4001 x 4001 grid (16 million points) must not be decided up front:
+    # reading its first point or first row decides that one row only
+    calls = {"rows": 0, "points": 0}
+    make = cli._decider
+
+    def counting(kind, schedule):
+        decide, decide_row = make(kind, schedule)
+
+        def point(z):
+            calls["points"] += 1
+            assert calls["points"] <= 4001, "decided beyond one row"
+            return decide(z)
+
+        def row(y, xs):
+            calls["rows"] += 1
+            assert calls["rows"] <= 1, "decided a second row"
+            return decide_row(y, xs)
+        return point, row
+
+    monkeypatch.setattr(cli, "_decider", counting)
+    req = DomainMapRequest(grid=(-2.0, 2.0, -2.0, 2.0, 4001, 4001),
+                           kernel="I_plus")
+    grid = run_domain_map(req)
+    assert calls["rows"] == 0
+    assert next(iter(grid))[:2] == (-2.0, -2.0)
+    assert calls["rows"] == 1
+    calls["rows"] = 0
+    im, runs = next(grid.rows())
+    assert im == -2.0 and runs[-1][0] == 4001
+    assert calls["rows"] == 1
+
+
+def test_domain_map_rows_and_points_agree(tmp_path):
+    # iterating the grid yields the points of the rows the CSV is written
+    # from, with abs_value = |i/z| for J and 0 for full_line
+    for kernel in _KINDS:
+        req = DomainMapRequest(grid=(-1.3, 2.9, -2.2, 0.7, 37, 29),
+                               kernel=kernel)
+        out = tmp_path / "m.csv"
+        with open(out, "w") as fh:
+            write_domain_map_csv(run_domain_map(req), fh)
+        points = list(run_domain_map(req))
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == len(points) == 37 * 29
+        for line, (re, im, status, absv) in zip(lines, points):
+            assert line == ",".join((f"{re:.16e}", f"{im:.16e}", status,
+                                     "" if absv is None else f"{absv:.16e}"))
+            if status == "converged":
+                assert absv == (0.0 if kernel == "full_line"
+                                else abs(1j / complex(re, im)))
 
 
 def test_cli_lambda_flags_change_schedule(tmp_path):
