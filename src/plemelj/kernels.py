@@ -300,6 +300,12 @@ _ERFCX_TAIL = 1.4463
 # Bound on the rounding of a computed J relative to |i/z|, two orders above
 # the erfcx core's measured 8.7e-16 on Re w >= 0.
 _J_ROUNDING = 1e-13
+# Relative margin of the wedge row test's lower bound on a = (y^2 - x^2)/4.
+# With u = 2^-53, decide's computed a is at least (1 - 3u)(y^2 - x^2)/4.
+# The computed bound (y^2 - x^2 - 8u y^2)/4 is at most that where it is
+# positive: its roundings, and the 3u (y^2 - x^2) between the two, come to
+# less than 8u y^2.  As a power of two, 8u times y^2 is exact.
+_ROW_MARGIN = 8.0 * 2.0 ** -53
 
 
 def _wedge_bounds(a: float, lam: float, c: float) -> tuple:
@@ -365,9 +371,10 @@ def _wedge_thresholds(schedule: RegularizationSchedule, c: float) -> tuple:
 
 
 def _wedge_certificate(schedule: RegularizationSchedule, c: float):
-    """A function (x, y) -> True when the ladder at z = x + iy, inside the
-    open wedge Re(z^2) < 0, must report diverged, decided without
-    evaluating the kernel; False means only "not certified".
+    """A pair (diverges, diverges_row) of functions (x, y) -> True when the
+    ladder at z = x + iy, inside the open wedge Re(z^2) < 0, must report
+    diverged, decided without evaluating the kernel; False means only "not
+    certified".
 
     The ladder's divergence test fires at the first step k with
     a = -Re(z^2)/4 >= A_k (:func:`_wedge_thresholds`), found by bisection
@@ -375,7 +382,14 @@ def _wedge_certificate(schedule: RegularizationSchedule, c: float):
     The point is certified there when |z|^2/4 is at most _CERTIFY_MAX_W2
     lambda_k, the smallest cap the steps up to k allow.  Every A_k is at
     least the smallest normal double, so an a that lost its relative
-    precision to underflow finds no step."""
+    precision to underflow finds no step.
+
+    diverges tests the computed a = (y - x)(y + x)/4.  diverges_row tests
+    in its place a_lo = (y^2 - x^2 - _ROW_MARGIN y^2)/4, which as computed
+    never exceeds that a where it reaches an A_k, and does not rise as |x|
+    grows; as the caps fall with k, the points of a row of fixed y it
+    certifies form one interval around x = 0, and diverges certifies each
+    of them too."""
     # negated running minima, ascending: the first k with a >= A_k is the
     # first index whose entry is >= -a
     firsts = [-m for m in itertools.accumulate(_wedge_thresholds(schedule, c), min)]
@@ -386,7 +400,12 @@ def _wedge_certificate(schedule: RegularizationSchedule, c: float):
         a = 0.25 * (y - x) * (y + x)   # the differences are exact near the rays
         k = bisect.bisect_left(firsts, -a)
         return k < n and 0.25 * (x * x + y * y) <= caps[k]
-    return diverges
+
+    def diverges_row(x, y):
+        yy = y * y
+        k = bisect.bisect_left(firsts, -0.25 * ((yy - x * x) - _ROW_MARGIN * yy))
+        return k < n and 0.25 * (x * x + yy) <= caps[k]
+    return diverges, diverges_row
 
 
 def _first(test, xs, lo: int, hi: int) -> int:
@@ -415,28 +434,40 @@ def _spans(xs, up, down) -> tuple:
             (lo_right, _first(lambda x: not down(x), xs, lo_right, n)))
 
 
-def _row_runs(decide, y: float, xs, spans, values) -> list:
+def _middle(xs, test) -> tuple:
+    """The index range [lo, hi) of the ascending xs on which test(x) holds,
+    for a test that holds up to some |x| on each side of 0.  O(log n)
+    evaluations of the test."""
+    p = bisect.bisect_left(xs, 0.0)
+    return _first(test, xs, 0, p), _first(lambda x: not test(x), xs, p, len(xs))
+
+
+def _row_runs(decide, y: float, xs, spans) -> list:
     """The row x + iy, x in xs, as runs (stop, status, value) that cover
-    xs[start:stop], start being the previous run's stop (0 first): the
-    certified ``spans`` as one converged run each, with the value
-    values(lo, hi), and the points between them decided by decide, one
-    run for each stretch of equal (status, value)."""
+    xs[start:stop], start being the previous run's stop (0 first): each
+    non-empty one of the certified ``spans`` (lo, hi, status, value),
+    ascending and disjoint, as one run, and the points between them
+    decided by decide, one run for each stretch of equal (status, value)."""
     runs = []
-    start = 0
-    n = len(xs)
-    for lo, hi in (*spans, (n, n)):
+
+    def between(start, stop):
         last = None
-        for k, x in enumerate(xs[start:lo], start):
+        for k, x in enumerate(xs[start:stop], start):
             point = decide(complex(x, y))
             if point != last:
                 if last:
                     runs.append((k, *last))
                 last = point
         if last:
-            runs.append((lo, *last))
+            runs.append((stop, *last))
+
+    start = 0
+    for lo, hi, status, value in spans:
         if lo < hi:
-            runs.append((hi, "converged", values(lo, hi)))
-        start = hi
+            between(start, lo)
+            runs.append((hi, status, value))
+            start = hi
+    between(start, len(xs))
     return runs
 
 
@@ -457,11 +488,16 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     bounds, and, where |x| >= |y|, (x - y)(x + y) >= s_min, a product of
     two non-negative factors that do not fall as |x| grows.  So the points
     a certificate holds for form at most one span on each side, found by
-    bisection that evaluates those tests, and each span is one run.  The
-    wedge test is not monotone so (the rounded factors of
-    a = (y - x)(y + x)/4 move in opposite directions), nor is J's
-    exponential test below the real axis: those points, refused
-    certificates and walks down the schedule go to decide.
+    bisection that evaluates those tests, and each span is one run.
+    decide's wedge test is not monotone so (the rounded factors of
+    a = (y - x)(y + x)/4 move in opposite directions).  The row form tests
+    a lower bound on a in its place (the row test of
+    :func:`_wedge_certificate`), which is: the wedge points it certifies
+    form one span around x = 0, found by bisection and written as one
+    diverged run, and decide certifies each of them too.  J's exponential
+    test below the real axis is not monotone either: those points, the
+    wedge points the row test refuses, refused certificates and walks
+    down the schedule go to decide.
 
     Outside the open excluded wedge(s) the kernel obeys
     |kernel(z, lambda)| <= c sqrt(pi/lambda) for every lambda > 0:
@@ -543,7 +579,7 @@ def _decider(kind: str, schedule: RegularizationSchedule):
 
     if kind == "full_line":
         q_one, first, q_late = shortcut(1.0)
-        wedge_diverges = _wedge_certificate(schedule, 0.0)
+        wedge_diverges, wedge_row = _wedge_certificate(schedule, 0.0)
         # 0.5 log(pi/lambda) - Re(z^2)/(4 lambda) <= log(tol) + _LOG_SHRINK
         s_min = (4.0 * lam * (0.5 * math.log(math.pi / lam) - math.log(tol)
                               - _LOG_SHRINK) if normal else math.inf)
@@ -572,13 +608,17 @@ def _decider(kind: str, schedule: RegularizationSchedule):
             def down(x):   # and those that pass up to an |x|
                 q = 0.25 * (x * x + y * y)
                 return q <= q_one and q <= q_max
-            return _row_runs(decide, y, xs, _spans(xs, up, down),
-                             lambda lo, hi: 0j)
+            (lo, hi), (lo_right, hi_right) = _spans(xs, up, down)
+            # the wedge, |x| < |y|, lies between the two
+            return _row_runs(decide, y, xs, (
+                (lo, hi, "converged", 0j),
+                (*_middle(xs, lambda x: wedge_row(x, y)), "diverged", OVERFLOW),
+                (lo_right, hi_right, "converged", 0j)))
         return decide, decide_row
 
     # J above the axis has no exponential: erfcx(w) for Re w >= 0
     upper, lower = shortcut(0.5, rounding=0.0), shortcut(1.5)
-    wedge_diverges = _wedge_certificate(schedule, 0.5)
+    wedge_diverges, wedge_row = _wedge_certificate(schedule, 0.5)
     tail = _ERFCX_TAIL * lam   # |J - i/z| / |i/z| <= tail / q, q = |z|^2/4
     tol_j = tol * (1.0 - 1e-6) - _J_ROUNDING
     q_min = tail / tol_j if normal and tol_j > 0.0 else math.inf
@@ -614,9 +654,12 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     q_one_upper = upper[0]
 
     def decide_row(y, xs):
-        # decide mirrors z to -z; q is the same for both, bit for bit
-        if not (-y if mirror else y) >= 0.0:   # the exp test: point by point
-            return _row_runs(decide, y, xs, (), None)
+        # decide mirrors z to -z; q and both wedge tests are the same for
+        # both, bit for bit
+        if not (-y if mirror else y) >= 0.0:
+            # the wedge as one run; the exp test outside it point by point
+            return _row_runs(decide, y, xs, (
+                (*_middle(xs, lambda x: wedge_row(x, y)), "diverged", OVERFLOW),))
 
         def up(x):
             return q_min <= 0.25 * (x * x + y * y)
@@ -629,7 +672,8 @@ def _decider(kind: str, schedule: RegularizationSchedule):
             if mirror:
                 return [1j / complex(-x, -y) for x in xs[lo:hi]]
             return [1j / complex(x, y) for x in xs[lo:hi]]
-        return _row_runs(decide, y, xs, _spans(xs, up, down), values)
+        return _row_runs(decide, y, xs, [(lo, hi, "converged", values(lo, hi))
+                                         for lo, hi in _spans(xs, up, down)])
     return decide, decide_row
 
 

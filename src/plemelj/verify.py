@@ -357,14 +357,21 @@ def suite_tilted():
                 worst_violation = max(worst_violation, v1 - v0)
     checks.append(_check("tilted/monotone-decreasing", worst_violation, 0.0))
 
-    worst = 0.0
+    worst = worst_offset = 0.0
+    eps = 1e-8
     # grid stays a hair off |q| = 0.01, where the true deviation
     # atan(1e-8/|q|) sits within one rounding of the tolerance itself
     for phi in (-1.2, -0.4, 0.0, 0.4, 1.2):
         for q in (-100.0, -1.0, -0.011, 0.011, 1.0, 100.0):
-            worst = max(worst, abs(tilted.arg_regularized(q, phi, 1e-8)
-                                   - tilted.arg_limit(q, phi)))
+            offset = tilted.arg_regularized(q, phi, eps) - tilted.arg_limit(q, phi)
+            worst = max(worst, abs(offset))
+            # the offset itself in closed form: arg(k + i eps) - arg(k) =
+            # arg(1 + i eps e^{-i phi} / q) for k = q e^{i phi}
+            worst_offset = max(worst_offset, abs(offset - math.atan2(
+                eps * math.cos(phi) / q, 1.0 + eps * math.sin(phi) / q)))
     checks.append(_check("tilted/eps-limit-matches-step-form", worst, 1e-6))
+    # about 11 ulps of the args, which reach pi + 1.2
+    checks.append(_check("tilted/eps-offset-matches-closed-form", worst_offset, 1e-14))
 
     worst = 0.0
     f = functionals.catalog_function("gauss(0.2)")

@@ -18,6 +18,7 @@ from plemelj.cli import (DomainMapRequest, _axis, _decider, _parse_grid,
 from plemelj.contours import Arc, Contour, Line, segment_path
 from plemelj.functionals import DomainViolationError
 from plemelj.kernels import RegularizationSchedule, _decide
+from plemelj.special_functions import OVERFLOW
 
 
 # the CLI subprocess imports the same plemelj tree as this test process
@@ -124,7 +125,11 @@ _PINNED_GRIDS = {"wide": "-2:2:41,-2:2:41",
                  "signed_zero": "-0:-0:1,-1:1:3",
                  # neither square nor symmetric; the last re point
                  # overshoots its bound by one ulp, the last im by two
-                 "asym": "-1.3:2.9:37,-2.2:0.7:29"}
+                 "asym": "-1.3:2.9:37,-2.2:0.7:29",
+                 # rows straddle the caps of the wedge certificate,
+                 # |z|^2/4 = 1e8 lambda_k: |z| = 6325 at the default
+                 # schedule's first, 200 at the deep one's
+                 "caps": "-2e4:2e4:41,-2e4:2e4:201"}
 _PINNED_SCHEDULES = {"default": (),
                      "deep": ("--lambda-start", "1e-3", "--lambda-steps", "30"),
                      "two": ("--lambda-steps", "2"),
@@ -192,6 +197,18 @@ _PINNED_CSV_SHA256 = {
         "2bca1d3d2307c64251687642b966a649a5bb276dde7055bf19d3454c41b7c0b3",
     ("full_line", "asym", "deep"):
         "e5a924f3865c4accd14953447048f8a245094222ef68ffc18714d2f15eaecc4b",
+    ("I_plus", "caps", "default"):
+        "f4016a8afe98eed985982c40f1aa4bfbc2aa4497053f429fda29e7236a7bec9b",
+    ("I_plus", "caps", "deep"):
+        "d05aaed54a035e061cc28aee75669b72e4a6e27ccc972ef3198206b4b18991f3",
+    ("I_minus", "caps", "default"):
+        "d7f8a04d7d89a89c8e00f90db28db7fa8d26bc82aad55ad2e24be2380295ccd6",
+    ("I_minus", "caps", "deep"):
+        "101d0c6b2c591f12bb858022c94bf09ea8aac066bb78ffa6dc098be18cf9f235",
+    ("full_line", "caps", "default"):
+        "689ddd8644611547a6ac9954cc7109217d1ccf66d7832e76e6b760375b9011da",
+    ("full_line", "caps", "deep"):
+        "82b62480913dec31b857e843ae1e5ca2a0d8cf904441ff752000e49d9eae0c5a",
 }
 
 
@@ -248,23 +265,31 @@ def work(monkeypatch):
 
 def _row_mismatches(counts, kind, schedule, rows, decide):
     """The points at which decide_row's runs differ from decide, over rows
-    (y, ascending xs), and how many points the runs decided in bulk.  The
-    row form takes no z = 0 (the CLI's apex), so the rows are split there.
+    (y, ascending xs), and how many points the runs decided in bulk:
+    (mismatches, converged bulk, wedge bulk).  The row form takes no
+    z = 0 (the CLI's apex), so the rows are split there.
 
     Besides the results, the work must match (``counts`` from the ``work``
     fixture): the row form evaluates the kernel as often as decide, and
-    leaves to decide exactly the points that decide does not certify
-    converged without a kernel evaluation in the part of the plane where
-    its certificates are monotone in |x| (J on and above the real axis,
-    mirrored for 'minus'; the full line where |x| >= |y|).  So a run that
+    leaves to decide exactly the points that neither a certificate nor the
+    wedge row test certifies, each evaluated point by point.  The
+    certified points are those decide certifies converged without a
+    kernel evaluation in the part of the plane where its certificates are
+    monotone in |x| (J on and above the real axis, mirrored for 'minus';
+    the full line where |x| >= |y|), and those that the wedge row test
+    certifies in the part of the plane that holds a wedge (J below the
+    real axis, mirrored for 'minus'; anywhere for the full line), which
+    decide reports diverged without a kernel evaluation.  So a run that
     ends one point early or late fails too."""
     decide_row = _decider(kind, schedule)[1]
+    wedge_row = kernels._wedge_certificate(
+        schedule, 0.0 if kind == "full_line" else 0.5)[1]
 
     def run(fn, *args):
         counts.update(kernel=0, decide=0)
         return fn(*args), counts["kernel"], counts["decide"]
 
-    mismatches, bulk = [], 0
+    mismatches, converged_bulk, wedge_bulk = [], 0, 0
     for y, xs in rows:
         pieces = [[]]
         for x in xs:
@@ -272,6 +297,7 @@ def _row_mismatches(counts, kind, schedule, rows, decide):
                 pieces.append([])
             else:
                 pieces[-1].append(x)
+        upper = (-y if kind == "minus" else y) >= 0.0
         for piece in pieces:
             runs, kernel_calls, decide_calls = run(decide_row, y, piece)
             got, start = [], 0
@@ -284,18 +310,21 @@ def _row_mismatches(counts, kind, schedule, rows, decide):
                 got += [(status, v) for v in value]
                 start = stop
             assert start == len(piece)
-            certified = 0
+            converged = wedge = 0
             for x, have in zip(piece, got):
                 want, k, _ = run(decide, complex(x, y))
                 kernel_calls -= k
                 mismatches += [(kind, complex(x, y))] if have != want else []
-                monotone = (abs(x) >= abs(y) if kind == "full_line"
-                            else (-y if kind == "minus" else y) >= 0.0)
-                certified += monotone and want[0] == "converged" and k == 0
+                monotone = abs(x) >= abs(y) if kind == "full_line" else upper
+                converged += monotone and want[0] == "converged" and k == 0
+                if (kind == "full_line" or not upper) and wedge_row(x, y):
+                    assert (want, k) == (("diverged", OVERFLOW), 0), (kind, x, y)
+                    wedge += 1
             assert kernel_calls == 0, (kind, y)
-            assert decide_calls == len(piece) - certified, (kind, y)
-            bulk += certified
-    return mismatches, bulk
+            assert decide_calls == len(piece) - converged - wedge, (kind, y)
+            converged_bulk += converged
+            wedge_bulk += wedge
+    return mismatches, converged_bulk, wedge_bulk
 
 
 def _ray_rows(rng):
@@ -329,16 +358,20 @@ def test_row_decider_matches_decide(work, flags):
     schedule = _schedule(flags)
     rows = [row for grid in _PINNED_GRIDS.values() for row in _grid_rows(grid)]
     rows += _ray_rows(random.Random(19)) + _APEX_ROWS + _FAR_ROWS
-    bulk = 0
+    converged = wedge = 0
     for kind in _KINDS.values():
-        mismatches, n = _row_mismatches(
+        mismatches, n, m = _row_mismatches(
             work, kind, schedule, rows,
             lambda z: _decide(kind, z, schedule))
         assert mismatches == []
-        bulk += n
+        converged += n
+        wedge += m
     # the deep schedule's bound reaches the threshold, so no point is
-    # certified and every one walks the ladder
-    assert (bulk == 0) == (flags == _PINNED_SCHEDULES["deep"])
+    # certified converged and every one walks the ladder; the one- and
+    # two-step schedules have no wedge thresholds
+    assert (converged == 0) == (flags == _PINNED_SCHEDULES["deep"])
+    assert (wedge > 0) == (flags in (_PINNED_SCHEDULES["default"],
+                                     _PINNED_SCHEDULES["deep"]))
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
@@ -350,18 +383,20 @@ def test_row_decider_matches_decide_on_the_benchmark_sweep(work, seed):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     schedule = RegularizationSchedule.default()
-    bulk = 0
+    converged = wedge = 0
     for req in workloads.generate("sweep", seed):
         kind = _KINDS[req["args"]["kernel"]]
         re_min, re_max, im_min, im_max, n_re, n_im = req["args"]["grid"]
         re = _axis(re_min, re_max, n_re)
-        mismatches, n = _row_mismatches(
+        mismatches, n, m = _row_mismatches(
             work, kind, schedule,
             [(im, re) for im in _axis(im_min, im_max, n_im)],
             _decider(kind, schedule)[0])
         assert mismatches == []
-        bulk += n
-    assert bulk > 10000
+        converged += n
+        wedge += m
+    # each pool has 77,511 points, and each kind of run takes about 36,000
+    assert converged > 35000 and wedge > 35000
 
 
 def test_domain_map_decides_one_row_at_a_time(monkeypatch):

@@ -684,7 +684,7 @@ def test_decide_at_the_wedge_thresholds_matches_the_ladders(name):
     caps = [kernels._CERTIFY_MAX_W2 * lam for lam in schedule.lambdas[2:]]
     for c in (0.0, 0.5):
         table = kernels._wedge_thresholds(schedule, c)
-        certified = kernels._wedge_certificate(schedule, c)
+        certified, row = kernels._wedge_certificate(schedule, c)
         pts = _table_points(schedule)
         for a in (a_k * f for a_k in table if a_k < math.inf
                   for f in (1.0 - 1e-9, 1.0 + 1e-9)):
@@ -700,6 +700,7 @@ def test_decide_at_the_wedge_thresholds_matches_the_ladders(name):
                 (0.25 * (x * x + y * y) <= cap
                  for a_k, cap in zip(table, caps) if a >= a_k), False)
             assert certified(x, y) == want, (c, z)
+            assert want or not row(x, y), (c, z)
             outcomes.add(want)
         assert outcomes == ({True, False} if table else set())
 
@@ -728,6 +729,54 @@ def test_decide_certifies_wedge_points_without_erfcx(monkeypatch):
     erfcx_calls.clear()
     assert kernel_limit(deep[0]).status == "diverged"
     assert erfcx_calls
+
+
+@st.composite
+def _rows(draw):
+    """(kind, schedule, y, xs): a schedule of 1-40 steps with a random
+    start, ratio, tol and threshold, and a row at |y| from 1e-8 to 1e160
+    whose ascending xs lie within a few ulps of -y and y and spread across
+    the row."""
+    steps = draw(st.integers(1, 40))
+    start = 10.0 ** draw(st.floats(-6.0, 2.0))
+    ratio = draw(st.floats(0.1, 0.999))
+    tol = 10.0 ** draw(st.floats(-10.0, -0.3))
+    schedule = RegularizationSchedule(
+        lambdas=tuple(start * ratio ** n for n in range(steps)),
+        divergence_threshold=10.0 ** draw(st.floats(0.01, 8.0)) / tol,
+        convergence_tol=tol)
+    # half of the rows at y^2 from 0.01 to 1e9 times the first lambda,
+    # where the wedge thresholds and the caps, |z|^2/4 <= 1e8 lambda_k,
+    # both come into play
+    y = draw(st.sampled_from((-1.0, 1.0))) * draw(st.one_of(
+        st.floats(-1.0, 4.5).map(lambda e: math.sqrt(start) * 10.0 ** e),
+        st.floats(-8.0, 160.0).map(lambda e: 10.0 ** e)))
+    xs = set()
+    for sign, ulps in draw(st.lists(st.tuples(st.sampled_from((-1.0, 1.0)),
+                                              st.integers(-4, 4)), max_size=12)):
+        x = abs(y)
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+        xs.add(sign * x)
+    xs.update(abs(y) * f for f in draw(st.lists(st.floats(-3.0, 3.0),
+                                                min_size=1, max_size=16)))
+    return draw(st.sampled_from(("plus", "minus", "full_line"))), schedule, y, sorted(xs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(row=_rows())
+def test_decide_row_matches_decide(row):
+    # the runs of the row form give each point decide's (status, value)
+    kind, schedule, y, xs = row
+    decide, decide_row = kernels._decider(kind, schedule)
+    got, start = [], 0
+    for stop, status, value in decide_row(y, xs):
+        assert stop > start
+        if type(value) is not list:
+            value = [value] * (stop - start)
+        got += [(status, v) for v in value]
+        start = stop
+    assert got == [decide(complex(x, y)) for x in xs]
 
 
 def test_kernel_bounds_outside_the_wedges():

@@ -194,3 +194,16 @@ def test_overflowing_test_function_is_inadmissible():
     # f(0) = exp(900) overflows
     with pytest.raises(AdmissibilityError, match="f overflows"):
         tilted_plemelj(catalog_function("gauss(30j)"), TiltedLine(0.1, -1.0, 1.0))
+
+
+def test_eps_offset_check_can_fail(monkeypatch):
+    # an arg 1e-9 off: within the step-form check's 1e-6 (the offset there
+    # is 9.09e-7), far outside the closed-form check's 1e-14
+    from plemelj import tilted, verify
+    arg = tilted.arg_regularized
+    monkeypatch.setattr(tilted, "arg_regularized",
+                        lambda q, phi, eps: arg(q, phi, eps) + 1e-9)
+    checks = {c.name: c for c in verify.suite_tilted()}
+    assert checks["tilted/eps-limit-matches-step-form"].passed
+    check = checks["tilted/eps-offset-matches-closed-form"]
+    assert check.measured > 1e-10 and not check.passed
