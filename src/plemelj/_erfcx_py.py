@@ -25,11 +25,14 @@ exp(w^2), w = x + iy, is taken as exp((x - y)(x + y)) times a phase
 2xy carried in double-double (Dekker's TwoProduct): the rounded w*w would
 put an error of |w|^2 times the rounding unit into the phase.
 
-Against mpmath at 40 digits, on 2,500 seeded points per region, the largest
-relative error is 8.7e-16 on Re w >= 0.  On Re w < 0, relative to
-max(|erfcx(w)|, |exp(w^2)|) (erfc has zeros there), it is 9.9e-15 for
-|w| < 8 and 1.2e-13 for 8 <= |w| <= 1000: the rounding of (x - y)(x + y),
-at most about 2.2e-16 |Re w^2| with Re w^2 <= 709.
+Against mpmath at 40 digits, the largest relative error measured on
+Re w >= 0 is 1.15e-15, at w = 0.10661 + 0.58502i, over 20,000 points
+uniform on [0, 1] x [-1, 1] (Re w, then Im w, drawn from random.Random(7));
+2,500 seeded points over the whole half plane reached 8.7e-16.  On
+Re w < 0, relative to max(|erfcx(w)|, |exp(w^2)|) (erfc has zeros there),
+2,500 seeded points per region give 9.9e-15 for |w| < 8 and 1.2e-13 for
+8 <= |w| <= 1000: the rounding of (x - y)(x + y), at most about
+2.2e-16 |Re w^2| with Re w^2 <= 709.
 
 Anchoring identities, transcribed from Abramowitz & Stegun ch. 7:
 

@@ -95,7 +95,7 @@ class DomainMap:
         self._im = _axis(im_min, im_max, n_im)
         self._decide_row = _decider(
             {"I_plus": "plus", "I_minus": "minus",
-             "full_line": "full_line"}[req.kernel], req.schedule)[1]
+             "full_line": "full_line"}[req.kernel], req.schedule)
 
     def rows(self):
         for im in self._im:

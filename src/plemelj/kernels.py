@@ -297,11 +297,13 @@ _EXP_ROUNDING = 2e-15
 # three integrations by parts of erfcx(w) = (2/sqrt(pi)) int_0^inf
 # exp(-t^2 - 2 w t) dt (cf. A&S 7.1.23, DLMF 7.12); rounded up from 1.446260.
 _ERFCX_TAIL = 1.4463
-# Bound on the rounding of a computed J relative to |i/z|, two orders above
-# the erfcx core's measured 8.7e-16 on Re w >= 0.
+# Bound on the rounding of a computed J relative to |i/z|, 87 times the
+# erfcx core's largest relative error measured on Re w >= 0, 1.15e-15
+# (over 20,000 seeded points; see _erfcx_py).
 _J_ROUNDING = 1e-13
-# Relative margin of the wedge row test's lower bound on a = (y^2 - x^2)/4.
-# With u = 2^-53, decide's computed a is at least (1 - 3u)(y^2 - x^2)/4.
+# Relative margin of the wedge test's lower bound on a = (y^2 - x^2)/4.
+# With u = 2^-53, the computed a = (y - x)(y + x)/4 is at least
+# (1 - 3u)(y^2 - x^2)/4.
 # The computed bound (y^2 - x^2 - 8u y^2)/4 is at most that where it is
 # positive: its roundings, and the 3u (y^2 - x^2) between the two, come to
 # less than 8u y^2.  As a power of two, 8u times y^2 is exact.
@@ -371,10 +373,9 @@ def _wedge_thresholds(schedule: RegularizationSchedule, c: float) -> tuple:
 
 
 def _wedge_certificate(schedule: RegularizationSchedule, c: float):
-    """A pair (diverges, diverges_row) of functions (x, y) -> True when the
-    ladder at z = x + iy, inside the open wedge Re(z^2) < 0, must report
-    diverged, decided without evaluating the kernel; False means only "not
-    certified".
+    """A function (x, y) -> True when the ladder at z = x + iy, inside the
+    open wedge Re(z^2) < 0, must report diverged, decided without
+    evaluating the kernel; False means only "not certified".
 
     The ladder's divergence test fires at the first step k with
     a = -Re(z^2)/4 >= A_k (:func:`_wedge_thresholds`), found by bisection
@@ -384,12 +385,12 @@ def _wedge_certificate(schedule: RegularizationSchedule, c: float):
     least the smallest normal double, so an a that lost its relative
     precision to underflow finds no step.
 
-    diverges tests the computed a = (y - x)(y + x)/4.  diverges_row tests
-    in its place a_lo = (y^2 - x^2 - _ROW_MARGIN y^2)/4, which as computed
-    never exceeds that a where it reaches an A_k, and does not rise as |x|
-    grows; as the caps fall with k, the points of a row of fixed y it
-    certifies form one interval around x = 0, and diverges certifies each
-    of them too."""
+    The test takes in place of a the lower bound
+    a_lo = (y^2 - x^2 - _ROW_MARGIN y^2)/4, which as computed never exceeds
+    the computed a = (y - x)(y + x)/4 where it reaches an A_k, and does not
+    rise as |x| grows; as the caps fall with k, the points of a row of
+    fixed y it certifies form one interval around x = 0.  Next to the rays
+    it refuses points that a itself would certify."""
     # negated running minima, ascending: the first k with a >= A_k is the
     # first index whose entry is >= -a
     firsts = [-m for m in itertools.accumulate(_wedge_thresholds(schedule, c), min)]
@@ -397,15 +398,10 @@ def _wedge_certificate(schedule: RegularizationSchedule, c: float):
     n = len(caps)
 
     def diverges(x, y):
-        a = 0.25 * (y - x) * (y + x)   # the differences are exact near the rays
-        k = bisect.bisect_left(firsts, -a)
-        return k < n and 0.25 * (x * x + y * y) <= caps[k]
-
-    def diverges_row(x, y):
         yy = y * y
         k = bisect.bisect_left(firsts, -0.25 * ((yy - x * x) - _ROW_MARGIN * yy))
         return k < n and 0.25 * (x * x + yy) <= caps[k]
-    return diverges, diverges_row
+    return diverges
 
 
 def _first(test, xs, lo: int, hi: int) -> int:
@@ -442,18 +438,19 @@ def _middle(xs, test) -> tuple:
     return _first(test, xs, 0, p), _first(lambda x: not test(x), xs, p, len(xs))
 
 
-def _row_runs(decide, y: float, xs, spans) -> list:
+def _row_runs(uncertified, y: float, xs, spans) -> list:
     """The row x + iy, x in xs, as runs (stop, status, value) that cover
     xs[start:stop], start being the previous run's stop (0 first): each
     non-empty one of the certified ``spans`` (lo, hi, status, value),
     ascending and disjoint, as one run, and the points between them
-    decided by decide, one run for each stretch of equal (status, value)."""
+    decided by uncertified, one run for each stretch of equal
+    (status, value)."""
     runs = []
 
     def between(start, stop):
         last = None
         for k, x in enumerate(xs[start:stop], start):
-            point = decide(complex(x, y))
+            point = uncertified(complex(x, y))
             if point != last:
                 if last:
                     runs.append((k, *last))
@@ -474,30 +471,27 @@ def _row_runs(decide, y: float, xs, spans) -> list:
 def _decider(kind: str, schedule: RegularizationSchedule):
     """The decision procedure of :func:`_decide` for one kind ('plus',
     'minus' or 'full_line') and one schedule, with every schedule-level
-    constant computed once: a pair (decide, decide_row).  Build one per
-    grid.
+    constant computed once: a function decide_row(y, xs).  Build one per
+    grid; :func:`_decide` decides a single point as a one-point row.
 
-    decide maps a finite z != 0 to (status, value).  decide_row(y, xs)
-    decides the row of points x + iy, for ascending finite xs with no
-    x + iy = 0, as runs (stop, status, value): each covers xs[start:stop],
-    start being the previous run's stop (0 for the first), and its value
-    is the common value of its points or a list of one value per point.
-    Each point gets decide's (status, value).  Along a row, each test of
-    the convergence certificates below is, as computed, monotone in |x|
-    on either side of x = 0: |x| >= |y|, q = (x^2 + y^2)/4 against its
-    bounds, and, where |x| >= |y|, (x - y)(x + y) >= s_min, a product of
-    two non-negative factors that do not fall as |x| grows.  So the points
-    a certificate holds for form at most one span on each side, found by
-    bisection that evaluates those tests, and each span is one run.
-    decide's wedge test is not monotone so (the rounded factors of
-    a = (y - x)(y + x)/4 move in opposite directions).  The row form tests
-    a lower bound on a in its place (the row test of
-    :func:`_wedge_certificate`), which is: the wedge points it certifies
-    form one span around x = 0, found by bisection and written as one
-    diverged run, and decide certifies each of them too.  J's exponential
-    test below the real axis is not monotone either: those points, the
-    wedge points the row test refuses, refused certificates and walks
-    down the schedule go to decide.
+    decide_row decides the row of points x + iy, for ascending finite xs
+    with no x + iy = 0, as runs (stop, status, value): each covers
+    xs[start:stop], start being the previous run's stop (0 for the first),
+    and its value is the common value of its points or a list of one value
+    per point.  Each point gets the (status, value) its ladder reports.
+    Along a row, each test of the certificates below is, as computed,
+    monotone in |x| on either side of x = 0: |x| >= |y|; q = (x^2 + y^2)/4
+    against its bounds; where |x| >= |y|, (x - y)(x + y) >= s_min, a
+    product of two non-negative factors that do not fall as |x| grows; and
+    the wedge test of :func:`_wedge_certificate`.  So the points a
+    convergence certificate holds for form at most one span on each side,
+    and the points the wedge test certifies one span around x = 0.
+    Bisection that evaluates those tests finds each span, which becomes one
+    run, and a point's result does not depend on the other points of its
+    row.  The points between the spans have failed the certificates, and
+    go one at a time to a function that decides them without those: J's
+    exponential test below the real axis, which is not monotone along a
+    row, the one-step verdict and the walks down the schedule.
 
     Outside the open excluded wedge(s) the kernel obeys
     |kernel(z, lambda)| <= c sqrt(pi/lambda) for every lambda > 0:
@@ -579,22 +573,18 @@ def _decider(kind: str, schedule: RegularizationSchedule):
 
     if kind == "full_line":
         q_one, first, q_late = shortcut(1.0)
-        wedge_diverges, wedge_row = _wedge_certificate(schedule, 0.0)
+        wedge = _wedge_certificate(schedule, 0.0)
         # 0.5 log(pi/lambda) - Re(z^2)/(4 lambda) <= log(tol) + _LOG_SHRINK
         s_min = (4.0 * lam * (0.5 * math.log(math.pi / lam) - math.log(tol)
                               - _LOG_SHRINK) if normal else math.inf)
 
-        def decide(z):
+        def uncertified(z):
             x, y = z.real, z.imag
             if abs(x) < abs(y):   # Re(z^2) < 0, tested without rounding
-                if wedge_diverges(x, y):
-                    return "diverged", OVERFLOW
                 res = _ladder(_full_line, z, 0j, schedule)
                 return res.status, res.value
             q = 0.25 * (x * x + y * y)
             if q <= q_one:
-                if q <= q_max and (x - y) * (x + y) >= s_min:
-                    return "converged", 0j
                 return _verdict(_full_line(z, lam), 0j, schedule)
             res = _ladder(_full_line, z, 0j, schedule, first if q <= q_late else 0)
             return res.status, res.value
@@ -602,7 +592,7 @@ def _decider(kind: str, schedule: RegularizationSchedule):
         def decide_row(y, xs):
             ay = abs(y)
 
-            def up(x):     # decide's certificate tests that pass from an |x| on
+            def up(x):     # the certificate tests that pass from an |x| on
                 return abs(x) >= ay and (x - y) * (x + y) >= s_min
 
             def down(x):   # and those that pass up to an |x|
@@ -610,15 +600,15 @@ def _decider(kind: str, schedule: RegularizationSchedule):
                 return q <= q_one and q <= q_max
             (lo, hi), (lo_right, hi_right) = _spans(xs, up, down)
             # the wedge, |x| < |y|, lies between the two
-            return _row_runs(decide, y, xs, (
+            return _row_runs(uncertified, y, xs, (
                 (lo, hi, "converged", 0j),
-                (*_middle(xs, lambda x: wedge_row(x, y)), "diverged", OVERFLOW),
+                (*_middle(xs, lambda x: wedge(x, y)), "diverged", OVERFLOW),
                 (lo_right, hi_right, "converged", 0j)))
-        return decide, decide_row
+        return decide_row
 
     # J above the axis has no exponential: erfcx(w) for Re w >= 0
     upper, lower = shortcut(0.5, rounding=0.0), shortcut(1.5)
-    wedge_diverges, wedge_row = _wedge_certificate(schedule, 0.5)
+    wedge = _wedge_certificate(schedule, 0.5)
     tail = _ERFCX_TAIL * lam   # |J - i/z| / |i/z| <= tail / q, q = |z|^2/4
     tol_j = tol * (1.0 - 1e-6) - _J_ROUNDING
     q_min = tail / tol_j if normal and tol_j > 0.0 else math.inf
@@ -627,7 +617,7 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     two_root = 2.0 * root
     mirror = kind == "minus"
 
-    def decide(z):
+    def uncertified(z):
         if mirror:
             z = -z
         x, y = z.real, z.imag
@@ -636,14 +626,12 @@ def _decider(kind: str, schedule: RegularizationSchedule):
         elif abs(x) >= -y:   # Re(z^2) >= 0, tested without rounding
             q_one, first, q_late = lower
         else:
-            if wedge_diverges(x, y):
-                return "diverged", OVERFLOW
             res = _ladder(j_kernel, z, 1j / z, schedule)
             return res.status, res.value
         q = 0.25 * (x * x + y * y)
         if q <= q_one:
-            if q_min <= q <= q_max and (
-                    y >= 0.0 or two_root * math.sqrt(q)
+            if y < 0.0 and q_min <= q <= q_max and (
+                    two_root * math.sqrt(q)
                     * math.exp(-0.25 * (x - y) * (x + y) / lam)
                     + tail / q <= tol_j):
                 return "converged", 1j / z
@@ -654,12 +642,12 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     q_one_upper = upper[0]
 
     def decide_row(y, xs):
-        # decide mirrors z to -z; q and both wedge tests are the same for
-        # both, bit for bit
+        # uncertified mirrors z to -z; q and the wedge test are the same
+        # for both, bit for bit
         if not (-y if mirror else y) >= 0.0:
             # the wedge as one run; the exp test outside it point by point
-            return _row_runs(decide, y, xs, (
-                (*_middle(xs, lambda x: wedge_row(x, y)), "diverged", OVERFLOW),))
+            return _row_runs(uncertified, y, xs, (
+                (*_middle(xs, lambda x: wedge(x, y)), "diverged", OVERFLOW),))
 
         def up(x):
             return q_min <= 0.25 * (x * x + y * y)
@@ -672,21 +660,23 @@ def _decider(kind: str, schedule: RegularizationSchedule):
             if mirror:
                 return [1j / complex(-x, -y) for x in xs[lo:hi]]
             return [1j / complex(x, y) for x in xs[lo:hi]]
-        return _row_runs(decide, y, xs, [(lo, hi, "converged", values(lo, hi))
-                                         for lo, hi in _spans(xs, up, down)])
-    return decide, decide_row
+        return _row_runs(uncertified, y, xs, [(lo, hi, "converged", values(lo, hi))
+                                              for lo, hi in _spans(xs, up, down)])
+    return decide_row
 
 
 def _decide(kind: str, z: complex, schedule: RegularizationSchedule = None) -> tuple:
     """(status, value) of the 'plus', 'minus' or 'full_line' limit at z:
     what kernel_limit, kernel_limit_mirror or full_line_limit report,
-    without the trace.  Validates z and builds the :func:`_decider` of
-    the schedule (the default one if None), which decides from closed-form
-    bounds where it can and evaluates the kernel or walks the ladder
-    where it cannot; a sweep builds that decider once instead.
+    without the trace.  Validates z and decides it as the one-point row
+    of the :func:`_decider` of the schedule (the default one if None),
+    which decides from closed-form bounds where it can and evaluates the
+    kernel or walks the ladder where it cannot; a sweep builds that
+    decider once and decides whole rows instead.
     """
     z, schedule = _limit_point(z, schedule)
-    return _decider(kind, schedule)[0](z)
+    ((_stop, status, value),) = _decider(kind, schedule)(z.imag, (z.real,))
+    return status, value[0] if type(value) is list else value
 
 
 def kernel_limit(z: complex, schedule: RegularizationSchedule = None) -> KernelResult:

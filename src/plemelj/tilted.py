@@ -190,8 +190,9 @@ def _kernel_route_diverges(line: TiltedLine) -> bool:
     q_ref = 0.5 * min(-line.q_min, line.q_max)
     phase = cmath.exp(1j * line.phi)
     # the probes are finite and nonzero: the line's contour has been built
-    decide = _decider("plus", RegularizationSchedule.default())[0]
+    decide_row = _decider("plus", RegularizationSchedule.default())
     for q in (q_ref, -q_ref):
-        if decide(q * phase)[0] == "diverged":
+        z = q * phase
+        if decide_row(z.imag, (z.real,))[0][1] == "diverged":
             return True
     return False

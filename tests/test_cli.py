@@ -17,7 +17,7 @@ from plemelj.cli import (DomainMapRequest, _axis, _decider, _parse_grid,
                          run_functional, write_domain_map_csv)
 from plemelj.contours import Arc, Contour, Line, segment_path
 from plemelj.functionals import DomainViolationError
-from plemelj.kernels import RegularizationSchedule, _decide
+from plemelj.kernels import RegularizationSchedule
 from plemelj.special_functions import OVERFLOW
 
 
@@ -245,49 +245,65 @@ def _grid_rows(grid):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of kernel evaluations and of the calls the row form makes to
-    decide, from the moment they are reset."""
-    counts = {"kernel": 0, "decide": 0}
+    """Counts of kernel evaluations and of the points the row form leaves
+    to its per-point function, from the moment they are reset."""
+    counts = {"kernel": 0, "uncertified": 0}
     for name in ("j_kernel", "_full_line"):
         fn = getattr(kernels, name)
         monkeypatch.setattr(kernels, name, lambda z, lam, fn=fn: (
             counts.__setitem__("kernel", counts["kernel"] + 1) or fn(z, lam)))
     row_runs = kernels._row_runs
 
-    def counted_runs(decide, *args):
+    def counted_runs(uncertified, *args):
         def point(z):
-            counts["decide"] += 1
-            return decide(z)
+            counts["uncertified"] += 1
+            return uncertified(z)
         return row_runs(point, *args)
     monkeypatch.setattr(kernels, "_row_runs", counted_runs)
     return counts
 
 
-def _row_mismatches(counts, kind, schedule, rows, decide):
-    """The points at which decide_row's runs differ from decide, over rows
-    (y, ascending xs), and how many points the runs decided in bulk:
-    (mismatches, converged bulk, wedge bulk).  The row form takes no
-    z = 0 (the CLI's apex), so the rows are split there.
+def _points(runs, n):
+    """The (status, value) of each of the n points that runs cover."""
+    got, start = [], 0
+    for stop, status, value in runs:
+        assert stop > start
+        if type(value) is not list:
+            value = [value] * (stop - start)
+        assert len(value) == stop - start
+        got += [(status, v) for v in value]
+        start = stop
+    assert start == n
+    return got
+
+
+def _row_mismatches(counts, kind, schedule, rows):
+    """The points at which the decider's runs over rows (y, ascending xs)
+    differ from its one-point rows, and how many points the runs decided
+    in bulk: (mismatches, converged bulk, wedge bulk).  The row form takes
+    no z = 0 (the CLI's apex), so the rows are split there.
 
     Besides the results, the work must match (``counts`` from the ``work``
-    fixture): the row form evaluates the kernel as often as decide, and
-    leaves to decide exactly the points that neither a certificate nor the
-    wedge row test certifies, each evaluated point by point.  The
-    certified points are those decide certifies converged without a
-    kernel evaluation in the part of the plane where its certificates are
-    monotone in |x| (J on and above the real axis, mirrored for 'minus';
-    the full line where |x| >= |y|), and those that the wedge row test
-    certifies in the part of the plane that holds a wedge (J below the
-    real axis, mirrored for 'minus'; anywhere for the full line), which
-    decide reports diverged without a kernel evaluation.  So a run that
-    ends one point early or late fails too."""
-    decide_row = _decider(kind, schedule)[1]
-    wedge_row = kernels._wedge_certificate(
-        schedule, 0.0 if kind == "full_line" else 0.5)[1]
+    fixture): a row evaluates the kernel as often as its one-point rows
+    together, and leaves to its per-point function exactly the points that
+    neither a convergence certificate nor the wedge test certifies, as
+    each one-point row does.  The certified points are those a one-point
+    row decides converged without a kernel evaluation in the part of the
+    plane where the certificates are monotone in |x| (J on and above the
+    real axis, mirrored for 'minus'; the full line where |x| >= |y|), and
+    those that the wedge test certifies in the part of the plane that
+    holds a wedge (J below the real axis, mirrored for 'minus'; anywhere
+    for the full line), which a one-point row reports diverged without a
+    kernel evaluation.  So a run that ends one point early or late fails
+    too."""
+    decide_row = _decider(kind, schedule)
+    wedge = kernels._wedge_certificate(
+        schedule, 0.0 if kind == "full_line" else 0.5)
 
-    def run(fn, *args):
-        counts.update(kernel=0, decide=0)
-        return fn(*args), counts["kernel"], counts["decide"]
+    def run(y, xs):
+        counts.update(kernel=0, uncertified=0)
+        return (_points(decide_row(y, xs), len(xs)), counts["kernel"],
+                counts["uncertified"])
 
     mismatches, converged_bulk, wedge_bulk = [], 0, 0
     for y, xs in rows:
@@ -299,31 +315,22 @@ def _row_mismatches(counts, kind, schedule, rows, decide):
                 pieces[-1].append(x)
         upper = (-y if kind == "minus" else y) >= 0.0
         for piece in pieces:
-            runs, kernel_calls, decide_calls = run(decide_row, y, piece)
-            got, start = [], 0
-            for stop, status, value in runs:
-                n = stop - start
-                assert n > 0
-                if type(value) is not list:
-                    value = [value] * n
-                assert len(value) == n
-                got += [(status, v) for v in value]
-                start = stop
-            assert start == len(piece)
-            converged = wedge = 0
+            got, kernel_calls, uncertified = run(y, piece)
             for x, have in zip(piece, got):
-                want, k, _ = run(decide, complex(x, y))
+                (want,), k, u = run(y, (x,))
                 kernel_calls -= k
+                uncertified -= u
                 mismatches += [(kind, complex(x, y))] if have != want else []
                 monotone = abs(x) >= abs(y) if kind == "full_line" else upper
-                converged += monotone and want[0] == "converged" and k == 0
-                if (kind == "full_line" or not upper) and wedge_row(x, y):
+                in_span = monotone and want[0] == "converged" and k == 0
+                in_wedge = (kind == "full_line" or not upper) and wedge(x, y)
+                if in_wedge:
                     assert (want, k) == (("diverged", OVERFLOW), 0), (kind, x, y)
-                    wedge += 1
+                assert u == (not (in_span or in_wedge)), (kind, x, y)
+                converged_bulk += in_span
+                wedge_bulk += in_wedge
             assert kernel_calls == 0, (kind, y)
-            assert decide_calls == len(piece) - converged - wedge, (kind, y)
-            converged_bulk += converged
-            wedge_bulk += wedge
+            assert uncertified == 0, (kind, y)
     return mismatches, converged_bulk, wedge_bulk
 
 
@@ -360,9 +367,7 @@ def test_row_decider_matches_decide(work, flags):
     rows += _ray_rows(random.Random(19)) + _APEX_ROWS + _FAR_ROWS
     converged = wedge = 0
     for kind in _KINDS.values():
-        mismatches, n, m = _row_mismatches(
-            work, kind, schedule, rows,
-            lambda z: _decide(kind, z, schedule))
+        mismatches, n, m = _row_mismatches(work, kind, schedule, rows)
         assert mismatches == []
         converged += n
         wedge += m
@@ -374,24 +379,26 @@ def test_row_decider_matches_decide(work, flags):
                                      _PINNED_SCHEDULES["deep"]))
 
 
-@pytest.mark.parametrize("seed", range(1, 6))
-def test_row_decider_matches_decide_on_the_benchmark_sweep(work, seed):
-    # the sweep pools of perfbench/workloads.py; decide is the function
-    # _decide calls once it has validated z
+def _sweep_pool(seed):
+    """The requests of the sweep pool of perfbench/workloads.py for seed."""
     spec = importlib.util.spec_from_file_location(
         "workloads", os.path.join(_ROOT, "perfbench", "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads.generate("sweep", seed)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_row_decider_matches_decide_on_the_benchmark_sweep(work, seed):
     schedule = RegularizationSchedule.default()
     converged = wedge = 0
-    for req in workloads.generate("sweep", seed):
+    for req in _sweep_pool(seed):
         kind = _KINDS[req["args"]["kernel"]]
         re_min, re_max, im_min, im_max, n_re, n_im = req["args"]["grid"]
         re = _axis(re_min, re_max, n_re)
         mismatches, n, m = _row_mismatches(
             work, kind, schedule,
-            [(im, re) for im in _axis(im_min, im_max, n_im)],
-            _decider(kind, schedule)[0])
+            [(im, re) for im in _axis(im_min, im_max, n_im)])
         assert mismatches == []
         converged += n
         wedge += m
@@ -399,25 +406,41 @@ def test_row_decider_matches_decide_on_the_benchmark_sweep(work, seed):
     assert converged > 35000 and wedge > 35000
 
 
+def test_decider_work_on_the_benchmark_sweep_is_pinned(monkeypatch):
+    # a certificate that stops firing, or fires one point short, changes
+    # no output, only the work: the seed-1 sweep pool, decided row by row
+    # as the CLI does, walks 70 ladders and evaluates J 704 times and K
+    # 917 times
+    calls = dict.fromkeys(("_ladder", "j_kernel", "_full_line"), 0)
+    for name in calls:
+        def counted(*args, fn=getattr(kernels, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    for req in _sweep_pool(1):
+        args = req["args"]
+        grid = run_domain_map(DomainMapRequest(grid=tuple(args["grid"]),
+                                               kernel=args["kernel"]))
+        for _row in grid.rows():
+            pass
+    assert calls == {"_ladder": 70, "j_kernel": 704, "_full_line": 917}
+
+
 def test_domain_map_decides_one_row_at_a_time(monkeypatch):
     # a 4001 x 4001 grid (16 million points) must not be decided up front:
     # reading its first point or first row decides that one row only
-    calls = {"rows": 0, "points": 0}
+    calls = {"rows": 0}
     make = cli._decider
 
     def counting(kind, schedule):
-        decide, decide_row = make(kind, schedule)
-
-        def point(z):
-            calls["points"] += 1
-            assert calls["points"] <= 4001, "decided beyond one row"
-            return decide(z)
+        decide_row = make(kind, schedule)
 
         def row(y, xs):
             calls["rows"] += 1
             assert calls["rows"] <= 1, "decided a second row"
+            assert len(xs) == 4001
             return decide_row(y, xs)
-        return point, row
+        return row
 
     monkeypatch.setattr(cli, "_decider", counting)
     req = DomainMapRequest(grid=(-2.0, 2.0, -2.0, 2.0, 4001, 4001),

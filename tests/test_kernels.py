@@ -674,33 +674,49 @@ def test_wedge_thresholds_pass_the_step_test():
 @pytest.mark.parametrize("name", list(_TABLE_SCHEDULES))
 def test_decide_at_the_wedge_thresholds_matches_the_ladders(name):
     schedule = _TABLE_SCHEDULES[name]
-    for z in _table_points(schedule) + _wedge_points():
-        for kind, limit_of in _LIMITS:
-            res = limit_of(z, schedule)
-            assert _decide(kind, z, schedule) == (res.status, res.value), (kind, z)
-    # the lookup against a walk over the table: certified at the first k
-    # with a >= A_k when |z|^2/4 is within that step's cap; also at every
-    # pairing of a = A_j (1 -+ 1e-9) with |z|^2/4 = (1 -+ 1e-9) cap_k
+    # per table, the pairings of a = A_j (1 -+ 1e-9) with |z|^2/4 =
+    # (1 -+ 1e-9) cap_k; some lie next to the rays, where the wedge test
+    # refuses points that the computed a would certify
     caps = [kernels._CERTIFY_MAX_W2 * lam for lam in schedule.lambdas[2:]]
+    pairings = {}
     for c in (0.0, 0.5):
         table = kernels._wedge_thresholds(schedule, c)
-        certified, row = kernels._wedge_certificate(schedule, c)
-        pts = _table_points(schedule)
-        for a in (a_k * f for a_k in table if a_k < math.inf
-                  for f in (1.0 - 1e-9, 1.0 + 1e-9)):
-            for w2 in (cap * f for cap in caps for f in (1.0 - 1e-9, 1.0 + 1e-9)):
-                if a <= w2:
-                    pts.append(cmath.rect(2.0 * math.sqrt(w2),
-                                          -0.5 * (math.pi - math.acos(a / w2))))
-        outcomes = set()
-        for z in pts:
-            x, y = z.real, z.imag
-            a = 0.25 * (y - x) * (y + x)
-            want = a >= sys.float_info.min and next(
+        pairings[c] = [
+            cmath.rect(2.0 * math.sqrt(w2), -0.5 * (math.pi - math.acos(a / w2)))
+            for a in (a_k * f for a_k in table if a_k < math.inf
+                      for f in (1.0 - 1e-9, 1.0 + 1e-9))
+            for w2 in (cap * f for cap in caps for f in (1.0 - 1e-9, 1.0 + 1e-9))
+            if a <= w2]
+    cases = [(kind, limit_of, z) for z in _table_points(schedule) + _wedge_points()
+             for kind, limit_of in _LIMITS]
+    # each table's pairings in the wedge of the kernels it serves
+    cases += [(kind, limit_of, sign * z) for kind, limit_of, sign, c in (
+        ("plus", kernel_limit, 1.0, 0.5), ("minus", kernel_limit_mirror, -1.0, 0.5),
+        ("full_line", full_line_limit, 1.0, 0.0)) for z in pairings[c]]
+    for kind, limit_of, z in cases:
+        res = limit_of(z, schedule)
+        assert _decide(kind, z, schedule) == (res.status, res.value), (kind, z)
+    # the wedge test against walks over the table, certified at the first
+    # k with a >= A_k when |z|^2/4 is within that step's cap: the walk at
+    # the computed lower bound a_lo exactly, and never a point that the
+    # walk at the computed a = (y - x)(y + x)/4 refuses
+    for c in (0.0, 0.5):
+        table = kernels._wedge_thresholds(schedule, c)
+        diverges = kernels._wedge_certificate(schedule, c)
+
+        def walk(a, x, y):
+            return a >= sys.float_info.min and next(
                 (0.25 * (x * x + y * y) <= cap
                  for a_k, cap in zip(table, caps) if a >= a_k), False)
-            assert certified(x, y) == want, (c, z)
-            assert want or not row(x, y), (c, z)
+        outcomes = set()
+        for z in _table_points(schedule) + pairings[c]:
+            x, y = z.real, z.imag
+            yy = y * y
+            got = diverges(x, y)
+            assert got == walk(0.25 * ((yy - x * x) - kernels._ROW_MARGIN * yy),
+                               x, y), (c, z)
+            want = walk(0.25 * (y - x) * (y + x), x, y)
+            assert want or not got, (c, z)
             outcomes.add(want)
         assert outcomes == ({True, False} if table else set())
 
@@ -766,17 +782,22 @@ def _rows(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(row=_rows())
 def test_decide_row_matches_decide(row):
-    # the runs of the row form give each point decide's (status, value)
+    # the runs of a row give each point the (status, value) of its
+    # one-point row
     kind, schedule, y, xs = row
-    decide, decide_row = kernels._decider(kind, schedule)
-    got, start = [], 0
-    for stop, status, value in decide_row(y, xs):
-        assert stop > start
-        if type(value) is not list:
-            value = [value] * (stop - start)
-        got += [(status, v) for v in value]
-        start = stop
-    assert got == [decide(complex(x, y)) for x in xs]
+    decide_row = kernels._decider(kind, schedule)
+
+    def points(xs):
+        got, start = [], 0
+        for stop, status, value in decide_row(y, xs):
+            assert stop > start
+            if type(value) is not list:
+                value = [value] * (stop - start)
+            got += [(status, v) for v in value]
+            start = stop
+        assert start == len(xs)
+        return got
+    assert points(xs) == [point for x in xs for point in points((x,))]
 
 
 def test_kernel_bounds_outside_the_wedges():
