@@ -383,6 +383,19 @@ def suite_tilted():
         worst = max(worst, abs(res.value - ref))
     checks.append(_check("tilted/matches-contour-route", worst, 1e-6))
 
+    # the PV over the whole range |phi| < pi/2, also where the kernel route
+    # diverges: pv_contour checks no domain, and its subtraction along the
+    # contour is independent of the fold in q; 1e-12 is the contour PV's
+    # quadrature tolerance per piece
+    worst = 0.0
+    f = functionals.catalog_function("gauss(0.3)")
+    for phi in (-1.37, -1.2, -0.9, -0.4, 0.0, 0.4, 0.9, 1.2, 1.37):
+        line = tilted.TiltedLine(phi, -3.0, 3.0)
+        pv = tilted.tilted_plemelj(f, line).pv_part
+        ref = functionals.pv_contour(f, line.to_contour())
+        worst = max(worst, abs(pv - ref) / max(1.0, abs(ref)))
+    checks.append(_check("tilted/pv-part-matches-contour-pv", worst, 1e-12))
+
     flag_errors = 0
     for phi, expect in ((math.pi / 4 + 0.05, True), (-(math.pi / 4 + 0.05), True),
                         (math.pi / 4 - 0.05, False), (-(math.pi / 4 - 0.05), False)):

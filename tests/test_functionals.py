@@ -2,6 +2,7 @@
 import cmath
 import math
 import random
+import re
 import warnings
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from plemelj.contours import (Arc, Contour, ContourError, Line,
                               segment_path, tilted_segment)
-from plemelj.functionals import (CATALOG_EXAMPLES, AdmissibilityError,
+from plemelj.functionals import (_LAMBDA_LADDER, _OVERLAP_LADDER,
+                                 CATALOG_EXAMPLES, AdmissibilityError,
                                  DomainViolationError, FunctionalResult,
                                  OrientationError, PvDivergenceError,
                                  TestFunction, check_analytic, delta_action,
@@ -18,6 +20,7 @@ from plemelj.functionals import (CATALOG_EXAMPLES, AdmissibilityError,
                                  overlap_delta, plemelj_delta,
                                  plemelj_minus, plemelj_plus,
                                  pv_contour, catalog_function)
+from plemelj.quadrature import richardson
 
 # frozen series-oracle values (tests below regenerate them)
 TWO_SHI_ONE = 2.1145017507514570291    # PV int_{-1}^{1} e^z/z dz = 2 Shi(1)
@@ -647,7 +650,7 @@ def test_lambda_route_shares_kernel_values_across_the_ladder(monkeypatch):
 def test_lambda_route_evaluates_f_once_per_point():
     # f(z) does not depend on lambda, so one memo per call serves every
     # rung: no point is evaluated twice (without it, the seven rungs make
-    # 3,780 evaluations at 990 points)
+    # 2,820 evaluations at 990 points)
     points = []
 
     def gauss(z):
@@ -657,6 +660,196 @@ def test_lambda_route_evaluates_f_once_per_point():
     lambda_route(TestFunction(gauss), segment_path(-2.5, 2.5))
     assert 0 < len(points) <= 1300
     assert len(set(points)) == len(points)
+
+
+def test_ladder_work_is_pinned(monkeypatch):
+    # a rung tolerance or a pre-split that changes changes no output, only
+    # the work: (integrand evaluations, GK15 panels, kernel calls)
+    import plemelj.functionals as functionals
+    import plemelj.quadrature as quadrature
+    counts = [0, 0, 0]
+    gk15 = quadrature.gk15
+
+    def counting_gk15(g, a, b):
+        def h(t):
+            counts[0] += 1
+            return g(t)
+        counts[1] += 1
+        return gk15(h, a, b)
+
+    monkeypatch.setattr(quadrature, "gk15", counting_gk15)
+    for name in ("j_kernel", "full_line_kernel"):
+        def counted(z, lam, kernel=getattr(functionals, name)):
+            counts[2] += 1
+            return kernel(z, lam)
+        monkeypatch.setattr(functionals, name, counted)
+    f = catalog_function("gauss(0.3)")
+    straight = segment_path(-2.5, 2.5)
+    bent = segment_path(-2.5, -0.6 - 0.3j, 0.6 + 0.3j, 2.6)
+    work = {}
+    for name, route in (
+            ("plus straight", lambda: lambda_route(f, straight)),
+            ("full_line straight",
+             lambda: lambda_route(f, straight, kernel="full_line")),
+            ("plus bent", lambda: lambda_route(f, bent)),
+            ("full_line bent", lambda: lambda_route(f, bent, kernel="full_line")),
+            ("overlap bent", lambda: overlap_delta(0.3 + 0.15j, f, bent))):
+        counts[:] = [0, 0, 0]
+        route()
+        work[name] = tuple(counts)
+    assert work == {"plus straight": (2820, 188, 810),
+                    "full_line straight": (2040, 136, 510),
+                    "plus bent": (3360, 224, 1530),
+                    "full_line bent": (3240, 216, 1170),
+                    "overlap bent": (3210, 214, 1380)}
+
+
+_LADDERS = {
+    "default": _LAMBDA_LADDER,
+    "overlap": _OVERLAP_LADDER,
+    "four": _LAMBDA_LADDER[:4],
+    "ratio-3": tuple(0.05 * 3.0 ** -m for m in range(7)),
+}
+
+
+@pytest.mark.parametrize("name", list(_LADDERS))
+def test_rung_tolerances_split_the_propagated_bound(monkeypatch, name):
+    # the limit is sum c_k V_k; rung k runs at tol sum|c_j| / (n |c_k|),
+    # tol = 1e-11 / pieces, so every rung adds the same share to the
+    # propagated bound sum |c_k| tol_k, which stays tol sum |c_k|
+    import plemelj.functionals as functionals
+    lambdas = _LADDERS[name]
+    n = len(lambdas)
+    weights = [richardson([float(j == k) for j in range(n)], lambdas[0] / lambdas[1])[0]
+               for k in range(n)]
+    tols = []
+    adaptive = functionals.integrate_adaptive
+
+    def recording(g, a, b, abs_tol, **kwargs):
+        tols.append(abs_tol)
+        return adaptive(g, a, b, abs_tol=abs_tol, **kwargs)
+
+    monkeypatch.setattr(functionals, "integrate_adaptive", recording)
+    rng = random.Random("lambda:ratio-3")
+    path, line = _seeded_path(rng, "straight")
+    f = _seeded_functions(rng)[0]
+    value = lambda_route(f, path, lambdas=lambdas)
+    pieces = len(tols) // n
+    assert pieces * n == len(tols)
+    rungs = [set(tols[k * pieces:(k + 1) * pieces]) for k in range(n)]
+    assert all(len(rung) == 1 for rung in rungs)
+    rung_tols = [min(rung) for rung in rungs]
+    assert all(0.0 < t < math.inf for t in rung_tols)
+    tol, total = 1e-11 / pieces, sum(abs(c) for c in weights)
+    shares = [abs(c) * t for c, t in zip(weights, rung_tols)]
+    assert sum(shares) <= tol * total * (1.0 + 1e-12)
+    assert max(shares) <= min(shares) * (1.0 + 1e-12)
+    if name == "default":
+        assert rung_tols[-1] < 0.2 * tol and min(rung_tols[:4]) > 550.0 * tol
+    if n == 7:   # four rungs stop at about 1e-7, short of the floor
+        ref = 1j * _scipy_pv(f, *line) + math.pi * f.at_zero()
+        assert _rel_err(value, ref) <= 2e-13
+
+
+def test_rung_tolerances_stay_finite():
+    # a weight of 0 or one that is not finite keeps the common tolerance
+    from plemelj.functionals import _rung_tolerances
+    assert _rung_tolerances(1.0, [0.5, -1.5]) == [2.0, 2.0 / 3.0]
+    for weights in ([0.0, 1.0, -2.0], [math.nan, 1.0], [math.inf, 1.0],
+                    [0.0, 0.0]):
+        tols = _rung_tolerances(1e-11, weights)
+        assert all(0.0 < t < math.inf for t in tols), weights
+    assert _rung_tolerances(1e-11, [0.0, 1.0, -2.0])[0] == 1e-11
+
+
+def _mp_twin(label):
+    """The catalog function of ``label`` as an mpmath function."""
+    import mpmath as mp
+    if label == "cos_gauss":
+        return lambda z: mp.cos(z) * mp.exp(-z * z)
+    m = re.fullmatch(r"(?:poly_gauss\((\d+),|gauss\()(.+)\)", label)
+    n, a = int(m.group(1) or 0), mp.mpc(complex(m.group(2)))
+    return lambda z: z ** n * mp.exp(-(z - a) ** 2)
+
+
+def _mp_pv(label, phi, q0, q1):
+    """PV of f(q e^{i phi}) / q dq over [q0, q1] at 30 digits, folded at 0."""
+    import mpmath as mp
+    f = _mp_twin(label)
+    with mp.workdps(30):
+        d = mp.expj(phi)
+        m = min(-q0, q1)
+        pv = mp.quad(lambda q: (f(q * d) - f(-q * d)) / q, [0, m])
+        if q1 > m:
+            pv += mp.quad(lambda q: f(q * d) / q, [m, q1])
+        if -q0 > m:
+            pv += mp.quad(lambda q: f(q * d) / q, [q0, -m])
+        return complex(pv)
+
+
+@pytest.fixture
+def limits(monkeypatch):
+    """The (limit, error estimate) of every _regularized_limit call."""
+    import plemelj.functionals as functionals
+    got = []
+    regularized = functionals._regularized_limit
+
+    def recording(*args, **kwargs):
+        got.append(regularized(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(functionals, "_regularized_limit", recording)
+    return got
+
+
+# The estimate is the larger of the triangle's last correction and the
+# propagated quadrature estimate sum |c_k| e_k.  It must cover the error
+# against mpmath or a closed form, and stay below the propagated bound
+# 1e-11 sum |c_k| = 2.0e-11 that the rung tolerances keep.
+
+@pytest.mark.parametrize("kernel", ["plus", "minus", "full_line"])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_lambda_route_error_estimate_covers_its_error(limits, family, kernel):
+    rng = random.Random(f"estimate:{family}:{kernel}")
+    path, line = _seeded_path(rng, family)
+    for f in _seeded_functions(rng):
+        f0 = f.at_zero()
+        if kernel == "full_line":
+            ref = 2 * math.pi * f0
+        else:
+            sign = 1j if kernel == "plus" else -1j
+            ref = sign * _mp_pv(f.label, *line) + math.pi * f0
+        value = lambda_route(f, path, kernel=kernel)
+        limit, estimate = limits[-1]
+        assert limit == value
+        assert abs(value - ref) <= estimate <= 2e-11, f.label
+
+
+def _overlap_path(rng, family):
+    """(path, z2) with every slope inside (-pi/4, pi/4)."""
+    a, b = rng.uniform(2.4, 2.8), rng.uniform(2.4, 2.8)
+    sign = rng.choice((-1.0, 1.0))
+    if family == "straight":
+        d = cmath.exp(1j * sign * rng.uniform(0.15, 0.45))
+        return segment_path(-a * d, b * d), rng.uniform(-0.8, 0.8) * d
+    if family == "bent":
+        mid = complex(rng.uniform(-0.3, 0.3), sign * rng.uniform(0.3, 0.4))
+        return segment_path(-a, mid, b, crossing=None), mid + rng.uniform(0.3, 0.5) * (b - mid)
+    # an arc through 0 turning by 1.2, its tangents within 0.6 of the axis
+    arc = Arc(2j * sign, 2.0, -sign * (0.5 * math.pi + 0.6), -sign * (0.5 * math.pi - 0.6))
+    path = Contour([Line(-a, arc.start), arc, Line(arc.end, b)])
+    return path, arc.point(rng.uniform(0.2, 0.8))
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_overlap_error_estimate_covers_its_error(limits, family):
+    rng = random.Random(f"estimate:overlap:{family}")
+    path, z2 = _overlap_path(rng, family)
+    for f in _seeded_functions(rng):
+        value = overlap_delta(z2, f, path)
+        limit, estimate = limits[-1]
+        assert limit == value
+        assert abs(value - 2 * math.pi * f(z2)) <= estimate <= 2e-11, f.label
 
 
 def test_routes_take_a_plain_callable():

@@ -207,3 +207,19 @@ def test_eps_offset_check_can_fail(monkeypatch):
     assert checks["tilted/eps-limit-matches-step-form"].passed
     check = checks["tilted/eps-offset-matches-closed-form"]
     assert check.measured > 1e-10 and not check.passed
+
+
+def test_pv_part_check_can_fail(monkeypatch):
+    # a pv_part 1e-9 off: within the contour-route check's 1e-6, far
+    # outside the pv_contour check's 1e-12, at every tilt up to pi/2
+    from plemelj import tilted, verify
+    pv_real_line = tilted._pv_real_line
+
+    def off(g, q_min, q_max):
+        pv, err = pv_real_line(g, q_min, q_max)
+        return pv + 1e-9, err
+    monkeypatch.setattr(tilted, "_pv_real_line", off)
+    checks = {c.name: c for c in verify.suite_tilted()}
+    assert checks["tilted/matches-contour-route"].passed
+    check = checks["tilted/pv-part-matches-contour-pv"]
+    assert check.measured > 1e-10 and not check.passed
