@@ -308,6 +308,9 @@ _J_ROUNDING = 1e-13
 # positive: its roundings, and the 3u (y^2 - x^2) between the two, come to
 # less than 8u y^2.  As a power of two, 8u times y^2 is exact.
 _ROW_MARGIN = 8.0 * 2.0 ** -53
+# Share of J's tolerance below the real axis that its convergence
+# certificate gives |z| |K(z, lambda)|, the erfcx tail the rest (_decider).
+_EXP_SHARE = 1e-3
 
 
 def _wedge_bounds(a: float, lam: float, c: float) -> tuple:
@@ -479,19 +482,10 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     xs[start:stop], start being the previous run's stop (0 for the first),
     and its value is the common value of its points or a list of one value
     per point.  Each point gets the (status, value) its ladder reports.
-    Along a row, each test of the certificates below is, as computed,
-    monotone in |x| on either side of x = 0: |x| >= |y|; q = (x^2 + y^2)/4
-    against its bounds; where |x| >= |y|, (x - y)(x + y) >= s_min, a
-    product of two non-negative factors that do not fall as |x| grows; and
-    the wedge test of :func:`_wedge_certificate`.  So the points a
-    convergence certificate holds for form at most one span on each side,
-    and the points the wedge test certifies one span around x = 0.
-    Bisection that evaluates those tests finds each span, which becomes one
-    run, and a point's result does not depend on the other points of its
-    row.  The points between the spans have failed the certificates, and
-    go one at a time to a function that decides them without those: J's
-    exponential test below the real axis, which is not monotone along a
-    row, the one-step verdict and the walks down the schedule.
+    The kinds differ only in data: the kernel, its limit and, per half
+    plane, the shortcut, the certificate's bounds and the wedge test.
+    'minus' decides -z with J; every test below gives z and -z the same
+    result, bit for bit.
 
     Outside the open excluded wedge(s) the kernel obeys
     |kernel(z, lambda)| <= c sqrt(pi/lambda) for every lambda > 0:
@@ -507,34 +501,56 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     and a point there is certified ``converged`` without any kernel
     evaluation where the kernel at lambda_min provably lies within tol of
     the limit.  tol is convergence_tol shrunk by a relative 1e-6, which
-    covers the rounding of K, and for J also by _J_ROUNDING:
+    covers the rounding of K, and for J also by _J_ROUNDING.  With
+    q = |z|^2/4 and s = Re(z^2) = (x - y)(x + y):
 
-    * J, Im z >= 0: |J - i/z| <= (4 C lambda / |z|^2) |i/z| with
-      C = 1 + 2 e^{-3/2} (_ERFCX_TAIL): certified for |z|^2 >= 4 C
-      lambda_min / tol, with the value i/z;
-    * J, Im z < 0: J - i/z = K(z) - (J(-z) + i/z), so certified where
-      |z| |K(z, lambda_min)| + 4 C lambda_min / |z|^2 <= tol;
-    * K: certified where |K(z, lambda_min)| <= tol, i.e. where
-      (x - y)(x + y) passes a fixed bound, with the value 0j.
+    * J, Im z >= 0: |J - i/z| <= (C lambda / q) |i/z| with
+      C = 1 + 2 e^{-3/2} (_ERFCX_TAIL): certified for
+      q >= q_min = C lambda_min / tol, with the value i/z;
+    * J, Im z < 0: J - i/z = K(z) - (J(-z) + i/z) adds |z| |K| to that
+      bound.  tol is split: (1 - _EXP_SHARE) tol for the erfcx tail, met
+      for q >= q_min / (1 - _EXP_SHARE), and _EXP_SHARE tol for |z| |K|
+      <= 2 sqrt(pi/lambda_min) sqrt(q_max) exp(-s / (4 lambda_min)), met
+      for s >= s_exp.  Certified where both are, with the value i/z;
+    * K: certified where |K(z, lambda_min)| <= tol, i.e. for s >= s_min,
+      with the value 0j.
 
     Any other such point costs one kernel evaluation at lambda_min.  The
     certificates refuse where their margin cannot be shown to dominate the
-    kernel's rounding: at |w|^2 = |z|^2 / (4 lambda_min) > _CERTIFY_MAX_W2,
-    for a subnormal lambda_min, and for J when tol is within _J_ROUNDING
-    of 0.  The one-step verdict itself needs the computed kernel to stay
-    below the threshold at every step.  The exponent of K, and of
-    exp(w^2) in J below the axis, carries an error of up to
-    _EXP_ROUNDING |w|^2, so beyond the |w|^2 at which that could lift the
-    bound to the threshold (about 3e15 at the defaults) the full ladder
-    runs.  On a deeper schedule the walk starts two steps before the
-    first step whose bound reaches the threshold, as the divergence test
-    looks back two steps, where that exponent error can neither lift a
-    step it skips to the threshold nor overflow it; from step 0
-    elsewhere.  Inside the wedge(s) one lookup in a table of
-    thresholds on a = -Re(z^2)/4, built once per schedule and kernel
-    (:func:`_wedge_certificate`), certifies the ladder's divergence
-    without evaluating the kernel; where it cannot (next to the boundary
-    rays, on schedules of one or two steps), the full ladder runs.
+    kernel's rounding: at q > q_max = _CERTIFY_MAX_W2 lambda_min, for a
+    subnormal lambda_min, and for J when tol is within _J_ROUNDING of 0.
+    The computed q and s lie within 3u of |z|^2/4 and Re(z^2), relative
+    (u = 2^-53), which moves s / (4 lambda_min) by less than 4e-8 at
+    q <= q_max, inside the 1e-6 margin on the bounds of K.  On J's K term
+    that margin leaves 1e-6 _EXP_SHARE tol of slack, which covers the few
+    ulps by which the rounded q and q_min / (1 - _EXP_SHARE) can lift the
+    tail term above its share.
+
+    The one-step verdict itself needs the computed kernel to stay below
+    the threshold at every step.  The exponent of K, and of exp(w^2) in J
+    below the axis, carries an error of up to _EXP_ROUNDING |w|^2, so
+    beyond the |w|^2 at which that could lift the bound to the threshold
+    (about 3e15 at the defaults) the full ladder runs.  On a deeper
+    schedule the walk starts two steps before the first step whose bound
+    reaches the threshold, as the divergence test looks back two steps,
+    where that exponent error can neither lift a step it skips to the
+    threshold nor overflow it; from step 0 elsewhere.  Inside the
+    wedge(s) one lookup in a table of thresholds on a = -Re(z^2)/4, built
+    once per schedule and kernel (:func:`_wedge_certificate`), certifies
+    the ladder's divergence without evaluating the kernel; where it
+    cannot (next to the boundary rays, on schedules of one or two steps),
+    the full ladder runs.
+
+    Along a row, each certificate test is, as computed, monotone in |x|
+    on either side of x = 0: |x| >= |y|; q against its bounds; where
+    |x| >= |y|, s against its bound, a product of two non-negative
+    factors that do not fall as |x| grows; and the wedge test.  So the
+    points a convergence certificate holds for form at most one span on
+    each side, and those the wedge test certifies one span around x = 0.
+    Bisection over those tests finds each span, which becomes one run.
+    The points between the spans go one at a time to a function that
+    makes no certificate test: the one-step verdict or the ladder walk.
+    So a point's result does not depend on the other points of its row.
     """
     lams = schedule.lambdas
     lam = lams[-1]
@@ -570,98 +586,74 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     # the largest |z|^2/4 a convergence certificate takes
     q_max = _CERTIFY_MAX_W2 * lam
     normal = lam >= sys.float_info.min
+    log_root = 0.5 * math.log(math.pi / lam)
 
-    if kind == "full_line":
-        q_one, first, q_late = shortcut(1.0)
-        wedge = _wedge_certificate(schedule, 0.0)
-        # 0.5 log(pi/lambda) - Re(z^2)/(4 lambda) <= log(tol) + _LOG_SHRINK
-        s_min = (4.0 * lam * (0.5 * math.log(math.pi / lam) - math.log(tol)
-                              - _LOG_SHRINK) if normal else math.inf)
+    def s_bound(log_scale, log_tol):
+        """The least s at which log_scale - s/(4 lambda) <= log_tol + _LOG_SHRINK."""
+        return 4.0 * lam * (log_scale - log_tol - _LOG_SHRINK) if normal else math.inf
 
-        def uncertified(z):
-            x, y = z.real, z.imag
-            if abs(x) < abs(y):   # Re(z^2) < 0, tested without rounding
-                res = _ladder(_full_line, z, 0j, schedule)
-                return res.status, res.value
-            q = 0.25 * (x * x + y * y)
-            if q <= q_one:
-                return _verdict(_full_line(z, lam), 0j, schedule)
-            res = _ladder(_full_line, z, 0j, schedule, first if q <= q_late else 0)
-            return res.status, res.value
-
-        def decide_row(y, xs):
-            ay = abs(y)
-
-            def up(x):     # the certificate tests that pass from an |x| on
-                return abs(x) >= ay and (x - y) * (x + y) >= s_min
-
-            def down(x):   # and those that pass up to an |x|
-                q = 0.25 * (x * x + y * y)
-                return q <= q_one and q <= q_max
-            (lo, hi), (lo_right, hi_right) = _spans(xs, up, down)
-            # the wedge, |x| < |y|, lies between the two
-            return _row_runs(uncertified, y, xs, (
-                (lo, hi, "converged", 0j),
-                (*_middle(xs, lambda x: wedge(x, y)), "diverged", OVERFLOW),
-                (lo_right, hi_right, "converged", 0j)))
-        return decide_row
-
-    # J above the axis has no exponential: erfcx(w) for Re w >= 0
-    upper, lower = shortcut(0.5, rounding=0.0), shortcut(1.5)
-    wedge = _wedge_certificate(schedule, 0.5)
-    tail = _ERFCX_TAIL * lam   # |J - i/z| / |i/z| <= tail / q, q = |z|^2/4
-    tol_j = tol * (1.0 - 1e-6) - _J_ROUNDING
-    q_min = tail / tol_j if normal and tol_j > 0.0 else math.inf
-    if not q_min >= sys.float_info.min:
-        q_min = math.inf
-    two_root = 2.0 * root
+    # per half plane: the shortcut, the certificate's q_min and s_min, and
+    # the wedge test, None where the half plane holds no wedge
+    full = kind == "full_line"
     mirror = kind == "minus"
+    if full:
+        kernel = _full_line
+        upper = lower = (shortcut(1.0), 0.0, s_bound(log_root, math.log(tol)),
+                         _wedge_certificate(schedule, 0.0))
+    else:
+        kernel = j_kernel
+        tail = _ERFCX_TAIL * lam   # |J - i/z| / |i/z| <= tail / q above the axis
+        tol_j = tol * (1.0 - 1e-6) - _J_ROUNDING
+        q_min = tail / tol_j if normal and tol_j > 0.0 else math.inf
+        if not q_min >= sys.float_info.min:
+            q_min = math.inf
+        s_exp = (s_bound(math.log(2.0 * math.sqrt(q_max)) + log_root,
+                         math.log(_EXP_SHARE * tol_j)) if q_min < math.inf else math.inf)
+        # J above the axis has no exponential: erfcx(w) for Re w >= 0
+        upper = (shortcut(0.5, rounding=0.0), q_min, -math.inf, None)
+        lower = (shortcut(1.5), q_min / (1.0 - _EXP_SHARE), s_exp,
+                 _wedge_certificate(schedule, 0.5))
 
     def uncertified(z):
         if mirror:
             z = -z
         x, y = z.real, z.imag
-        if y >= 0.0:
-            q_one, first, q_late = upper
-        elif abs(x) >= -y:   # Re(z^2) >= 0, tested without rounding
-            q_one, first, q_late = lower
-        else:
-            res = _ladder(j_kernel, z, 1j / z, schedule)
-            return res.status, res.value
+        limit = 0j if full else 1j / z
+        (q_one, first, q_late), _q_min, _s_min, wedge = upper if y >= 0.0 else lower
         q = 0.25 * (x * x + y * y)
-        if q <= q_one:
-            if y < 0.0 and q_min <= q <= q_max and (
-                    two_root * math.sqrt(q)
-                    * math.exp(-0.25 * (x - y) * (x + y) / lam)
-                    + tail / q <= tol_j):
-                return "converged", 1j / z
-            return _verdict(j_kernel(z, lam), 1j / z, schedule)
-        res = _ladder(j_kernel, z, 1j / z, schedule, first if q <= q_late else 0)
+        # Re(z^2) >= 0, tested without rounding; a wedge point walks from step 0
+        outside = wedge is None or abs(x) >= abs(y)
+        if outside and q <= q_one:
+            return _verdict(kernel(z, lam), limit, schedule)
+        res = _ladder(kernel, z, limit, schedule,
+                      first if outside and q <= q_late else 0)
         return res.status, res.value
 
-    q_one_upper = upper[0]
-
     def decide_row(y, xs):
-        # uncertified mirrors z to -z; q and the wedge test are the same
-        # for both, bit for bit
-        if not (-y if mirror else y) >= 0.0:
-            # the wedge as one run; the exp test outside it point by point
-            return _row_runs(uncertified, y, xs, (
-                (*_middle(xs, lambda x: wedge(x, y)), "diverged", OVERFLOW),))
+        (q_one, _first, _late), q_min, s_min, wedge = (
+            upper if (-y if mirror else y) >= 0.0 else lower)
+        ay = abs(y)
 
-        def up(x):
-            return q_min <= 0.25 * (x * x + y * y)
+        def up(x):     # the certificate tests that pass from an |x| on
+            return 0.25 * (x * x + y * y) >= q_min and (
+                wedge is None or abs(x) >= ay and (x - y) * (x + y) >= s_min)
 
-        def down(x):
+        def down(x):   # and those that pass up to an |x|
             q = 0.25 * (x * x + y * y)
-            return q <= q_max and q <= q_one_upper
+            return q <= q_one and q <= q_max
 
-        def values(lo, hi):
+        def converged(lo, hi):
+            if full:
+                return lo, hi, "converged", 0j
             if mirror:
-                return [1j / complex(-x, -y) for x in xs[lo:hi]]
-            return [1j / complex(x, y) for x in xs[lo:hi]]
-        return _row_runs(uncertified, y, xs, [(lo, hi, "converged", values(lo, hi))
-                                              for lo, hi in _spans(xs, up, down)])
+                return lo, hi, "converged", [1j / complex(-x, -y) for x in xs[lo:hi]]
+            return lo, hi, "converged", [1j / complex(x, y) for x in xs[lo:hi]]
+        left, right = _spans(xs, up, down)
+        # a wedge, |x| < |y|, lies between the two
+        middle = () if wedge is None else (
+            (*_middle(xs, lambda x: wedge(x, y)), "diverged", OVERFLOW),)
+        return _row_runs(uncertified, y, xs,
+                         (converged(*left), *middle, converged(*right)))
     return decide_row
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from .contours import Contour, tilted_segment
 from .functionals import _admissible_f, _f_at_zero, check_analytic
-from .kernels import RegularizationSchedule, _decider
 from .quadrature import integrate_adaptive
 
 
@@ -121,9 +120,9 @@ def log_branch_residual(q: float, phi: float, epsilon: float,
 @dataclass(frozen=True)
 class TiltedResult:
     """Tilted Plemelj action with its PV / delta split and the
-    kernel-validity mismatch flag (True when the regularized-kernel route
-    diverges on this line even though the formula route remains well
-    defined)."""
+    kernel-validity mismatch flag (True when |phi| >= pi/4, where the
+    regularized-kernel route does not converge on this line even though
+    the formula route remains well defined)."""
     value: complex
     pv_part: complex
     delta_part: complex
@@ -162,9 +161,10 @@ def tilted_plemelj(f, line: TiltedLine) -> TiltedResult:
 
     (the e^{-i phi} factor of the identity cancels against the line
     element e^{i phi} dq).  Where |phi| < pi/4 this equals
-    -i * plemelj_plus(f, line.to_contour()).value; for pi/4 < |phi| < pi/2
-    the formula route stays valid but the Gaussian-regularized kernel
-    diverges on the line, which the kernel_mismatch flag reports.
+    -i * plemelj_plus(f, line.to_contour()).value; for pi/4 <= |phi| < pi/2
+    the formula route stays valid but the Gaussian-regularized kernel does
+    not converge on the line, which the kernel_mismatch flag reports.  The
+    flag depends on phi alone, however short the line.
 
     An f whose value at 0 is not finite, or that overflows or cannot be
     integrated along the line, raises AdmissibilityError.
@@ -180,19 +180,5 @@ def tilted_plemelj(f, line: TiltedLine) -> TiltedResult:
         f0 = _f_at_zero(f, "tilted_plemelj")
         pv, _err = _pv_real_line(g, line.q_min, line.q_max)
     delta_part = -1j * math.pi * f0
-    mismatch = _kernel_route_diverges(line)
-    return TiltedResult(pv + delta_part, pv, delta_part, mismatch)
-
-
-def _kernel_route_diverges(line: TiltedLine) -> bool:
-    """Empirically probe the regularized kernel on both half-rays of the
-    line; True when either side diverges (|phi| beyond the strict range)."""
-    q_ref = 0.5 * min(-line.q_min, line.q_max)
-    phase = cmath.exp(1j * line.phi)
-    # the probes are finite and nonzero: the line's contour has been built
-    decide_row = _decider("plus", RegularizationSchedule.default())
-    for q in (q_ref, -q_ref):
-        z = q * phase
-        if decide_row(z.imag, (z.real,))[0][1] == "diverged":
-            return True
-    return False
+    return TiltedResult(pv + delta_part, pv, delta_part,
+                        not line.strict_kernel_valid)

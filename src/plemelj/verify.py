@@ -216,11 +216,17 @@ def suite_kernels():
     # points, the boundary rays, and the bands around the radii where the
     # convergence certificates switch on, |z|^2 = 4 C lambda_min / tol for
     # J (C = 1 + 2 e^{-3/2}) and Re(z^2) = 4 lambda_min log(sqrt(pi /
-    # lambda_min) / tol) for K
+    # lambda_min) / tol) for K; below the real axis J's switches on at
+    # |z|^2 = 4 C lambda_min / ((1 - d) tol) and Re(z^2) = 4 lambda_min
+    # log(2 sqrt(pi / lambda_min) sqrt(q_max) / (d tol)), d its share of
+    # tol for the K term and q_max = 1e8 lambda_min its cap on |z|^2/4
     schedule = kernels.RegularizationSchedule.default()
     lam, tol = schedule.lambdas[-1], schedule.convergence_tol
     r_j = math.sqrt(4.0 * (1.0 + 2.0 * math.exp(-1.5)) * lam / tol)
     s_k = 4.0 * lam * math.log(math.sqrt(math.pi / lam) / tol)
+    d, q_max = kernels._EXP_SHARE, kernels._CERTIFY_MAX_W2 * lam
+    r_tail = r_j / math.sqrt(1.0 - d)
+    s_exp = 4.0 * lam * math.log(2.0 * math.sqrt(math.pi / lam * q_max) / (d * tol))
     rng = random.Random(20240615)
     pts = [cmath.rect(r_j * 10.0 ** rng.uniform(-1.0, 1.0),
                       rng.uniform(-math.pi, math.pi)) for _ in range(40)]
@@ -232,6 +238,15 @@ def suite_kernels():
                                   * rng.uniform(0.9, 1.1), angle))
     pts += [cmath.rect(r, (0.5 * q + 0.25) * math.pi)
             for q in range(4) for r in (0.3 * r_j, r_j, 3.0 * r_j)]
+    # below the axis outside the wedge, either side of Re z = 0, and
+    # mirrored above it for 'minus'
+    for _ in range(10):
+        r = 2.0 * math.sqrt(q_max) * 10.0 ** rng.uniform(-2.0, 0.0)
+        angle = 0.5 * math.acos(min(s_exp * rng.uniform(0.5, 1.5) / (r * r), 1.0))
+        for z in (cmath.rect(r_tail * rng.uniform(0.999, 1.001),
+                             -rng.uniform(0.0, 0.25) * math.pi),
+                  cmath.rect(r, -angle)):
+            pts += [z, -z, -z.conjugate(), z.conjugate()]
     # and both wedges' centre lines, where a = -Re(z^2)/4 = |z|^2/4, at
     # a = A_k (1 -+ 1e-9) for each threshold A_k of the wedge certificates
     for c in (0.0, 0.5):

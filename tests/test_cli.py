@@ -288,10 +288,9 @@ def _row_mismatches(counts, kind, schedule, rows):
     together, and leaves to its per-point function exactly the points that
     neither a convergence certificate nor the wedge test certifies, as
     each one-point row does.  The certified points are those a one-point
-    row decides converged without a kernel evaluation in the part of the
-    plane where the certificates are monotone in |x| (J on and above the
-    real axis, mirrored for 'minus'; the full line where |x| >= |y|), and
-    those that the wedge test certifies in the part of the plane that
+    row decides converged without a kernel evaluation (on either side of
+    the real axis; every other point evaluates the kernel at least once),
+    and those that the wedge test certifies in the part of the plane that
     holds a wedge (J below the real axis, mirrored for 'minus'; anywhere
     for the full line), which a one-point row reports diverged without a
     kernel evaluation.  So a run that ends one point early or late fails
@@ -321,8 +320,7 @@ def _row_mismatches(counts, kind, schedule, rows):
                 kernel_calls -= k
                 uncertified -= u
                 mismatches += [(kind, complex(x, y))] if have != want else []
-                monotone = abs(x) >= abs(y) if kind == "full_line" else upper
-                in_span = monotone and want[0] == "converged" and k == 0
+                in_span = want[0] == "converged" and k == 0
                 in_wedge = (kind == "full_line" or not upper) and wedge(x, y)
                 if in_wedge:
                     assert (want, k) == (("diverged", OVERFLOW), 0), (kind, x, y)
@@ -406,11 +404,11 @@ def test_row_decider_matches_decide_on_the_benchmark_sweep(work, seed):
     assert converged > 35000 and wedge > 35000
 
 
-def test_decider_work_on_the_benchmark_sweep_is_pinned(monkeypatch):
+def test_decider_work_on_the_benchmark_sweep_is_pinned(work, monkeypatch):
     # a certificate that stops firing, or fires one point short, changes
     # no output, only the work: the seed-1 sweep pool, decided row by row
-    # as the CLI does, walks 70 ladders and evaluates J 704 times and K
-    # 917 times
+    # as the CLI does, leaves 781 points to the per-point function, walks
+    # 70 ladders and evaluates J 704 times and K 917 times
     calls = dict.fromkeys(("_ladder", "j_kernel", "_full_line"), 0)
     for name in calls:
         def counted(*args, fn=getattr(kernels, name), name=name):
@@ -424,6 +422,7 @@ def test_decider_work_on_the_benchmark_sweep_is_pinned(monkeypatch):
         for _row in grid.rows():
             pass
     assert calls == {"_ladder": 70, "j_kernel": 704, "_full_line": 917}
+    assert work == {"kernel": 704 + 917, "uncertified": 781}
 
 
 def test_domain_map_decides_one_row_at_a_time(monkeypatch):
@@ -716,6 +715,17 @@ def test_verify_suite_passes(suite):
 def test_verify_unknown_suite_usage_error():
     r = run_cli("verify", "--suite", "bogus")
     assert r.returncode == 2
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # only the verify command imports the suites; the other commands do
+    # not compile verify.py
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, plemelj.cli; print('plemelj.verify' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
 
 
 # -- JSON emitter ----------------------------------------------------------------------

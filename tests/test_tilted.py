@@ -151,6 +151,23 @@ def test_kernel_mismatch_bracketing():
         assert res.kernel_mismatch == expect, phi
 
 
+@pytest.mark.parametrize("line, expect", [
+    (TiltedLine(1.2, -0.01, 0.01), True),
+    (TiltedLine(0.9, -0.001, 0.001), True),
+    (TiltedLine(-1.2, -0.01, 0.01), True),
+    (TiltedLine(-0.9, -0.001, 2.0), True),
+    (TiltedLine(math.pi / 4, -2.0, 2.0), True),
+    (TiltedLine(-math.pi / 4, -0.01, 0.01), True),
+    (TiltedLine(0.7, -0.001, 0.001), False),
+    (TiltedLine(-0.7, -0.01, 0.01), False)])
+def test_kernel_mismatch_depends_on_the_tilt_alone(line, expect):
+    # near the origin the kernel limit reads undecided, yet the kernel
+    # route diverges along the whole line once |phi| >= pi/4, however
+    # short the line
+    res = tilted_plemelj(catalog_function("gauss(0)"), line)
+    assert res.kernel_mismatch is expect
+
+
 @pytest.mark.parametrize("line", [TiltedLine(0.1, -2.0, 2.0),
                                   TiltedLine(0.0, -1.0, 2.0),
                                   TiltedLine(-0.3, -2.5, 0.5)],
