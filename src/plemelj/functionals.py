@@ -170,14 +170,13 @@ CATALOG_EXAMPLES = ("one", "gauss(0)", "gauss(0.3)", "poly_gauss(1,0)",
                     "poly_gauss(2,0.3)", "cos_gauss")
 
 
-def check_analytic(f, path: Contour, samples: int = 20, tol: float = 1e-6):
-    """Spot-check analyticity of f along the path: the centered difference
-    quotients taken in two orthogonal directions must agree (a finite
-    Cauchy-Riemann stencil).  Raises AdmissibilityError on failure."""
+def check_analytic(f, path: Contour):
+    """Spot-check analyticity of f at 20 points along the path: the
+    centered difference quotients taken in two orthogonal directions must
+    agree to 1e-6 relative (a finite Cauchy-Riemann stencil).  Raises
+    AdmissibilityError on failure."""
     n = len(path.segments)
-    checked = 0
-    k = 0
-    while checked < samples:
+    for k in range(20):
         seg = path.segments[k % n]
         t = ((k * 0.37) % 0.9) + 0.05
         z0 = seg.point(t)
@@ -186,12 +185,10 @@ def check_analytic(f, path: Contour, samples: int = 20, tol: float = 1e-6):
         d_im = (f(z0 + 1j * h) - f(z0 - 1j * h)) / (2j * h)
         resid = abs(d_re - d_im)
         scale = max(1.0, abs(d_re), abs(d_im))
-        if resid > tol * scale:
+        if resid > 1e-6 * scale:
             raise AdmissibilityError(
                 f"Cauchy-Riemann residual {resid:.3e} at z = {z0!r} exceeds "
-                f"{tol:.0e} * {scale:.3g}; the handle is not analytic there")
-        checked += 1
-        k += 1
+                f"1e-06 * {scale:.3g}; the handle is not analytic there")
 
 
 @contextmanager
@@ -230,9 +227,9 @@ def _check_domain(path: Contour, domain: WedgeDomain, op: str):
 
 
 def _check_one_crossing(path: Contour, op: str):
-    """The test :func:`_check_domain` makes at the apex, for the routes
-    that check no domain: the path meets the origin at its marked crossing,
-    between its ends, and nowhere else."""
+    """The path meets the origin at its marked crossing, between its ends,
+    and nowhere else.  :func:`_check_domain` makes this test at the apex
+    too, except for the ends."""
     if path.crossing is None:
         raise ContourError(f"{op} needs a contour marked as crossing 0")
     if 0.0 in path.arm_lengths():
@@ -474,31 +471,11 @@ def deformation_route(f, path: Contour, side: str = "above") -> complex:
 # 2 pi sum_n lam^n f^(2n)(z2) / n!, and away from the origin J follows
 # A&S 7.1.23 in 1/w^2 = -4 lam / z^2.  Seven values reach the quadrature
 # floor; each smaller lambda costs more panels next to the kernel centre.
-# The last rungs carry the limit (Richardson weights up to 1.45), the first
-# ones almost nothing (3.3e-13 on the first), so each rung is integrated
-# only as tightly as its weight needs (see _regularized_limit).  The ratio
-# 4 halves sqrt(lambda) exactly from one value to the next, which lets the
-# rungs share kernel values.
+# Both ladders have ratio 4, which halves sqrt(lambda) exactly from one
+# value to the next, and 4^m lambda_m == lambda_0 holds exactly on every
+# rung, so the rungs share kernel values (see _regularized_limit).
 _LAMBDA_LADDER = tuple(0.0625 * 0.25 ** m for m in range(7))
-
-
-def _ladder_ratio(lambdas, what: str) -> float:
-    """Common ratio of a geometric lambda ladder, the step of the Richardson
-    triangle in lambda; rejects anything the triangle would silently
-    mis-extrapolate."""
-    lambdas = tuple(float(v) for v in lambdas)
-    for v in lambdas:
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(
-                f"{what} ladder values must be positive finite reals, got {v!r}")
-    if len(lambdas) < 4:
-        raise ValueError(f"{what} needs at least 4 ladder values")
-    ratios = [a / b for a, b in zip(lambdas[:-1], lambdas[1:])]
-    if any(not r > 1.0 for r in ratios):
-        raise ValueError(f"{what} ladder must decrease strictly")
-    if max(ratios) > min(ratios) * (1.0 + 1e-9):
-        raise ValueError(f"{what} ladder must be geometric (constant ratio)")
-    return ratios[0]
+_OVERLAP_LADDER = tuple(0.1 * 0.25 ** m for m in range(7))
 
 
 def _richardson_weights(n: int, ratio: float):
@@ -509,17 +486,18 @@ def _richardson_weights(n: int, ratio: float):
             for k in range(n)]
 
 
-def _rung_tolerances(tol: float, weights):
+# The weights of both ladders: 3.3e-13 on the first rung up to 1.45 on the
+# last.  The last rungs carry the limit, the first ones almost nothing, so
+# each rung is integrated only as tightly as its weight needs.
+_WEIGHTS = _richardson_weights(7, 4.0)
+
+
+def _rung_tolerances(tol: float):
     """Quadrature tolerance of each rung, tol sum|c_j| / (n |c_k|): every
     rung adds an equal share to the propagated bound sum |c_k| tol_k, which
-    stays tol sum |c_k|.  A rung whose share is not a positive finite
-    tolerance (its weight is 0 or not finite) keeps tol."""
-    share = tol * sum(abs(c) for c in weights) / len(weights)
-    tols = []
-    for c in weights:
-        t = share / abs(c) if c else math.inf
-        tols.append(t if 0.0 < t < math.inf else tol)
-    return tols
+    stays tol sum |c_k|."""
+    share = tol * sum(abs(c) for c in _WEIGHTS) / len(_WEIGHTS)
+    return [share / abs(c) for c in _WEIGHTS]
 
 
 def _centred_pieces(path: Contour, loc, center: complex):
@@ -557,24 +535,22 @@ def _centred_pieces(path: Contour, loc, center: complex):
     return arms, rest
 
 
-def _regularized_limit(kernel, f, path: Contour, lambdas, ratio: float,
-                       loc, center=0.0 + 0.0j):
+def _regularized_limit(kernel, f, path: Contour, ladder, loc,
+                       center=0.0 + 0.0j):
     """Integrate kernel(z - center, lambda) f(z) along the path for each
-    lambda of the ladder and Richardson-extrapolate the regularization
-    away.  ``loc`` is the path's point at the centre.  Returns
-    (limit, error_estimate).
+    lambda of the ladder (one of the two 7-rung ladders of ratio 4) and
+    Richardson-extrapolate the regularization away.  ``loc`` is the path's
+    point at the centre.  Returns (limit, error_estimate).
 
     The limit is sum c_k V_k over the rung integrals V_k, with the
-    triangle's weights c_k (:func:`_richardson_weights`; on the 7-rung
-    ladders of ratio 4 they run from 3.3e-13 on the first rung to 1.45 on
-    the last).  A quadrature error e_k on rung k therefore moves the limit
-    by |c_k| e_k.  Rung k is integrated to tol sum|c_j| / (n |c_k|) per
-    piece (:func:`_rung_tolerances`), tol = 1e-11 / (number of pieces):
-    each rung adds an equal share to the propagated bound
-    sum |c_k| tol_k = tol sum |c_k|, the bound of a ladder run at tol on
-    every rung.  On the 7-rung ladders of ratio 4 the last rung tightens to
-    0.19 tol, and the first four, whose errors the triangle all but
-    cancels, loosen to 550 tol and more.
+    triangle's weights c_k (``_WEIGHTS``), so a quadrature error e_k on
+    rung k moves the limit by |c_k| e_k.  Rung k is integrated to
+    tol sum|c_j| / (n |c_k|) per piece (:func:`_rung_tolerances`),
+    tol = 1e-11 / (number of pieces): each rung adds an equal share to the
+    propagated bound sum |c_k| tol_k = tol sum |c_k|, the bound of a ladder
+    run at tol on every rung.  The last rung tightens to 0.19 tol, and the
+    first four, whose errors the triangle all but cancels, loosen to
+    550 tol and more.
     The error estimate is the larger of the triangle's last correction and
     the propagated quadrature estimate sum |c_k| e_k, e_k the summed
     ``integrate_adaptive`` estimates of rung k.
@@ -590,36 +566,34 @@ def _regularized_limit(kernel, f, path: Contour, lambdas, ratio: float,
 
     Substituting x -> x/s in the defining integrals gives the scaling law
     s J(s zeta, s^2 lam) = J(zeta, lam), and the same for the mirrored and
-    the full-line kernel.  On rung m, s = 2^m, and where s^2 lam = lam0
-    (the first rung's lambda) the evaluation scales exactly: the w of J
+    the full-line kernel.  On rung m, s = 2^m and s^2 lam = lam0 (the first
+    rung's lambda) exactly, so the evaluation scales exactly: the w of J
     and the exponent of K come out identical, and the prefactor and the
     product with it scale by s.  So s * memo[s zeta], the memo holding
     kernel(., lam0), is kernel(zeta, lam) to the bit wherever each part of
     it is 0 or at least s times the smallest normal double (beneath that,
     the memo value underflows, and the two differ by less than s 2^-1075),
     and a node zeta of this rung reuses the value computed at the node
-    2 zeta of the rung before.  A rung whose lambda is not lam0 / 4^m, or
-    a scaled value that is not finite, evaluates directly.  f(center +
-    zeta) does not depend on lambda, so a second memo, keyed by zeta,
-    evaluates f once per distinct node of the call.
+    2 zeta of the rung before.  A scaled value that is not finite is
+    evaluated directly.  f(center + zeta) does not depend on lambda, so a
+    second memo, keyed by zeta, evaluates f once per distinct node of the
+    call.
     """
     arms, rest = _centred_pieces(path, loc, center)
     i, t = loc
     before = sum(seg.length for seg in path.segments[:i]) + t * path.segments[i].length
     side = min(v for v in (before, path.length - before)
                if v > 1e-13 * path.length)
-    weights = _richardson_weights(len(lambdas), ratio)
-    tols = _rung_tolerances(1e-11 / (len(arms) + len(rest)), weights)
+    tols = _rung_tolerances(1e-11 / (len(arms) + len(rest)))
     f_of = _evaluator(f)
     exp, isfinite = cmath.exp, cmath.isfinite
-    lam0 = lambdas[0]
+    lam0 = ladder[0]
     k_memo, f_memo = {}, {}
 
     def integrand(seg, lam, s):
         """t -> kernel(zeta, lam) f(center + zeta) dzeta/dt along ``seg``,
         with zeta and dzeta/dt the expressions of its ``point`` and
         ``derivative``, on the rung of lam, s."""
-        scaled = s * s * lam == lam0
         line = isinstance(seg, Line)
         if line:
             a, d = seg.start, seg.end - seg.start
@@ -633,15 +607,12 @@ def _regularized_limit(kernel, f, path: Contour, lambdas, ratio: float,
             else:
                 e = exp(1j * (t0 + t * sweep))
                 zeta, dz = c + r * e, dr * e
-            if scaled:
-                key = s * zeta
-                k = k_memo.get(key)
-                if k is None:
-                    k = k_memo[key] = kernel(key, lam0)
-                k = s * k
-                if not isfinite(k):
-                    k = kernel(zeta, lam)
-            else:
+            key = s * zeta
+            k = k_memo.get(key)
+            if k is None:
+                k = k_memo[key] = kernel(key, lam0)
+            k = s * k
+            if not isfinite(k):
                 k = kernel(zeta, lam)
             v = f_memo.get(zeta)
             if v is None:
@@ -652,7 +623,7 @@ def _regularized_limit(kernel, f, path: Contour, lambdas, ratio: float,
     values = []
     propagated = 0.0
     s = 1.0
-    for lam, tol, c in zip(lambdas, tols, weights):
+    for lam, tol, c in zip(ladder, tols, _WEIGHTS):
         floor = 0.4 * math.sqrt(lam)
         radii = []
         r = 0.5 * side
@@ -681,23 +652,23 @@ def _regularized_limit(kernel, f, path: Contour, lambdas, ratio: float,
         values.append(value)
         propagated += abs(c) * err
         s *= 2.0
-    limit, correction = richardson(values, ratio=ratio)
+    limit, correction = richardson(values, ratio=4.0)
     return limit, max(correction, propagated)
 
 
-def lambda_route(f, path: Contour, kernel: str = "plus",
-                 lambdas=_LAMBDA_LADDER) -> complex:
+def lambda_route(f, path: Contour, kernel: str = "plus") -> complex:
     """Regularization route: integrate the Gaussian-regularized kernel
-    against f along the path for a decreasing ladder of regularization
-    strengths and extrapolate to zero (Richardson in lambda: the
-    regularization error is a series in whole powers of lambda).
+    against f along the path for the seven regularization strengths
+    lambda = 0.0625 * 4^-m and extrapolate to zero (Richardson in lambda:
+    the regularization error is a series in whole powers of lambda).
 
     kernel: 'plus' (forward half-line kernel), 'minus' (mirrored), or
     'full_line' (nascent delta).  This is the independent oracle against
     which the formula routes are verified.  The path must cross the origin
     inside the kernel's wedge domain (the intersection domain for
-    'full_line'), where the kernel stays finite; otherwise it raises
-    DomainViolationError.
+    'full_line'), where the kernel stays finite, otherwise it raises
+    DomainViolationError; a path that meets the origin at one of its ends
+    or away from its marked crossing raises ContourError.
     """
     _require_finite_path(path, "lambda_route")
     if kernel == "plus":
@@ -709,17 +680,14 @@ def lambda_route(f, path: Contour, kernel: str = "plus",
     else:
         raise ValueError(f"kernel must be plus|minus|full_line, got {kernel!r}")
     _check_domain(path, domain, "lambda_route")
-    ratio = _ladder_ratio(lambdas, "lambda_route")
+    _check_one_crossing(path, "lambda_route")
     with _admissible_f("lambda_route"):
         limit, _err = _regularized_limit(
-            k_of, f, path, lambdas, ratio, (path.crossing, path.crossing_param))
+            k_of, f, path, _LAMBDA_LADDER, (path.crossing, path.crossing_param))
     return limit
 
 
 # -- orthogonality overlap ---------------------------------------------------
-
-# extrapolated in lambda like _LAMBDA_LADDER, for the same reason
-_OVERLAP_LADDER = tuple(0.1 * 0.25 ** m for m in range(7))
 
 
 def _check_slope(path: Contour, op: str):
@@ -750,11 +718,11 @@ def _check_slope(path: Contour, op: str):
     return max(abs(ang) for _i, ang in angles)
 
 
-def overlap_delta(z2: complex, f, path: Contour,
-                  lambdas=_OVERLAP_LADDER) -> complex:
+def overlap_delta(z2: complex, f, path: Contour) -> complex:
     """Smeared orthogonality overlap: integrate the shifted full-line
-    Gaussian kernel (centred at z2 on the path) against f along the path
-    and extrapolate the regularization away; converges to 2 pi f(z2).
+    Gaussian kernel (centred at z2 on the path, between its ends) against
+    f along the path for lambda = 0.1 * 4^-m, m = 0..6, and extrapolate the
+    regularization away; converges to 2 pi f(z2).
 
     The path must have slopes within (-pi/4, pi/4) so every pair
     difference of path points stays inside the double-wedge domain.
@@ -762,7 +730,6 @@ def overlap_delta(z2: complex, f, path: Contour,
     integrand below 1e-16.
     """
     z2 = complex(z2)
-    ratio = _ladder_ratio(lambdas, "overlap_delta")
     worst_slope = _check_slope(path, "overlap_delta")
     if path.is_infinite:
         # slope < pi/4 keeps Re((z-z2)^2) >= cos(2*slope_max) |z-z2|^2 > 0
@@ -773,8 +740,7 @@ def overlap_delta(z2: complex, f, path: Contour,
             raise DomainViolationError(
                 "overlap_delta: path slope too close to pi/4; the shifted "
                 "kernel decays too slowly along it for a finite truncation")
-        lam0 = max(lambdas)
-        length = (math.sqrt(4.0 * lam0 * 40.0 / decay)
+        length = (math.sqrt(4.0 * _OVERLAP_LADDER[0] * 40.0 / decay)
                   + abs(z2 - path.start) + abs(z2 - path.end))
         path = path.truncated(length, length)
     dmin, loc = path.min_distance(z2)
@@ -782,7 +748,11 @@ def overlap_delta(z2: complex, f, path: Contour,
         raise DomainViolationError(
             f"overlap_delta: z2 = {z2!r} is {dmin:.3e} away from the path; "
             "the sifting point must lie on it")
+    if min(abs(z2 - path.start), abs(z2 - path.end)) <= 1e-10:
+        raise DomainViolationError(
+            f"overlap_delta: z2 = {z2!r} is an end of the path; the sifting "
+            "point must lie between its ends")
     with _admissible_f("overlap_delta"):
-        limit, _err = _regularized_limit(full_line_kernel, f, path, lambdas,
-                                         ratio, loc, center=z2)
+        limit, _err = _regularized_limit(full_line_kernel, f, path,
+                                         _OVERLAP_LADDER, loc, center=z2)
     return limit

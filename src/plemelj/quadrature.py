@@ -134,7 +134,7 @@ def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
     return total, total_err
 
 
-def integrate_segment(g, segment, abs_tol=1e-12, breakpoints=(), max_panels=4096):
+def integrate_segment(g, segment, abs_tol=1e-12, breakpoints=()):
     """Integrate g(z) dz over one contour segment, a Line or an Arc.  The
     integrand evaluates the expressions of the segment's ``point`` and
     ``derivative`` inline, with one exponential per node on an arc."""
@@ -152,11 +152,10 @@ def integrate_segment(g, segment, abs_tol=1e-12, breakpoints=(), max_panels=4096
             e = cmath.exp(1j * (t0 + t * sweep))
             return g(c + r * e) * (dr * e)
     return integrate_adaptive(integrand, 0.0, 1.0, abs_tol=abs_tol,
-                              breakpoints=breakpoints, max_panels=max_panels)
+                              breakpoints=breakpoints)
 
 
-def integrate_contour(g, contour, abs_tol=1e-12, seg_breakpoints=None,
-                      max_panels=4096):
+def integrate_contour(g, contour, abs_tol=1e-12, seg_breakpoints=None):
     """Integrate g(z) dz along a piecewise contour.
 
     ``seg_breakpoints`` maps segment index -> iterable of parameter values
@@ -168,8 +167,7 @@ def integrate_contour(g, contour, abs_tol=1e-12, seg_breakpoints=None,
     n = len(contour.segments)
     for i, seg in enumerate(contour.segments):
         bps = () if seg_breakpoints is None else tuple(seg_breakpoints.get(i, ()))
-        v, e = integrate_segment(g, seg, abs_tol=abs_tol / n, breakpoints=bps,
-                                 max_panels=max_panels)
+        v, e = integrate_segment(g, seg, abs_tol=abs_tol / n, breakpoints=bps)
         total += v
         err += e
     return total, err

@@ -207,31 +207,20 @@ def test_pv_pole_at_the_origin_is_inadmissible():
 
 
 def test_lambda_route_rejects_bad_ladders():
-    f = catalog_function("gauss(0)")
-    seg = segment_path(-2.0, 2.0)
+    # the ladders are fixed; what a caller can still get wrong is the kernel
     with pytest.raises(ValueError):
-        lambda_route(f, seg, kernel="plus", lambdas=(0.1, 0.05, 0.01))
-    with pytest.raises(ValueError):
-        lambda_route(f, seg, kernel="plus", lambdas=(0.1, 0.05, 0.02, 0.01))
-    with pytest.raises(ValueError):
-        lambda_route(f, seg, kernel="bogus")
+        lambda_route(catalog_function("gauss(0)"), segment_path(-2.0, 2.0),
+                     kernel="bogus")
 
 
-@pytest.mark.parametrize("lambdas", [(-8.0, -4.0, -2.0, -1.0),
-                                     (math.inf, 1.0, 0.5, 0.25),
-                                     (0.4, 0.2, 0.1, math.nan)])
-def test_ladder_values_must_be_positive_finite(lambdas):
-    # the negative ladder passes the ratio checks; it is refused before
-    # any integrand is evaluated, by both regularized routes
-    calls = []
-    f = TestFunction(lambda z: calls.append(z) or cmath.exp(-z * z),
-                     value_at_zero=1.0)
-    seg = segment_path(-2.0, 2.0)
-    with pytest.raises(ValueError, match="positive finite"):
-        lambda_route(f, seg, kernel="plus", lambdas=lambdas)
-    with pytest.raises(ValueError, match="positive finite"):
-        overlap_delta(0.0, f, seg, lambdas=lambdas)
-    assert calls == []
+@pytest.mark.parametrize("kernel", ["plus", "minus", "full_line"])
+@pytest.mark.parametrize("points", [(0.0, 2.0), (-2.0, 0.0)], ids=["start", "end"])
+def test_lambda_route_refuses_a_crossing_at_an_end_of_the_path(points, kernel):
+    # only half the kernel's mass lies on the path there, so the ladder
+    # converges to neither 2 pi f(0) nor pi f(0)
+    with pytest.raises(ContourError, match="an end of the path"):
+        lambda_route(catalog_function("gauss(0.3)"),
+                     segment_path(*points, crossing=0), kernel=kernel)
 
 
 # -- plemelj plus/minus -----------------------------------------------------------
@@ -427,13 +416,12 @@ def test_deformation_route_integrates_once(monkeypatch):
 
 
 def test_default_ladders_extrapolate_in_lambda():
-    # the regularization error is a series in whole powers of lambda, so
-    # the Richardson step is the ladder's own ratio, not its square root
-    from plemelj.functionals import (_LAMBDA_LADDER, _OVERLAP_LADDER,
-                                     _ladder_ratio)
+    # seven rungs of ratio 4, the Richardson step in lambda; the kernel memo
+    # serves rung m as 2^m kernel(2^m zeta, lambda_0) without checking that
+    # 4^m lambda_m is lambda_0, so it must hold to the bit
     for ladder in (_LAMBDA_LADDER, _OVERLAP_LADDER):
         assert len(ladder) == 7
-        assert _ladder_ratio(ladder, "test") == 4.0
+        assert all(4.0 ** m * lam == ladder[0] for m, lam in enumerate(ladder))
 
 
 def test_deformation_route_below_matches_minus():
@@ -587,21 +575,6 @@ def test_overlap_matches_two_pi_f_z2(family):
         assert _rel_err(overlap_delta(z2, f, path), ref) <= 1e-13, f.label
 
 
-def test_lambda_route_on_a_ladder_that_is_not_a_power_of_4():
-    # ratio 3: no rung's lambda is lambda_0 / 4^k, so every kernel value is
-    # evaluated directly, none through the shared memo
-    rng = random.Random("lambda:ratio-3")
-    path, line = _seeded_path(rng, "straight")
-    lambdas = tuple(0.05 * 3.0 ** -m for m in range(7))
-    for f in _seeded_functions(rng):
-        f0 = f.at_zero()
-        for kernel, ref in (("plus", 1j * _scipy_pv(f, *line) + math.pi * f0),
-                            ("minus", -1j * _scipy_pv(f, *line) + math.pi * f0),
-                            ("full_line", 2 * math.pi * f0)):
-            value = lambda_route(f, path, kernel=kernel, lambdas=lambdas)
-            assert _rel_err(value, ref) <= 1e-10, (f.label, kernel)
-
-
 _ARC_ANGLE = 0.8
 _ARC_START = 1j + cmath.exp(1j * (-0.5 * math.pi - _ARC_ANGLE))
 
@@ -704,23 +677,14 @@ def test_ladder_work_is_pinned(monkeypatch):
                     "overlap bent": (3210, 214, 1380)}
 
 
-_LADDERS = {
-    "default": _LAMBDA_LADDER,
-    "overlap": _OVERLAP_LADDER,
-    "four": _LAMBDA_LADDER[:4],
-    "ratio-3": tuple(0.05 * 3.0 ** -m for m in range(7)),
-}
-
-
-@pytest.mark.parametrize("name", list(_LADDERS))
+@pytest.mark.parametrize("name", ["default", "overlap"])
 def test_rung_tolerances_split_the_propagated_bound(monkeypatch, name):
     # the limit is sum c_k V_k; rung k runs at tol sum|c_j| / (n |c_k|),
     # tol = 1e-11 / pieces, so every rung adds the same share to the
     # propagated bound sum |c_k| tol_k, which stays tol sum |c_k|
     import plemelj.functionals as functionals
-    lambdas = _LADDERS[name]
-    n = len(lambdas)
-    weights = [richardson([float(j == k) for j in range(n)], lambdas[0] / lambdas[1])[0]
+    n = 7
+    weights = [richardson([float(j == k) for j in range(n)], 4.0)[0]
                for k in range(n)]
     tols = []
     adaptive = functionals.integrate_adaptive
@@ -733,7 +697,13 @@ def test_rung_tolerances_split_the_propagated_bound(monkeypatch, name):
     rng = random.Random("lambda:ratio-3")
     path, line = _seeded_path(rng, "straight")
     f = _seeded_functions(rng)[0]
-    value = lambda_route(f, path, lambdas=lambdas)
+    if name == "default":
+        value = lambda_route(f, path)
+        ref = 1j * _scipy_pv(f, *line) + math.pi * f.at_zero()
+    else:
+        z2 = path.point((0, 0.4))
+        value = overlap_delta(z2, f, path)
+        ref = 2 * math.pi * f(z2)
     pieces = len(tols) // n
     assert pieces * n == len(tols)
     rungs = [set(tols[k * pieces:(k + 1) * pieces]) for k in range(n)]
@@ -744,22 +714,8 @@ def test_rung_tolerances_split_the_propagated_bound(monkeypatch, name):
     shares = [abs(c) * t for c, t in zip(weights, rung_tols)]
     assert sum(shares) <= tol * total * (1.0 + 1e-12)
     assert max(shares) <= min(shares) * (1.0 + 1e-12)
-    if name == "default":
-        assert rung_tols[-1] < 0.2 * tol and min(rung_tols[:4]) > 550.0 * tol
-    if n == 7:   # four rungs stop at about 1e-7, short of the floor
-        ref = 1j * _scipy_pv(f, *line) + math.pi * f.at_zero()
-        assert _rel_err(value, ref) <= 2e-13
-
-
-def test_rung_tolerances_stay_finite():
-    # a weight of 0 or one that is not finite keeps the common tolerance
-    from plemelj.functionals import _rung_tolerances
-    assert _rung_tolerances(1.0, [0.5, -1.5]) == [2.0, 2.0 / 3.0]
-    for weights in ([0.0, 1.0, -2.0], [math.nan, 1.0], [math.inf, 1.0],
-                    [0.0, 0.0]):
-        tols = _rung_tolerances(1e-11, weights)
-        assert all(0.0 < t < math.inf for t in tols), weights
-    assert _rung_tolerances(1e-11, [0.0, 1.0, -2.0])[0] == 1e-11
+    assert rung_tols[-1] < 0.2 * tol and min(rung_tols[:4]) > 550.0 * tol
+    assert _rel_err(value, ref) <= 2e-13
 
 
 def _mp_twin(label):
@@ -993,6 +949,15 @@ def test_overlap_slope_check_is_exact(path, error, segment):
 def test_overlap_point_off_path():
     with pytest.raises(DomainViolationError):
         overlap_delta(0.5j, catalog_function("gauss(0)"), segment_path(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("z2", [-3.0, 3.0, -3.0 + 1e-11, 3.0 + 1e-11j],
+                         ids=["start", "end", "next-to-start", "next-to-end"])
+def test_overlap_refuses_a_sifting_point_at_an_end_of_the_path(z2):
+    # only half the kernel's mass lies on the path there, so the ladder
+    # converges to about pi f(z2), not 2 pi f(z2)
+    with pytest.raises(DomainViolationError, match="an end of the path"):
+        overlap_delta(z2, catalog_function("gauss(0.3)"), segment_path(-3.0, 3.0))
 
 
 def test_overlap_infinite_path_truncation():
