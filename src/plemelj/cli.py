@@ -75,12 +75,16 @@ def _axis(lo, hi, n):
 # 1/sqrt(lambda) there, so the limit diverges at |z| <= _APEX
 _APEX = 1e-14
 _ZERO = _FMT(0.0)   # abs_value of every converged full_line point
+# the most formatted line ends the CSV writer holds at once; it clears
+# them when full, so its memory stays O(row + _TAILS_MAX)
+_TAILS_MAX = 2 ** 14
 
 
 class DomainMap:
     """The grid of a :class:`DomainMapRequest`, decided one row at a time
     as it is read; no more than one row is held.
 
+    ``re`` and ``im`` are the grid's axes, ascending.
     :meth:`rows` yields (im, runs) per grid row, im ascending: the runs
     (stop, status, value) of ``kernels._decider``'s row form over the Re
     axis ``re``, with the apex points as diverged runs of their own.
@@ -92,13 +96,13 @@ class DomainMap:
     def __init__(self, req: DomainMapRequest):
         re_min, re_max, im_min, im_max, n_re, n_im = req.grid
         self.re = _axis(re_min, re_max, n_re)
-        self._im = _axis(im_min, im_max, n_im)
+        self.im = _axis(im_min, im_max, n_im)
         self._decide_row = _decider(
             {"I_plus": "plus", "I_minus": "minus",
              "full_line": "full_line"}[req.kernel], req.schedule)
 
     def rows(self):
-        for im in self._im:
+        for im in self.im:
             yield im, self._row(im)
 
     def _row(self, im):
@@ -138,9 +142,24 @@ def run_domain_map(req: DomainMapRequest) -> DomainMap:
 
 def write_domain_map_csv(rows: DomainMap, stream):
     """Write the CSV of a :func:`run_domain_map` grid: the Re axis is
-    formatted once, Im once per row, and each row is one write."""
+    formatted once, Im once per row and a run's common abs_value once; on
+    a grid that can repeat |i/z|, each distinct per-point abs_value once
+    (up to _TAILS_MAX held at once).  Each row is one write."""
     stream.write("re,im,status,abs_value\n")
     re = [_FMT(x) for x in rows.re]
+    tails = {}
+
+    def miss(a):   # the line end of converged abs_value a, formatted once
+        if len(tails) >= _TAILS_MAX:
+            tails.clear()
+        end = tails[a] = f"converged,{_FMT(a)}\n"
+        return end
+
+    # |i/z| is the same at x + iy, -x + iy, x - iy and y + ix, so only a
+    # grid whose two axes hold some magnitude twice repeats it by symmetry;
+    # on any other each point formats its own, as a memo would always miss
+    axes = rows.re + rows.im
+    memo = len(set(map(abs, axes))) < len(axes)
     for im, runs in rows.rows():
         mid = f",{_FMT(im)},"
         parts = []
@@ -149,8 +168,13 @@ def write_domain_map_csv(rows: DomainMap, stream):
             if status != "converged":
                 end = f"{mid}{status},\n"
             elif type(value) is list:
-                parts += [f"{x}{mid}converged,{_FMT(abs(v))}\n"
-                          for x, v in zip(re[start:stop], value)]
+                xs = re[start:stop]
+                if memo:
+                    parts += [f"{x}{mid}{tails.get(a) or miss(a)}"
+                              for x, a in zip(xs, map(abs, value))]
+                else:
+                    parts += [f"{x}{mid}converged,{_FMT(abs(v))}\n"
+                              for x, v in zip(xs, value)]
                 start = stop
                 continue
             else:

@@ -230,14 +230,29 @@ def _as_finite(z: complex, what: str) -> complex:
     return z
 
 
+def _real(value, what: str) -> float:
+    """An int (not a bool) or a float as a float, inf beyond the double
+    range; anything else is refused rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ContourError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:   # an int beyond the double range
+        return math.inf
+
+
+def _point(value, what: str) -> complex:
+    """A JSON point [re, im] as a complex number."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ContourError(f"{what} must be a [re, im] pair, got {value!r}")
+    return complex(_real(value[0], what), _real(value[1], what))
+
+
 def _ray_angle(angle, what: str):
     """A ray's direction angle as a finite float, or None for no ray."""
     if angle is None:
         return None
-    try:
-        angle = float(angle)
-    except (TypeError, ValueError) as exc:
-        raise ContourError(f"{what} must be a real angle, got {angle!r}") from exc
+    angle = _real(angle, what)
     if not math.isfinite(angle):
         raise ContourError(f"{what} must be finite, got {angle!r}")
     return angle
@@ -271,7 +286,9 @@ class Contour:
             self.crossing = None
             self.crossing_param = None
         else:
-            crossing = int(crossing)
+            if isinstance(crossing, bool) or not isinstance(crossing, int):
+                raise ContourError(
+                    f"crossing must be a segment index, got {crossing!r}")
             if not 0 <= crossing < len(segments):
                 raise ContourError(f"crossing segment index {crossing} out of range")
             dist, t = segments[crossing].min_distance(0.0 + 0.0j)
@@ -384,24 +401,25 @@ class Contour:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Contour":
-        try:
-            raw = data["segments"]
-        except (KeyError, TypeError):
+        raw = data.get("segments") if isinstance(data, dict) else None
+        if not isinstance(raw, list):
             raise ContourError("contour JSON needs a 'segments' list")
         segs = []
         for i, entry in enumerate(raw):
             try:
                 kind = entry["type"]
                 if kind == "line":
-                    segs.append(Line(complex(*entry["start"]), complex(*entry["end"])))
+                    segs.append(Line(_point(entry["start"], "start"),
+                                     _point(entry["end"], "end")))
                 elif kind == "arc":
-                    segs.append(Arc(complex(*entry["center"]), float(entry["radius"]),
-                                    float(entry["theta_start"]), float(entry["theta_end"])))
+                    segs.append(Arc(_point(entry["center"], "center"),
+                                    *(_real(entry[key], key) for key in
+                                      ("radius", "theta_start", "theta_end"))))
                 else:
-                    raise ContourError(f"segment {i}: unknown type {kind!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                if isinstance(exc, ContourError):
-                    raise
+                    raise ContourError(f"unknown type {kind!r}")
+            except ContourError as exc:
+                raise ContourError(f"segment {i}: {exc}") from exc
+            except (KeyError, TypeError) as exc:
                 raise ContourError(f"segment {i}: malformed entry ({exc})") from exc
         return cls(segs, crossing=data.get("crossing"),
                    ray_in=data.get("ray_in"), ray_out=data.get("ray_out"))

@@ -407,38 +407,32 @@ def _wedge_certificate(schedule: RegularizationSchedule, c: float):
     return diverges
 
 
-def _first(test, xs, lo: int, hi: int) -> int:
-    """The least index in [lo, hi) at which test(xs[index]) holds, or hi,
-    by bisection; test must hold on a tail of the range."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if test(xs[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _spans(xs, up, down) -> tuple:
     """The index ranges [lo, hi) of the ascending xs on which up(x) and
     down(x) both hold, one left of 0 and one right of it (either may be
     empty), for an up that holds from some |x| on and a down that holds up
-    to some |x| along each side.  O(log n) evaluations of each test."""
+    to some |x| along each side.  Each bound is the least index of its
+    range at which a test holds, found by bisect_left(xs, True, lo, hi,
+    key=test), which probes the midpoints (lo + hi) // 2: O(log n)
+    evaluations of each test."""
     n = len(xs)
     p = bisect.bisect_left(xs, 0.0)   # |x| falls before p and rises from p
-    lo = _first(down, xs, 0, p)
-    hi = _first(lambda x: not up(x), xs, lo, p)
-    lo_right = _first(up, xs, p, n)
+    lo = bisect.bisect_left(xs, True, 0, p, key=down)
+    hi = bisect.bisect_left(xs, True, lo, p, key=lambda x: not up(x))
+    lo_right = bisect.bisect_left(xs, True, p, n, key=up)
     return ((lo, hi),
-            (lo_right, _first(lambda x: not down(x), xs, lo_right, n)))
+            (lo_right, bisect.bisect_left(xs, True, lo_right, n,
+                                          key=lambda x: not down(x))))
 
 
 def _middle(xs, test) -> tuple:
     """The index range [lo, hi) of the ascending xs on which test(x) holds,
-    for a test that holds up to some |x| on each side of 0.  O(log n)
+    for a test that holds up to some |x| on each side of 0, found by
+    bisect_left(..., key=test) with the probes of :func:`_spans`.  O(log n)
     evaluations of the test."""
     p = bisect.bisect_left(xs, 0.0)
-    return _first(test, xs, 0, p), _first(lambda x: not test(x), xs, p, len(xs))
+    return (bisect.bisect_left(xs, True, 0, p, key=test),
+            bisect.bisect_left(xs, True, p, len(xs), key=lambda x: not test(x)))
 
 
 def _row_runs(uncertified, y: float, xs, spans) -> list:
@@ -630,7 +624,7 @@ def _decider(kind: str, schedule: RegularizationSchedule):
         return res.status, res.value
 
     def decide_row(y, xs):
-        (q_one, _first, _late), q_min, s_min, wedge = (
+        (q_one, _step, _late), q_min, s_min, wedge = (
             upper if (-y if mirror else y) >= 0.0 else lower)
         ay = abs(y)
 

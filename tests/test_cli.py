@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plemelj
 from plemelj import cli, kernels
@@ -474,6 +477,53 @@ def test_domain_map_rows_and_points_agree(tmp_path):
                                 else abs(1j / complex(re, im)))
 
 
+def _per_point_csv(grid):
+    """The CSV of a DomainMap as a plain writer makes it from the grid's
+    points: one _FMT call for every number of every point."""
+    lines = ["re,im,status,abs_value\n"]
+    for re, im, status, absv in grid:
+        tail = "" if absv is None else cli._FMT(absv)
+        lines.append(f"{cli._FMT(re)},{cli._FMT(im)},{status},{tail}\n")
+    return "".join(lines)
+
+
+def _written_csv(req):
+    out = io.StringIO()
+    write_domain_map_csv(run_domain_map(req), out)
+    return out.getvalue()
+
+
+_jitter = st.floats(-0.3, 0.3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=st.sampled_from(list(_KINDS)), a=st.floats(0.01, 4.0),
+       n=st.integers(2, 25), schedule=st.sampled_from(list(_PINNED_SCHEDULES)),
+       jitter=st.none() | st.tuples(_jitter, _jitter, _jitter, _jitter,
+                                    st.integers(0, 2)))
+def test_csv_writer_matches_a_per_point_writer(kernel, a, n, schedule, jitter):
+    # symmetric grids (the Re axis equal to the Im axis, bounds -a, a)
+    # repeat |i/z| under x -> -x, y -> -y and x <-> y; jittered ones do not
+    grid = (-a, a, -a, a, n, n)
+    if jitter is not None:
+        d0, d1, d2, d3, dn = jitter
+        grid = (-a * (1 + d0), a * (1 + d1), -a * (1 + d2), a * (1 + d3),
+                n, n + dn)
+    req = DomainMapRequest(grid=grid, kernel=kernel,
+                           schedule=_schedule(_PINNED_SCHEDULES[schedule]))
+    assert _written_csv(req) == _per_point_csv(run_domain_map(req))
+
+
+def test_csv_writer_clears_its_full_cache(monkeypatch):
+    monkeypatch.setattr(cli, "_TAILS_MAX", 3)
+    for kernel in _KINDS:
+        req = DomainMapRequest(grid=(-2.0, 2.0, -2.0, 2.0, 21, 21),
+                               kernel=kernel)
+        distinct = {absv for *_, absv in run_domain_map(req) if absv is not None}
+        assert len(distinct) > 3 or kernel == "full_line"
+        assert _written_csv(req) == _per_point_csv(run_domain_map(req))
+
+
 def test_cli_lambda_flags_change_schedule(tmp_path):
     # a 5-step ladder stops at lambda = 1e-2, too coarse to certify z = i
     out = tmp_path / "m.csv"
@@ -644,6 +694,20 @@ def test_functional_malformed_contour_exit_2(tmp_path):
     r = run_cli("functional", "--kernel", "I_plus", "--function", "gauss(0)",
                 "--contour", str(bad), "--out", str(tmp_path / "r.json"))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("field", ['"crossing": 0.9', '"crossing": true',
+                                   '"crossing": "abc"', '"crossing": 1e400',
+                                   '"ray_out": true', '"segments": 5'])
+def test_functional_ill_typed_contour_exit_2(tmp_path, field):
+    data = {**segment_path(-1.0, 1.0).to_json_dict(), **json.loads(f"{{{field}}}")}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    r = run_cli("functional", "--kernel", "I_plus", "--function", "gauss(0)",
+                "--contour", str(bad), "--out", str(tmp_path / "r.json"))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_functional_report_deterministic(tmp_path):

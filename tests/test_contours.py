@@ -467,3 +467,32 @@ def test_json_malformed():
         Contour.from_json('{"segments": [{"type": "spline"}], "crossing": null}')
     with pytest.raises(ContourError):
         Contour.from_json('{"segments": [{"type": "line", "start": [0, 0]}]}')
+    # fields of the wrong type are refused, not coerced: an index that is a
+    # fraction, a string or a bool, an angle that is a bool or a string, a
+    # number beyond the double range, and segments that are not a list
+    line = '{"type": "line", "start": [-1, 0], "end": [1, 0]}'
+    for field in ('"crossing": 0.9', '"crossing": "0"', '"crossing": true',
+                  '"crossing": "abc"', '"crossing": 1e400', '"crossing": NaN',
+                  '"crossing": [0]', '"ray_out": true', '"ray_in": "0"',
+                  '"ray_out": 1' + "0" * 400):
+        with pytest.raises(ContourError):
+            Contour.from_json(f'{{"segments": [{line}], {field}}}')
+    for segments in ('5', '{"type": "line"}', '"line"', '[5]',
+                     '[{"type": "line", "start": [-1], "end": [1, 0]}]',
+                     '[{"type": "line", "start": [true, 0], "end": [1, 0]}]',
+                     '[{"type": "line", "start": ["-1", 0], "end": [1, 0]}]',
+                     '[{"type": "arc", "center": [0, 0], "radius": "1", '
+                     '"theta_start": 0, "theta_end": 1}]',
+                     '[{"type": "arc", "center": [0, 0], "radius": 1' + "0" * 400
+                     + ', "theta_start": 0, "theta_end": 1}]'):
+        with pytest.raises(ContourError):
+            Contour.from_json(f'{{"segments": {segments}}}')
+    for data in ('[]', '"x"', 'null', '{}'):
+        with pytest.raises(ContourError):
+            Contour.from_json(data)
+    # an int index and int angles are JSON numbers like any other
+    path = Contour.from_json(f'{{"segments": [{line}], "crossing": 0, '
+                             '"ray_in": 0, "ray_out": 1}')
+    assert (path.crossing, path.ray_in, path.ray_out) == (0, 0.0, 1.0)
+    with pytest.raises(ContourError):   # the same check for Python callers
+        Contour(path.segments, crossing=0.0)
