@@ -445,21 +445,16 @@ class Contour:
 
 def segment_path(*points, crossing="auto") -> Contour:
     """Polyline through ``points``; crossing='auto' marks a segment passing
-    through the origin if one exists, None skips marking."""
+    through the origin if one exists, None skips marking, and a segment
+    index marks that segment (:class:`Contour` refuses anything else)."""
     pts = [_as_finite(p, "polyline point") for p in points]
     if len(pts) < 2:
         raise ContourError("need at least two points")
     segs = [Line(a, b) for a, b in zip(pts[:-1], pts[1:])]
-    idx = None
     if crossing == "auto":
-        for i, s in enumerate(segs):
-            d, _ = s.min_distance(0.0 + 0.0j)
-            if d <= COINCIDENCE_TOL:
-                idx = i
-                break
-    elif crossing is not None:
-        idx = int(crossing)
-    return Contour(segs, crossing=idx)
+        crossing = next((i for i, s in enumerate(segs)
+                         if s.min_distance(0.0 + 0.0j)[0] <= COINCIDENCE_TOL), None)
+    return Contour(segs, crossing=crossing)
 
 
 def tilted_segment(phi: float, q_min: float, q_max: float) -> Contour:

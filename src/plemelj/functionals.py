@@ -203,38 +203,42 @@ def _admissible_f(op: str):
             f"({exc})") from exc
 
 
-def _require_finite_path(path: Contour, op: str):
+def _admit_crossing_path(path: Contour, op: str, domain: WedgeDomain = None):
+    """Check the path contract of every route that integrates through the
+    crossing, in this order:
+
+    - the path is finite (else AdmissibilityError);
+    - with a ``domain``, it stays inside it (else DomainViolationError)
+      and meets its apex only at a marked crossing (else ContourError),
+      which it must have (else DomainViolationError);
+    - it is marked as crossing the origin, the crossing is not an end of
+      the path, and it meets the origin nowhere else (else ContourError).
+
+    Each message starts with ``op``, the name of the route called."""
     if path.is_infinite:
         raise AdmissibilityError(
             f"{op} requires a finite contour; truncate infinite rays first "
             "(Contour.truncated)")
-
-
-def _check_domain(path: Contour, domain: WedgeDomain, op: str):
-    detail = domain_violations(path, domain)
-    if detail["unmarked_apex"]:
-        raise ContourError(
-            f"{op}: path passes through the domain apex away from a marked crossing")
-    if detail["violations"]:
-        seg, t, z = detail["violations"][0]
-        raise DomainViolationError(
-            f"{op}: contour leaves the {domain.kind} wedge domain at segment "
-            f"{seg}, t = {t:.4g}, z = {z:.6g}", segment_index=seg)
-    if not detail["apex_crossing"]:
-        raise DomainViolationError(
-            f"{op}: contour must cross the origin (marked) for this functional",
-            segment_index=None)
-
-
-def _check_one_crossing(path: Contour, op: str):
-    """The path meets the origin at its marked crossing, between its ends,
-    and nowhere else.  :func:`_check_domain` makes this test at the apex
-    too, except for the ends."""
+    if domain is not None:
+        detail = domain_violations(path, domain)
+        if detail["unmarked_apex"]:
+            raise ContourError(
+                f"{op}: path passes through the domain apex away from a marked crossing")
+        if detail["violations"]:
+            seg, t, z = detail["violations"][0]
+            raise DomainViolationError(
+                f"{op}: contour leaves the {domain.kind} wedge domain at segment "
+                f"{seg}, t = {t:.4g}, z = {z:.6g}", segment_index=seg)
+        if not detail["apex_crossing"]:
+            raise DomainViolationError(
+                f"{op}: contour must cross the origin (marked) for this functional",
+                segment_index=None)
     if path.crossing is None:
         raise ContourError(f"{op} needs a contour marked as crossing 0")
     if 0.0 in path.arm_lengths():
         raise ContourError(f"{op}: the marked crossing is an end of the path")
-    if meets_off_crossing(path, 0.0 + 0.0j):
+    # with a domain, domain_violations made this test at its apex, the origin
+    if domain is None and meets_off_crossing(path, 0.0 + 0.0j):
         raise ContourError(
             f"{op}: path passes through the origin away from its marked crossing")
 
@@ -303,13 +307,10 @@ def _principal_value(f, path: Contour, f0: complex):
     (pv, error_estimate), the estimate being the summed quadrature
     estimates.
 
-    A path that meets the origin anywhere but at its marked crossing, or
-    whose crossing is one of its ends, raises ContourError; an integral
+    The path must have passed :func:`_admit_crossing_path`.  An integral
     that quadrature cannot finish next to the crossing raises
     PvDivergenceError.
     """
-    _require_finite_path(path, "pv_contour")
-    _check_one_crossing(path, "pv_contour")
     check_analytic(f, path)
     before, after = crossing_arms(path)
     pieces = ([(seg, k == len(before) - 1) for k, seg in enumerate(before)]
@@ -343,11 +344,13 @@ def pv_contour(f, path: Contour) -> complex:
     raises.
 
     Raises ContourError for a path that meets the origin away from its
-    marked crossing, AdmissibilityError for a non-finite f(0), and
+    marked crossing or whose crossing is one of its ends,
+    AdmissibilityError for an infinite path or a non-finite f(0), and
     PvDivergenceError when (f(z) - f(0))/z cannot be integrated next to
     the crossing (f is not admissible at the origin, e.g. has a pole on
     the path there).
     """
+    _admit_crossing_path(path, "pv_contour")
     with _admissible_f("pv_contour"):
         pv, _err = _principal_value(f, path, _f_at_zero(f, "pv_contour"))
     return pv
@@ -381,8 +384,7 @@ def _plemelj(f, path: Contour, op: str, domain: WedgeDomain,
     in ``signs`` of s PV(f/z) + pi f(0), from one domain check, one f(0)
     and one principal value.  A two-sided sum (the delta) must also cross
     the origin from the left half plane to the right half plane."""
-    _require_finite_path(path, op)
-    _check_domain(path, domain, op)
+    _admit_crossing_path(path, op, domain)
     if len(signs) == 2 and not _crossing_moves_left_to_right(path):
         raise OrientationError(
             f"{op} requires the crossing to run from the left half "
@@ -419,7 +421,7 @@ def plemelj_delta(f, path: Contour) -> FunctionalResult:
     equal to 2 pi f(0) by construction, with the PV/delta split of the sum.
     The path must lie in the intersection domain, cross the origin, and
     traverse it from the left half plane to the right half plane."""
-    return _plemelj(f, path, "delta_action", WedgeDomain.intersection(),
+    return _plemelj(f, path, "plemelj_delta", WedgeDomain.intersection(),
                     (1j, -1j))
 
 
@@ -445,10 +447,10 @@ def deformation_route(f, path: Contour, side: str = "above") -> complex:
     of the extended formulas.  The integrand is analytic off the origin,
     so by Cauchy's theorem the deformed integral does not depend on the
     arc radius, and one radius gives the value.  A path that meets the
-    origin away from its marked crossing raises ContourError.
+    origin away from its marked crossing, or whose crossing is one of its
+    ends, raises ContourError.
     """
-    _require_finite_path(path, "deformation_route")
-    _check_one_crossing(path, "deformation_route")
+    _admit_crossing_path(path, "deformation_route")
     sign = 1j if side == "above" else -1j
     before, after = path.arm_lengths()
     eps = 0.1 * min(before, after)
@@ -471,11 +473,11 @@ def deformation_route(f, path: Contour, side: str = "above") -> complex:
 # 2 pi sum_n lam^n f^(2n)(z2) / n!, and away from the origin J follows
 # A&S 7.1.23 in 1/w^2 = -4 lam / z^2.  Seven values reach the quadrature
 # floor; each smaller lambda costs more panels next to the kernel centre.
-# Both ladders have ratio 4, which halves sqrt(lambda) exactly from one
-# value to the next, and 4^m lambda_m == lambda_0 holds exactly on every
-# rung, so the rungs share kernel values (see _regularized_limit).
+# The ladder, which lambda_route and overlap_delta share, has ratio 4,
+# which halves sqrt(lambda) exactly from one value to the next, and
+# 4^m lambda_m == lambda_0 holds exactly on every rung, so the rungs share
+# kernel values (see _regularized_limit).
 _LAMBDA_LADDER = tuple(0.0625 * 0.25 ** m for m in range(7))
-_OVERLAP_LADDER = tuple(0.1 * 0.25 ** m for m in range(7))
 
 
 def _richardson_weights(n: int, ratio: float):
@@ -486,7 +488,7 @@ def _richardson_weights(n: int, ratio: float):
             for k in range(n)]
 
 
-# The weights of both ladders: 3.3e-13 on the first rung up to 1.45 on the
+# The weights of the ladder: 3.3e-13 on the first rung up to 1.45 on the
 # last.  The last rungs carry the limit, the first ones almost nothing, so
 # each rung is integrated only as tightly as its weight needs.
 _WEIGHTS = _richardson_weights(7, 4.0)
@@ -535,10 +537,9 @@ def _centred_pieces(path: Contour, loc, center: complex):
     return arms, rest
 
 
-def _regularized_limit(kernel, f, path: Contour, ladder, loc,
-                       center=0.0 + 0.0j):
+def _regularized_limit(kernel, f, path: Contour, loc, center=0.0 + 0.0j):
     """Integrate kernel(z - center, lambda) f(z) along the path for each
-    lambda of the ladder (one of the two 7-rung ladders of ratio 4) and
+    lambda of the 7-rung ladder of ratio 4 (``_LAMBDA_LADDER``) and
     Richardson-extrapolate the regularization away.  ``loc`` is the path's
     point at the centre.  Returns (limit, error_estimate).
 
@@ -587,7 +588,7 @@ def _regularized_limit(kernel, f, path: Contour, ladder, loc,
     tols = _rung_tolerances(1e-11 / (len(arms) + len(rest)))
     f_of = _evaluator(f)
     exp, isfinite = cmath.exp, cmath.isfinite
-    lam0 = ladder[0]
+    lam0 = _LAMBDA_LADDER[0]
     k_memo, f_memo = {}, {}
 
     def integrand(seg, lam, s):
@@ -623,7 +624,7 @@ def _regularized_limit(kernel, f, path: Contour, ladder, loc,
     values = []
     propagated = 0.0
     s = 1.0
-    for lam, tol, c in zip(ladder, tols, _WEIGHTS):
+    for lam, tol, c in zip(_LAMBDA_LADDER, tols, _WEIGHTS):
         floor = 0.4 * math.sqrt(lam)
         radii = []
         r = 0.5 * side
@@ -670,7 +671,6 @@ def lambda_route(f, path: Contour, kernel: str = "plus") -> complex:
     DomainViolationError; a path that meets the origin at one of its ends
     or away from its marked crossing raises ContourError.
     """
-    _require_finite_path(path, "lambda_route")
     if kernel == "plus":
         k_of, domain = j_kernel, WedgeDomain.plus()
     elif kernel == "minus":
@@ -679,11 +679,10 @@ def lambda_route(f, path: Contour, kernel: str = "plus") -> complex:
         k_of, domain = full_line_kernel, WedgeDomain.intersection()
     else:
         raise ValueError(f"kernel must be plus|minus|full_line, got {kernel!r}")
-    _check_domain(path, domain, "lambda_route")
-    _check_one_crossing(path, "lambda_route")
+    _admit_crossing_path(path, "lambda_route", domain)
     with _admissible_f("lambda_route"):
         limit, _err = _regularized_limit(
-            k_of, f, path, _LAMBDA_LADDER, (path.crossing, path.crossing_param))
+            k_of, f, path, (path.crossing, path.crossing_param))
     return limit
 
 
@@ -721,7 +720,7 @@ def _check_slope(path: Contour, op: str):
 def overlap_delta(z2: complex, f, path: Contour) -> complex:
     """Smeared orthogonality overlap: integrate the shifted full-line
     Gaussian kernel (centred at z2 on the path, between its ends) against
-    f along the path for lambda = 0.1 * 4^-m, m = 0..6, and extrapolate the
+    f along the path for lambda = 0.0625 * 4^-m, m = 0..6, and extrapolate the
     regularization away; converges to 2 pi f(z2).
 
     The path must have slopes within (-pi/4, pi/4) so every pair
@@ -740,7 +739,7 @@ def overlap_delta(z2: complex, f, path: Contour) -> complex:
             raise DomainViolationError(
                 "overlap_delta: path slope too close to pi/4; the shifted "
                 "kernel decays too slowly along it for a finite truncation")
-        length = (math.sqrt(4.0 * _OVERLAP_LADDER[0] * 40.0 / decay)
+        length = (math.sqrt(4.0 * _LAMBDA_LADDER[0] * 40.0 / decay)
                   + abs(z2 - path.start) + abs(z2 - path.end))
         path = path.truncated(length, length)
     dmin, loc = path.min_distance(z2)
@@ -753,6 +752,6 @@ def overlap_delta(z2: complex, f, path: Contour) -> complex:
             f"overlap_delta: z2 = {z2!r} is an end of the path; the sifting "
             "point must lie between its ends")
     with _admissible_f("overlap_delta"):
-        limit, _err = _regularized_limit(full_line_kernel, f, path,
-                                         _OVERLAP_LADDER, loc, center=z2)
+        limit, _err = _regularized_limit(full_line_kernel, f, path, loc,
+                                         center=z2)
     return limit

@@ -153,7 +153,7 @@ def suite_kernels():
             worst = max(worst, abs(base - other) / max(1.0, abs(base)))
     checks.append(_check("kernels/scaling-identity", worst, 1e-10))
 
-    # the same law on the lambda routes' ladders, lambda_m = lambda_0 / 4^m,
+    # the same law on the lambda routes' ladder, lambda_m = lambda_0 / 4^m,
     # where it holds to the bit: 2^m kernel(2^m z, lambda_0) == kernel(z,
     # lambda_m), which lets their rungs share kernel values.  Exact wherever
     # each part of the value is 0 or at least 2^m times the smallest normal
@@ -162,20 +162,20 @@ def suite_kernels():
     rng = random.Random(20240616)
     pts = [cmath.rect(10.0 ** rng.uniform(-2.0, 1.0), rng.uniform(-math.pi, math.pi))
            for _ in range(40)]
+    ladder = functionals._LAMBDA_LADDER
     for kernel in (kernels.j_kernel, lambda z, lam: kernels.j_kernel(-z, lam),
                    kernels.full_line_kernel):
-        for ladder in (functionals._LAMBDA_LADDER, functionals._OVERLAP_LADDER):
-            for m, lam in enumerate(ladder):
-                s = 2.0 ** m
-                normal = s * sys.float_info.min
-                for z in pts:
-                    base = kernel(z, lam)
-                    other = s * kernel(s * z, ladder[0])
-                    if (is_overflow(base) or is_overflow(other)
-                            or 0.0 < abs(base.real) < normal
-                            or 0.0 < abs(base.imag) < normal):
-                        continue
-                    worst = max(worst, abs(base - other) / max(1.0, abs(base)))
+        for m, lam in enumerate(ladder):
+            s = 2.0 ** m
+            normal = s * sys.float_info.min
+            for z in pts:
+                base = kernel(z, lam)
+                other = s * kernel(s * z, ladder[0])
+                if (is_overflow(base) or is_overflow(other)
+                        or 0.0 < abs(base.real) < normal
+                        or 0.0 < abs(base.imag) < normal):
+                    continue
+                worst = max(worst, abs(base - other) / max(1.0, abs(base)))
     checks.append(_check("kernels/scaling-identity-dyadic", worst, 0.0))
 
     worst = 0.0

@@ -124,6 +124,13 @@ def test_crossing_must_hit_origin():
         Contour([Line(-1.0 + 0.5j, 1.0 + 0.5j)], crossing=0)
 
 
+@pytest.mark.parametrize("crossing", [0.9, "0", True, 0.0])
+def test_segment_path_refuses_a_crossing_that_is_not_an_index(crossing):
+    # no coercion: a fraction, a string or a bool is refused, as in JSON
+    with pytest.raises(ContourError, match="must be a segment index"):
+        segment_path(-1.0, 1.0, 2.0, crossing=crossing)
+
+
 def test_crossing_resolution():
     c = segment_path(-1.0, 1.0)
     assert c.crossing == 0

@@ -138,19 +138,17 @@ _DYADIC_KERNELS = {"j_kernel": j_kernel,
                    "full_line_kernel": full_line_kernel}
 
 
-@pytest.mark.parametrize("ladder", ["lambda_route", "overlap_delta"])
 @pytest.mark.parametrize("name", list(_DYADIC_KERNELS))
-def test_dyadic_scaling_is_exact(name, ladder):
-    # on the lambda routes' ladders, lambda_m = lambda_0 / 4^m, so
+def test_dyadic_scaling_is_exact(name):
+    # on the lambda routes' ladder, lambda_m = lambda_0 / 4^m, so
     # s = 2^m scales w, the exponent and the prefactor exactly, and
     # 2^m kernel(2^m z, lambda_0) is kernel(z, lambda_m) to the bit: the
     # premise of the routes' shared kernel values.  Where a part of the
     # value is below 2^m times the smallest normal double, the scaled-down
     # one underflows and the law holds only to 2^m * 2^-1075
-    from plemelj.functionals import _LAMBDA_LADDER, _OVERLAP_LADDER
-    lams = {"lambda_route": _LAMBDA_LADDER, "overlap_delta": _OVERLAP_LADDER}[ladder]
+    from plemelj.functionals import _LAMBDA_LADDER as lams
     kernel = _DYADIC_KERNELS[name]
-    rng = random.Random(f"dyadic:{name}:{ladder}")
+    rng = random.Random(f"dyadic:{name}")
     pts = [cmath.rect(10.0 ** rng.uniform(-3.0, 1.5), rng.uniform(-math.pi, math.pi))
            for _ in range(300)]
     compared = 0
