@@ -311,6 +311,13 @@ _ROW_MARGIN = 8.0 * 2.0 ** -53
 # Share of J's tolerance below the real axis that its convergence
 # certificate gives |z| |K(z, lambda)|, the erfcx tail the rest (_decider).
 _EXP_SHARE = 1e-3
+# Relative margin of the edge band's test a <= a_one = lambda_min ln 2
+# (_decider) on a = (y^2 - x^2)/4.  With u = 2^-53, the computed
+# ((y - x)(y + x))/4 is at least (1 - 3u) a - 2^-1074, the last term for
+# underflow, and 2^-1074 is less than 3u a_one for a normal lambda_min.
+# The computed a_one (1 - 16u) is at most (1 - 12u) a_one, so a computed
+# a up to it bounds the exact a below a_one.
+_BAND_MARGIN = 16.0 * 2.0 ** -53
 
 
 def _wedge_bounds(a: float, lam: float, c: float) -> tuple:
@@ -489,6 +496,15 @@ def _decider(kind: str, schedule: RegularizationSchedule):
       |K(z, lambda)| = sqrt(pi/lambda) exp(-Re(z^2) / (4 lambda));
     * K, Re(z^2) >= 0: c = 1.
 
+    Each half plane that holds a wedge also has an edge band along its
+    rays: the wedge points with a = -Re(z^2)/4 <= a_one = lambda_min ln 2.
+    There |K(z, lambda)| = sqrt(pi/lambda) exp(a/lambda) and exp(a/lambda)
+    <= 2 at every step, so the same bound holds for lambda >= lambda_min
+    with c = 2 for K and c = 5/2 for J, as |J(-z)| <= (1/2) sqrt(pi/lambda)
+    with -z above the axis.
+    The band is tested on the computed a with the relative margin
+    _BAND_MARGIN, and for a normal lambda_min only.
+
     A step whose bound (widened by a relative 1e-6) is below the
     divergence threshold can neither overflow nor pass it.  So when the
     last step's bound is below it, the last step alone sets the verdict,
@@ -524,16 +540,19 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     the threshold at every step.  The exponent of K, and of exp(w^2) in J
     below the axis, carries an error of up to _EXP_ROUNDING |w|^2, so
     beyond the |w|^2 at which that could lift the bound to the threshold
-    (about 3e15 at the defaults) the full ladder runs.  On a deeper
-    schedule the walk starts two steps before the first step whose bound
-    reaches the threshold, as the divergence test looks back two steps,
-    where that exponent error can neither lift a step it skips to the
-    threshold nor overflow it; from step 0 elsewhere.  Inside the
-    wedge(s) one lookup in a table of thresholds on a = -Re(z^2)/4, built
-    once per schedule and kernel (:func:`_wedge_certificate`), certifies
-    the ladder's divergence without evaluating the kernel; where it
-    cannot (next to the boundary rays, on schedules of one or two steps),
-    the full ladder runs.
+    (about 3e15 at the defaults, in the edge band too) the full ladder
+    runs.  On a deeper schedule the walk starts two steps before the
+    first step whose bound reaches the threshold, as the divergence test
+    looks back two steps, where that exponent error can neither lift a
+    step it skips to the threshold nor overflow it; from step 0
+    elsewhere.  The edge band has its own shortcut of that kind, built
+    from its own c: its points take the one-step verdict, or start late,
+    exactly as the points outside the wedge do.  Deeper inside the
+    wedge(s) one lookup in a table of thresholds on a, built once per
+    schedule and kernel (:func:`_wedge_certificate`), certifies the
+    ladder's divergence without evaluating the kernel; where it cannot
+    (between the band and the certified points, on schedules of one or
+    two steps), the full ladder runs.
 
     Along a row, each certificate test is, as computed, monotone in |x|
     on either side of x = 0: |x| >= |y|; q against its bounds; where
@@ -543,7 +562,8 @@ def _decider(kind: str, schedule: RegularizationSchedule):
     each side, and those the wedge test certifies one span around x = 0.
     Bisection over those tests finds each span, which becomes one run.
     The points between the spans go one at a time to a function that
-    makes no certificate test: the one-step verdict or the ladder walk.
+    makes no certificate test: the one-step verdict, in or out of the
+    edge band, or the ladder walk.
     So a point's result does not depend on the other points of its row.
     """
     lams = schedule.lambdas
@@ -586,13 +606,18 @@ def _decider(kind: str, schedule: RegularizationSchedule):
         """The least s at which log_scale - s/(4 lambda) <= log_tol + _LOG_SHRINK."""
         return 4.0 * lam * (log_scale - log_tol - _LOG_SHRINK) if normal else math.inf
 
-    # per half plane: the shortcut, the certificate's q_min and s_min, and
-    # the wedge test, None where the half plane holds no wedge
+    # the edge band's a_one, less its margin; none for a subnormal lambda_min
+    a_band = lam * math.log(2.0) * (1.0 - _BAND_MARGIN) if normal else -math.inf
+
+    # per half plane: the shortcuts outside the wedge and in its edge band,
+    # the certificate's q_min and s_min, and the wedge test, None where the
+    # half plane holds no wedge
     full = kind == "full_line"
     mirror = kind == "minus"
     if full:
         kernel = _full_line
-        upper = lower = (shortcut(1.0), 0.0, s_bound(log_root, math.log(tol)),
+        upper = lower = (shortcut(1.0), shortcut(2.0), 0.0,
+                         s_bound(log_root, math.log(tol)),
                          _wedge_certificate(schedule, 0.0))
     else:
         kernel = j_kernel
@@ -604,8 +629,8 @@ def _decider(kind: str, schedule: RegularizationSchedule):
         s_exp = (s_bound(math.log(2.0 * math.sqrt(q_max)) + log_root,
                          math.log(_EXP_SHARE * tol_j)) if q_min < math.inf else math.inf)
         # J above the axis has no exponential: erfcx(w) for Re w >= 0
-        upper = (shortcut(0.5, rounding=0.0), q_min, -math.inf, None)
-        lower = (shortcut(1.5), q_min / (1.0 - _EXP_SHARE), s_exp,
+        upper = (shortcut(0.5, rounding=0.0), None, q_min, -math.inf, None)
+        lower = (shortcut(1.5), shortcut(2.5), q_min / (1.0 - _EXP_SHARE), s_exp,
                  _wedge_certificate(schedule, 0.5))
 
     def uncertified(z):
@@ -613,18 +638,21 @@ def _decider(kind: str, schedule: RegularizationSchedule):
             z = -z
         x, y = z.real, z.imag
         limit = 0j if full else 1j / z
-        (q_one, first, q_late), _q_min, _s_min, wedge = upper if y >= 0.0 else lower
+        near, band, _q_min, _s_min, wedge = upper if y >= 0.0 else lower
+        if wedge is None or abs(x) >= abs(y):   # Re(z^2) >= 0, without rounding
+            q_one, first, q_late = near
+        elif 0.25 * ((y - x) * (y + x)) <= a_band:
+            q_one, first, q_late = band
+        else:   # deeper in the wedge the walk starts at step 0
+            q_one, first, q_late = -math.inf, 0, math.inf
         q = 0.25 * (x * x + y * y)
-        # Re(z^2) >= 0, tested without rounding; a wedge point walks from step 0
-        outside = wedge is None or abs(x) >= abs(y)
-        if outside and q <= q_one:
+        if q <= q_one:
             return _verdict(kernel(z, lam), limit, schedule)
-        res = _ladder(kernel, z, limit, schedule,
-                      first if outside and q <= q_late else 0)
+        res = _ladder(kernel, z, limit, schedule, first if q <= q_late else 0)
         return res.status, res.value
 
     def decide_row(y, xs):
-        (q_one, _step, _late), q_min, s_min, wedge = (
+        (q_one, _step, _late), _band, q_min, s_min, wedge = (
             upper if (-y if mirror else y) >= 0.0 else lower)
         ay = abs(y)
 

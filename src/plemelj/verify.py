@@ -255,6 +255,20 @@ def suite_kernels():
                 for f in (1.0 - 1e-9, 1.0 + 1e-9):
                     y = 2.0 * math.sqrt(a_k * f)
                     pts += [complex(0.0, -y), complex(0.0, y)]
+    # the edge band along the rays, a <= a_one = lambda_min ln 2: the
+    # diagonal points of the README's 81 x 81 grid over [-2, 2]^2 that lie
+    # a few ulps inside a wedge (with its axes spaced as the CLI spaces
+    # them), and points next to each ray at a = a_one (1 -+ 1e-9)
+    step = 4.0 / 80
+    axis = [-2.0 + k * step for k in range(81)]
+    pts += [z for z in (complex(axis[i], axis[j]) for i in range(81)
+                        for j in (i, 80 - i)) if abs(z.real) < abs(z.imag)]
+    for f in (1.0 - 1e-9, 1.0 + 1e-9):
+        a = lam * math.log(2.0) * f
+        for r in (0.3, 1.0, 2.5):
+            x = math.sqrt(0.5 * r * r - 2.0 * a)
+            y = math.sqrt(x * x + 4.0 * a)
+            pts += [complex(x, y), complex(-x, y), complex(x, -y), complex(-x, -y)]
     mismatches = 0
     for z in pts:
         for kind, limit_of in (("plus", kernels.kernel_limit),

@@ -9,8 +9,13 @@ run then ends without a result line.
 The benchmark's worker reads ``plemelj.BACKEND``, and its tracer wraps
 ``gk15(g, a, b)`` and replaces the ``eval`` field of the catalog's
 TestFunctions, so this also guards those names.
+
+The result line must be strict JSON, with no ``NaN`` or ``Infinity``,
+and carry every per-layer metric that ``BENCHMARK.json`` names, each
+with a finite value.
 """
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +32,17 @@ def test_traced_run_ends_in_a_correct_result(workload):
          workload, "--seed", "1", "--seconds", "0.3", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1],
+                        parse_constant=_refuse_constant)
     assert result["correct"] is True, result
     assert result["failed"] == 0, result
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        wanted = [m["name"] for m in json.load(fh)["per_layer"]]
+    metrics = result["metrics"]
+    assert [name for name in wanted if name not in metrics] == []
+    assert [name for name in wanted
+            if not math.isfinite(metrics[name]["value"])] == []
+
+
+def _refuse_constant(name):
+    raise ValueError(f"result line holds the non-JSON constant {name}")

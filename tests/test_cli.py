@@ -410,8 +410,10 @@ def test_row_decider_matches_decide_on_the_benchmark_sweep(work, seed):
 def test_decider_work_on_the_benchmark_sweep_is_pinned(work, monkeypatch):
     # a certificate that stops firing, or fires one point short, changes
     # no output, only the work: the seed-1 sweep pool, decided row by row
-    # as the CLI does, leaves 781 points to the per-point function, walks
-    # 70 ladders and evaluates J 704 times and K 917 times
+    # as the CLI does, leaves 781 points to the per-point function, each
+    # decided by one kernel evaluation at lambda_min (the 70 of them in a
+    # wedge's edge band too), so it walks no ladder and evaluates J 380
+    # times and K 401 times
     calls = dict.fromkeys(("_ladder", "j_kernel", "_full_line"), 0)
     for name in calls:
         def counted(*args, fn=getattr(kernels, name), name=name):
@@ -424,8 +426,8 @@ def test_decider_work_on_the_benchmark_sweep_is_pinned(work, monkeypatch):
                                                kernel=args["kernel"]))
         for _row in grid.rows():
             pass
-    assert calls == {"_ladder": 70, "j_kernel": 704, "_full_line": 917}
-    assert work == {"kernel": 704 + 917, "uncertified": 781}
+    assert calls == {"_ladder": 0, "j_kernel": 380, "_full_line": 401}
+    assert work == {"kernel": 781, "uncertified": 781}
 
 
 def test_domain_map_decides_one_row_at_a_time(monkeypatch):

@@ -110,19 +110,26 @@ def test_pv_requires_crossing():
 _TWICE_THROUGH_ZERO = segment_path(-1.0, 2.0, 2.0 + 1j, -1.0 + 1j, -1.0, 1.0,
                                    crossing=0)
 
-# route -> (its function, the text of its second-passage error): the routes
-# with a wedge domain find a second passage at the domain's apex, the
-# others walking the path out from its crossing
+# route -> (its function, its keywords, the text of its second-passage
+# error): the routes with a wedge domain find a second passage at the
+# domain's apex, the others walking the path out from its crossing
 _CROSSING_ROUTES = {
-    "pv_contour": (pv_contour, "away from its marked crossing"),
-    "plemelj_plus": (plemelj_plus, "away from a marked crossing"),
-    "plemelj_minus": (plemelj_minus, "away from a marked crossing"),
-    "plemelj_delta": (plemelj_delta, "away from a marked crossing"),
-    "deformation_route": (deformation_route, "away from its marked crossing"),
-    "lambda_route": (lambda_route, "away from a marked crossing"),
+    "pv_contour": (pv_contour, {}, "away from its marked crossing"),
+    "plemelj_plus": (plemelj_plus, {}, "away from a marked crossing"),
+    "plemelj_minus": (plemelj_minus, {}, "away from a marked crossing"),
+    "plemelj_delta": (plemelj_delta, {}, "away from a marked crossing"),
+    "deformation_route": (deformation_route, {}, "away from its marked crossing"),
+    "lambda_route": (lambda_route, {}, "away from a marked crossing"),
+    "lambda_route-minus": (lambda_route, {"kernel": "minus"},
+                           "away from a marked crossing"),
+    "lambda_route-full_line": (lambda_route, {"kernel": "full_line"},
+                               "away from a marked crossing"),
 }
 
 
+# a crossing at an end of the path: the PV of dz/z diverges like ln|z|
+# there, and only half of a lambda kernel's mass lies on the path, so its
+# ladder converges to neither 2 pi f(0) nor pi f(0)
 @pytest.mark.parametrize("path, match", [
     pytest.param(segment_path(0.0, 1.0, crossing=0), "an end of the path", id="start"),
     pytest.param(segment_path(-1.0, 0.0, crossing=0), "an end of the path", id="end"),
@@ -133,10 +140,10 @@ def test_crossing_routes_admit_paths_alike(route, path, match):
     # one admission check for every route that integrates through the
     # crossing: the same defect raises the same error, named after the
     # route that was called
-    call, second_passage = _CROSSING_ROUTES[route]
+    call, keywords, second_passage = _CROSSING_ROUTES[route]
     with pytest.raises(ContourError, match=match or second_passage) as info:
-        call(catalog_function("gauss(0.3)"), path)
-    assert str(info.value).startswith(route)
+        call(catalog_function("gauss(0.3)"), path, **keywords)
+    assert str(info.value).startswith(call.__name__)
 
 
 @pytest.mark.parametrize("points", [(0.0, 1.0), (-1.0, 0.0)], ids=["start", "end"])
@@ -144,6 +151,17 @@ def test_pv_refuses_a_crossing_at_an_end_of_the_path(points):
     # PV of dz/z diverges like ln|z| at an end of the path
     with pytest.raises(ContourError, match="an end of the path"):
         pv_contour(catalog_function("gauss(0.3)"), segment_path(*points, crossing=0))
+
+
+# the minus and full_line kernels are routes of the shared admission test
+@pytest.mark.parametrize("kernel", ["plus"])
+@pytest.mark.parametrize("points", [(0.0, 2.0), (-2.0, 0.0)], ids=["start", "end"])
+def test_lambda_route_refuses_a_crossing_at_an_end_of_the_path(points, kernel):
+    # only half the kernel's mass lies on the path there, so the ladder
+    # converges to neither 2 pi f(0) nor pi f(0)
+    with pytest.raises(ContourError, match="an end of the path"):
+        lambda_route(catalog_function("gauss(0.3)"),
+                     segment_path(*points, crossing=0), kernel=kernel)
 
 
 def test_pv_error_estimate_within_contract():
@@ -217,16 +235,6 @@ def test_lambda_route_rejects_bad_ladders():
     with pytest.raises(ValueError):
         lambda_route(catalog_function("gauss(0)"), segment_path(-2.0, 2.0),
                      kernel="bogus")
-
-
-@pytest.mark.parametrize("kernel", ["plus", "minus", "full_line"])
-@pytest.mark.parametrize("points", [(0.0, 2.0), (-2.0, 0.0)], ids=["start", "end"])
-def test_lambda_route_refuses_a_crossing_at_an_end_of_the_path(points, kernel):
-    # only half the kernel's mass lies on the path there, so the ladder
-    # converges to neither 2 pi f(0) nor pi f(0)
-    with pytest.raises(ContourError, match="an end of the path"):
-        lambda_route(catalog_function("gauss(0.3)"),
-                     segment_path(*points, crossing=0), kernel=kernel)
 
 
 # -- plemelj plus/minus -----------------------------------------------------------

@@ -3,6 +3,7 @@ import cmath
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import plemelj.kernels as kernels
 from plemelj import _erfcx_py
+from plemelj.cli import _axis
 from plemelj.kernels import (RegularizationSchedule,
                              SingularInputError, TruncationError,
                              _decide, _full_line,
@@ -408,6 +410,105 @@ def test_decide_skips_the_steps_that_cannot_diverge(monkeypatch):
         calls.clear()
         assert _decide(kind, z, _DEEP) == (res.status, res.value), (kind, z)
         assert [lam for _z, lam in calls] == list(_DEEP.lambdas[first - 2:])
+
+
+def _in_a_wedge(kind, z):
+    """True when z lies in the open wedge of kind's kernel, as computed."""
+    if kind == "minus":
+        z = -z
+    return abs(z.real) < abs(z.imag) and (kind == "full_line" or z.imag < 0.0)
+
+
+def _diagonal_points(n):
+    """The points on both diagonals of the n x n grid over [-2, 2]^2 with
+    the CLI's axes: the axis values at k and n - 1 - k are not exact
+    negatives, so some of these points lie a few ulps inside a wedge."""
+    ax = _axis(-2.0, 2.0, n)
+    return sorted({complex(ax[i], ax[j]) for i in range(n) for j in (i, n - 1 - i)},
+                  key=lambda z: (z.imag, z.real))
+
+
+@pytest.mark.parametrize("kind, limit_of", _LIMITS, ids=[k for k, _ in _LIMITS])
+def test_decide_takes_the_edge_band_in_one_step(monkeypatch, kind, limit_of):
+    # the in-wedge diagonal points of the README's 81 x 81 grid and of the
+    # 201 x 201 full-line grid lie in the edge band: one kernel evaluation
+    # at lambda_min decides each as its ladder does, and none walks
+    points = [z for n in (81, 201) for z in _diagonal_points(n) if _in_a_wedge(kind, z)]
+    assert len(points) == {"plus": 4, "minus": 27 + 39, "full_line": 27 + 43}[kind]
+    refs = [limit_of(z) for z in points]
+    calls = _count_calls(monkeypatch, "_full_line" if kind == "full_line" else "j_kernel")
+    ladders = _count_calls(monkeypatch, "_ladder")
+    lam_min = RegularizationSchedule.default().lambdas[-1]
+    for z, res in zip(points, refs):
+        calls.clear()
+        assert _decide(kind, z) == (res.status, res.value), z
+        assert [lam for _z, lam in calls] == [lam_min], z
+    assert ladders == []
+
+
+def _band_point(a, r):
+    """(x, y), 0 < x < y, with x^2 + y^2 about r^2 and the exact
+    (y^2 - x^2)/4 as close to a as the last bit of y allows."""
+    x = math.sqrt(0.5 * r * r - 2.0 * a)
+    y = math.sqrt(x * x + 4.0 * a)
+    near = [y, math.nextafter(y, 0.0), math.nextafter(y, math.inf)]
+    return x, min(near, key=lambda y: abs((Fraction(y) ** 2 - Fraction(x) ** 2) / 4
+                                          - Fraction(a)))
+
+
+# (schedule, the step a band point's walk starts at, None where the last
+# step alone decides): two steps before the first lambda with 5/2
+# sqrt(pi/lambda) >= 1e6, lambda <= 1.96e-11, which for K's c = 2 is the
+# same step
+@pytest.mark.parametrize("schedule, late", [(None, None), (_schedule(5), None),
+                                            (_schedule(40), 20), (_DEEP, 14)],
+                         ids=["default", "5-steps", "40-steps", "30-steps-from-1e-3"])
+def test_decide_at_the_edge_of_the_band_matches_the_ladders(monkeypatch, schedule, late):
+    # points at a = -Re(z^2)/4 = a_one (1 -+ 1e-9), a_one = lambda_min ln 2,
+    # next to each wedge ray.  Next to a ray, a moves in steps of about
+    # u |z|^2 / 2 from one double y to the next (u = 2^-53), so below the
+    # default's lambda_min = 1e-6 the radii shrink by sqrt(lambda_min /
+    # 1e-6) to keep those steps under 1e-10 a_one
+    lams = (schedule or RegularizationSchedule.default()).lambdas
+    a_one = lams[-1] * math.log(2.0)
+    scale = min(1.0, math.sqrt(lams[-1] / 1e-6))
+    cases = []
+    for f in (1.0 - 1e-9, 1.0 + 1e-9):
+        for r in (0.3, 1.0, 2.5):
+            x, y = _band_point(a_one * f, r * scale)
+            a = float((Fraction(y) ** 2 - Fraction(x) ** 2) / 4)
+            assert abs(a / (a_one * f) - 1.0) < 2e-10, (r, f)
+            for z in (complex(x, y), complex(-x, y), complex(x, -y), complex(-x, -y)):
+                for kind, limit_of in _LIMITS:
+                    cases.append((kind, z, f < 1.0, limit_of(z, schedule)))
+    kernel_calls = {"plus": _count_calls(monkeypatch, "j_kernel"),
+                    "full_line": _count_calls(monkeypatch, "_full_line")}
+    kernel_calls["minus"] = kernel_calls["plus"]
+    ladders = _count_calls(monkeypatch, "_ladder")
+    evaluated = {True: 0, False: 0}
+    for kind, z, in_band, res in cases:
+        calls = kernel_calls[kind]
+        calls.clear()
+        ladders.clear()
+        assert _decide(kind, z, schedule) == (res.status, res.value), (kind, z)
+        if not _in_a_wedge(kind, z):
+            continue
+        steps = [lam for _z, lam in calls]
+        # a wedge point the wedge test certifies evaluates no kernel; the
+        # others walk from step 0 beyond the band, and in it take the last
+        # step alone, or start late on a schedule too deep for that
+        # (a walk ends at the step that diverges)
+        if steps:
+            evaluated[in_band] += 1
+            if not in_band:
+                assert steps == list(lams[:len(steps)]) and ladders, (kind, z)
+            elif late is None:
+                assert steps == [lams[-1]] and ladders == [], (kind, z)
+            else:
+                assert steps == list(lams[late:late + len(steps)]), (kind, z)
+    assert evaluated[True] and evaluated[False]
+    if late is None:
+        assert evaluated == {True: 24, False: 24}
 
 
 @pytest.mark.parametrize("schedule", [_DEEP, _schedule(40), None],
