@@ -50,8 +50,9 @@ from .contours import (
     deform_at_origin,
 )
 from .kernels import full_line_kernel, j_kernel
-from .quadrature import (QuadratureError, integrate_adaptive,
-                         integrate_contour, integrate_segment, richardson)
+from .quadrature import (PanelBudget, QuadratureError, integrate_adaptive,
+                         integrate_contour, integrate_ladder, integrate_segment,
+                         richardson)
 
 
 class AdmissibilityError(ValueError):
@@ -475,8 +476,9 @@ def deformation_route(f, path: Contour, side: str = "above") -> complex:
 # floor; each smaller lambda costs more panels next to the kernel centre.
 # The ladder, which lambda_route and overlap_delta share, has ratio 4,
 # which halves sqrt(lambda) exactly from one value to the next, and
-# 4^m lambda_m == lambda_0 holds exactly on every rung, so the rungs share
-# kernel values (see _regularized_limit).
+# 4^m lambda_m == lambda_0 holds exactly on every rung, so on an arm every
+# rung integrates the same kernel, kernel(., lambda_0), in a scaled
+# variable, and one panel tree serves all seven (see _arm_rungs).
 _LAMBDA_LADDER = tuple(0.0625 * 0.25 ** m for m in range(7))
 
 
@@ -492,6 +494,15 @@ def _richardson_weights(n: int, ratio: float):
 # last.  The last rungs carry the limit, the first ones almost nothing, so
 # each rung is integrated only as tightly as its weight needs.
 _WEIGHTS = _richardson_weights(7, 4.0)
+
+
+# GK15 panels that one _regularized_limit call may evaluate, over its arm
+# trees and its other pieces together: at most 202 were needed in the
+# tier-1 tests and 116 in the benchmark's crosscheck pools (seeds 1-5)
+# when it was set.  An f that quadrature cannot integrate spends it in
+# about 0.2 s (2-core x86-64 host, Python 3.11) and raises instead of
+# refining for tens of seconds.
+_PANEL_BUDGET = 2048
 
 
 def _rung_tolerances(tol: float):
@@ -537,6 +548,33 @@ def _centred_pieces(path: Contour, loc, center: complex):
     return arms, rest
 
 
+def _arm_rungs(kernel, f_of, center: complex, end: complex, tols, budget):
+    """The rung integrals V_m of kernel(zeta, lambda_m) f(center + zeta)
+    dzeta over the arm Line(0, ``end``) and their estimates, from one panel
+    tree (:func:`integrate_ladder`) charged to ``budget``.
+
+    Substituting x -> x/s in the defining integrals gives the scaling law
+    s J(s zeta, s^2 lam) = J(zeta, lam), and the same for the mirrored and
+    the full-line kernel.  On rung m, s = 2^m and s^2 lambda_m = lam0, the
+    first rung's lambda, exactly; so with zeta = t E and u = 2^m t,
+
+        V_m = integral over [0, 2^m] of kernel(u E, lam0) f(center + u E 2^-m) E du,
+
+    and every rung sees the same kernel.  Besides the rung ends 2^m, the
+    tree is pre-split at the powers of two 2^i < 1 with 2^i |E| >
+    0.4 sqrt(lam0), so it holds every rung's pre-splits in t, at 2^-k with
+    2^-k |E| > 0.4 sqrt(lambda_m).
+    """
+    lam0 = _LAMBDA_LADDER[0]
+    floor = 0.4 * math.sqrt(lam0)
+    splits, u = [], 0.5      # integrate_ladder splits at every 2^m, m >= 0
+    while u * abs(end) > floor:
+        splits.append(u)
+        u *= 0.5
+    return integrate_ladder(kernel, lam0, f_of, center, end, tols, _WEIGHTS,
+                            splits, budget)
+
+
 def _regularized_limit(kernel, f, path: Contour, loc, center=0.0 + 0.0j):
     """Integrate kernel(z - center, lambda) f(z) along the path for each
     lambda of the 7-rung ladder of ratio 4 (``_LAMBDA_LADDER``) and
@@ -554,31 +592,20 @@ def _regularized_limit(kernel, f, path: Contour, loc, center=0.0 + 0.0j):
     550 tol and more.
     The error estimate is the larger of the triangle's last correction and
     the propagated quadrature estimate sum |c_k| e_k, e_k the summed
-    ``integrate_adaptive`` estimates of rung k.
+    quadrature estimates of rung k.
 
     The path is integrated in zeta = z - center, cut at the centre into
-    arms and other pieces (:func:`_centred_pieces`).  Each arm is pre-split
-    at t = 2^-k and each other piece where it crosses a circle of radius
-    2^-k times the shorter side of the path, k >= 1, down to 0.4
-    sqrt(lambda).  As sqrt(lambda) halves from one rung to the next, the
-    arm panels, their G7/K15 nodes and their bisection midpoints of one
-    rung are exact halves of those of the rung before, and one memo of
-    kernel values per call serves the whole ladder.
+    arms and other pieces (:func:`_centred_pieces`).  Each arm is
+    integrated once for all seven rungs, in u = 2^m t, where every rung
+    sees the same kernel (:func:`_arm_rungs`).  Each other piece is
+    integrated rung by rung, kernel(zeta, lambda) evaluated directly, and
+    pre-split where it crosses a circle of radius 2^-k times the shorter
+    side of the path, k >= 1, down to 0.4 sqrt(lambda); a memo keyed by
+    zeta evaluates f once per distinct node of its rungs.
 
-    Substituting x -> x/s in the defining integrals gives the scaling law
-    s J(s zeta, s^2 lam) = J(zeta, lam), and the same for the mirrored and
-    the full-line kernel.  On rung m, s = 2^m and s^2 lam = lam0 (the first
-    rung's lambda) exactly, so the evaluation scales exactly: the w of J
-    and the exponent of K come out identical, and the prefactor and the
-    product with it scale by s.  So s * memo[s zeta], the memo holding
-    kernel(., lam0), is kernel(zeta, lam) to the bit wherever each part of
-    it is 0 or at least s times the smallest normal double (beneath that,
-    the memo value underflows, and the two differ by less than s 2^-1075),
-    and a node zeta of this rung reuses the value computed at the node
-    2 zeta of the rung before.  A scaled value that is not finite is
-    evaluated directly.  f(center + zeta) does not depend on lambda, so a
-    second memo, keyed by zeta, evaluates f once per distinct node of the
-    call.
+    All of it shares one budget of ``_PANEL_BUDGET`` GK15 panels, so an f
+    that quadrature cannot integrate raises QuadratureError after bounded
+    work.
     """
     arms, rest = _centred_pieces(path, loc, center)
     i, t = loc
@@ -587,14 +614,20 @@ def _regularized_limit(kernel, f, path: Contour, loc, center=0.0 + 0.0j):
                if v > 1e-13 * path.length)
     tols = _rung_tolerances(1e-11 / (len(arms) + len(rest)))
     f_of = _evaluator(f)
-    exp, isfinite = cmath.exp, cmath.isfinite
-    lam0 = _LAMBDA_LADDER[0]
-    k_memo, f_memo = {}, {}
+    exp = cmath.exp
+    budget = PanelBudget(_PANEL_BUDGET)
+    values = [0.0 + 0.0j] * len(_LAMBDA_LADDER)
+    errs = [0.0] * len(_LAMBDA_LADDER)
+    for arm, sign in arms:
+        vs, es = _arm_rungs(kernel, f_of, center, arm.end, tols, budget)
+        values = [v + sign * w for v, w in zip(values, vs)]
+        errs = [e + w for e, w in zip(errs, es)]
+    f_memo = {}
 
-    def integrand(seg, lam, s):
+    def integrand(seg, lam):
         """t -> kernel(zeta, lam) f(center + zeta) dzeta/dt along ``seg``,
         with zeta and dzeta/dt the expressions of its ``point`` and
-        ``derivative``, on the rung of lam, s."""
+        ``derivative``."""
         line = isinstance(seg, Line)
         if line:
             a, d = seg.start, seg.end - seg.start
@@ -608,52 +641,29 @@ def _regularized_limit(kernel, f, path: Contour, loc, center=0.0 + 0.0j):
             else:
                 e = exp(1j * (t0 + t * sweep))
                 zeta, dz = c + r * e, dr * e
-            key = s * zeta
-            k = k_memo.get(key)
-            if k is None:
-                k = k_memo[key] = kernel(key, lam0)
-            k = s * k
-            if not isfinite(k):
-                k = kernel(zeta, lam)
             v = f_memo.get(zeta)
             if v is None:
                 v = f_memo[zeta] = f_of(center + zeta)
-            return k * v * dz
+            return kernel(zeta, lam) * v * dz
         return h
 
-    values = []
-    propagated = 0.0
-    s = 1.0
-    for lam, tol, c in zip(_LAMBDA_LADDER, tols, _WEIGHTS):
+    for m, (lam, tol) in enumerate(zip(_LAMBDA_LADDER, tols)):
         floor = 0.4 * math.sqrt(lam)
         radii = []
         r = 0.5 * side
         while r > floor:
             radii.append(r)
             r *= 0.5
-        value, err = 0.0 + 0.0j, 0.0
-        for arm, sign in arms:
-            splits, u = [], 0.5
-            while u * arm.length > floor:
-                splits.append(u)
-                u *= 0.5
-            v, e = integrate_adaptive(integrand(arm, lam, s), 0.0, 1.0,
-                                      abs_tol=tol, breakpoints=splits,
-                                      max_panels=16384)
-            value += sign * v
-            err += e
         for seg, cut in rest:
             splits = [u for r in radii for u in seg.radius_hits(r)
                       if 1e-9 < u < 1.0 - 1e-9]
-            v, e = integrate_adaptive(integrand(seg, lam, s), 0.0, 1.0,
+            v, e = integrate_adaptive(integrand(seg, lam), 0.0, 1.0,
                                       abs_tol=tol, breakpoints=splits + list(cut),
-                                      max_panels=16384)
-            value += v
-            err += e
-        values.append(value)
-        propagated += abs(c) * err
-        s *= 2.0
+                                      budget=budget)
+            values[m] += v
+            errs[m] += e
     limit, correction = richardson(values, ratio=4.0)
+    propagated = sum(abs(c) * e for c, e in zip(_WEIGHTS, errs))
     return limit, max(correction, propagated)
 
 

@@ -7,6 +7,8 @@ extrapolation for the regularization ladders of the lambda routes.
 import cmath
 import heapq
 import math
+from itertools import repeat
+from operator import gt, mul
 
 from .contours import Line
 
@@ -44,6 +46,21 @@ class QuadratureError(Exception):
     """Adaptive refinement failed to reach the requested tolerance."""
 
 
+class PanelBudget:
+    """The GK15 panels that a group of integrals may evaluate between them;
+    :meth:`take` raises QuadratureError once they are spent."""
+
+    def __init__(self, panels: int):
+        self.panels = panels
+        self.left = panels
+
+    def take(self, n: int):
+        self.left -= n
+        if self.left < 0:
+            raise QuadratureError(
+                f"the budget of {self.panels} quadrature panels is spent")
+
+
 # (node, Kronrod weight, Gauss weight or 0.0) of the node pairs off the
 # centre, in the order gk15 sums them
 _GK15_PAIRS = tuple(zip(_XGK[:7], _WGK[:7],
@@ -79,18 +96,26 @@ def gk15(g, a: float, b: float):
 
 
 def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
-                       breakpoints=(), max_panels: int = 4096):
+                       breakpoints=(), max_panels: int = 4096, budget=None):
     """Adaptive G7/K15 integration of complex-valued ``g`` over [a, b].
 
     ``breakpoints`` pre-splits the interval (pass locations of known sharp
-    features, e.g. the crossing neighbourhood of a kernel integrand).
-    Returns (value, error_estimate); raises QuadratureError if the panel
-    budget is exhausted before the tolerance is met, or if the sum is not
-    finite.
+    features, e.g. the crossing neighbourhood of a kernel integrand).  The
+    panel with the largest error estimate is bisected until the summed
+    estimate is at most abs_tol + 1e-16 * magnitude, until the largest
+    estimate is negligible next to that, or until the partition holds
+    ``max_panels`` panels.  Returns (value, error_estimate); raises
+    QuadratureError if the sum is not finite or if the estimate exceeds
+    100 * (abs_tol + 1e-14 * magnitude), so a refinement that stopped
+    short of abs_tol but within that returns normally.  A ``budget``
+    (:class:`PanelBudget`) is charged for every GK15 panel evaluated and
+    raises QuadratureError when it runs out.
     """
     if a == b:
         return 0.0 + 0.0j, 0.0
     pts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
+    if budget is not None:
+        budget.take(len(pts) - 1)
     heap = []
     total = 0.0 + 0.0j
     total_err = 0.0
@@ -114,6 +139,8 @@ def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             continue  # interval at roundoff width; give up on it
+        if budget is not None:
+            budget.take(2)
         v1, e1, m1 = gk15(g, lo, mid)
         v2, e2, m2 = gk15(g, mid, hi)
         total += v1 + v2 - val
@@ -132,6 +159,118 @@ def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
             f"adaptive quadrature stalled: error estimate {total_err:.3e} "
             f"exceeds tolerance {abs_tol:.3e} after {n_panels} panels")
     return total, total_err
+
+
+# The G7/K15 nodes on [-1, 1], the seven Gauss nodes first; the Kronrod
+# weights in that order, and the Gauss weights over the Kronrod weights
+_LADDER_NODES = (-_XGK[1], _XGK[1], -_XGK[3], _XGK[3], -_XGK[5], _XGK[5],
+                 _XGK[7], -_XGK[0], _XGK[0], -_XGK[2], _XGK[2], -_XGK[4],
+                 _XGK[4], -_XGK[6], _XGK[6])
+_LADDER_WK = tuple(_WGK[_XGK.index(abs(x))] for x in _LADDER_NODES)
+_LADDER_WG_WK = tuple(wg / wk for wg, wk in zip(
+    (_WG[0], _WG[0], _WG[1], _WG[1], _WG[2], _WG[2], _WG[3]), _LADDER_WK))
+
+
+def integrate_ladder(kernel, lam, f, center, end, tols, weights,
+                     breakpoints, budget):
+    """The n = len(tols) integrals
+
+        V_m = integral over [0, 2^m] of kernel(u E, lam) f(center + u E 2^-m) E du,
+
+    m = 0 .. n - 1, E = ``end``, on one adaptive G7/K15 panel tree over
+    [0, 2^(n-1)].
+
+    The tree is split at 2^m and at ``breakpoints``.  Rung m sums the
+    panels with hi <= 2^m.  A panel evaluates the kernel once per node u.
+    f is evaluated once per distinct node u 2^-m of the call: a panel
+    [lo, hi] on rung m and the panel [2 lo, 2 hi] on rung m + 1 share
+    their nodes exactly.  The panel with the largest weighted estimate
+    sum |weights[m]| e_m is bisected until every rung's summed estimate is
+    at most tols[m] + 1e-16 * its magnitude, or until the largest weighted
+    estimate is negligible next to those tolerances.  Returns (values,
+    error_estimates), one per rung, each value summed exactly over the
+    final panels (``math.fsum``); raises QuadratureError, as
+    :func:`integrate_adaptive` does, for a rung whose sum is not finite or
+    whose estimate exceeds 100 * (tols[m] + 1e-14 * magnitude), and when
+    the ``budget`` (:class:`PanelBudget`) is spent.
+    """
+    n = len(tols)
+    top = 2.0 ** (n - 1)
+    pts = sorted({0.0, top, *(2.0 ** m for m in range(n - 1)),
+                  *(p for p in breakpoints if 0.0 < p < top)})
+    scales = [2.0 ** -m for m in range(n)]
+    aw = [abs(c) for c in weights]
+    f_at = {}       # (lo 2^-m, hi 2^-m) -> f at the nodes of rung m's panel
+
+    def panel(lo, hi):
+        """(values, estimates, magnitudes) of [lo, hi] per rung, 0 on the
+        rungs it does not serve."""
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        zs = [(mid + half * x) * end for x in _LADDER_NODES]
+        kw = list(map(mul, _LADDER_WK, map(kernel, zs, repeat(lam))))
+        scale = half * end
+        size = abs(scale)
+        frac, first = math.frexp(hi)     # the first rung m with hi <= 2^m
+        first = max(0, first - 1 if frac == 0.5 else first)
+        vals, errs, mags = [0j] * first, [0.0] * first, [0.0] * first
+        for s in scales[first:]:
+            key = (lo * s, hi * s)
+            fs = f_at.get(key)
+            if fs is None:
+                fs = f_at[key] = list(map(f, [center + s * z for z in zs]))
+            terms = list(map(mul, kw, fs))
+            kron = sum(terms)
+            vals.append(scale * kron)
+            errs.append(size * abs(kron - sum(map(mul, _LADDER_WG_WK, terms))))
+            mags.append(size * sum(map(abs, terms)))
+        return vals, errs, mags
+
+    budget.take(len(pts) - 1)
+    spans = list(zip(pts[:-1], pts[1:]))
+    vals, errs, mags = zip(*[panel(lo, hi) for lo, hi in spans])
+    total = list(map(sum, zip(*vals)))
+    total_err = list(map(sum, zip(*errs)))
+    total_mag = list(map(sum, zip(*mags)))
+    heap = [(-sum(map(mul, aw, e)), counter, lo, hi, v, e)
+            for counter, ((lo, hi), v, e) in enumerate(zip(spans, vals, errs))]
+    heapq.heapify(heap)
+    counter = len(heap)
+    kept = []       # values of the panels left out of the heap
+    while heap:
+        floors = [t + 1e-16 * m for t, m in zip(tols, total_mag)]
+        if not any(map(gt, total_err, floors)):
+            break
+        neg_err, _, lo, hi, vals, errs = heapq.heappop(heap)
+        if not 1e-3 * sum(map(mul, aw, floors)) / max(1, len(heap)) <= -neg_err < math.inf:
+            kept.append(vals)
+            break     # negligible, or not finite (the checks below raise)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            kept.append(vals)
+            continue  # interval at roundoff width; give up on it
+        budget.take(2)
+        v1, e1, m1 = panel(lo, mid)
+        v2, e2, m2 = panel(mid, hi)
+        total = [t + a + b - v for t, a, b, v in zip(total, v1, v2, vals)]
+        total_err = [t + a + b - e for t, a, b, e in zip(total_err, e1, e2, errs)]
+        total_mag = [t + a + b for t, a, b in zip(total_mag, m1, m2)]
+        heapq.heappush(heap, (-sum(map(mul, aw, e1)), counter, lo, mid, v1, e1))
+        heapq.heappush(heap, (-sum(map(mul, aw, e2)), counter + 1, mid, hi, v2, e2))
+        counter += 2
+    for m, (v, e, t, mag) in enumerate(zip(total, total_err, tols, total_mag)):
+        if not cmath.isfinite(v):
+            raise QuadratureError(
+                f"rung {m}: integrand is not finite on [0, {2.0 ** m!r}]: "
+                f"the sum is {v!r}")
+        if e > 100 * (t + 1e-14 * mag):
+            raise QuadratureError(
+                f"rung {m}: adaptive quadrature stalled: error estimate "
+                f"{e:.3e} exceeds tolerance {t:.3e}")
+    # the running totals steer the loop; the values are summed afresh over
+    # the final panels, free of the rounding that each update left in them
+    leaves = kept + [entry[4] for entry in heap]
+    return ([complex(math.fsum(v.real for v in rung), math.fsum(v.imag for v in rung))
+             for rung in zip(*leaves)], total_err)
 
 
 def integrate_segment(g, segment, abs_tol=1e-12, breakpoints=()):

@@ -155,7 +155,8 @@ def suite_kernels():
 
     # the same law on the lambda routes' ladder, lambda_m = lambda_0 / 4^m,
     # where it holds to the bit: 2^m kernel(2^m z, lambda_0) == kernel(z,
-    # lambda_m), which lets their rungs share kernel values.  Exact wherever
+    # lambda_m), the law by which one arm tree in u = 2^m t serves every
+    # rung with kernel(., lambda_0) (functionals._arm_rungs).  Exact wherever
     # each part of the value is 0 or at least 2^m times the smallest normal
     # double, so that the scaled-down one does not underflow
     worst = 0.0

@@ -1,6 +1,8 @@
 """Distribution functionals: PV, extended Plemelj formulas, delta, overlap."""
 import cmath
+import importlib.util
 import math
+import os
 import random
 import re
 import warnings
@@ -612,26 +614,39 @@ def test_lambda_route_crossing_on_an_arc(path):
         assert _rel_err(lambda_route(f, path), ref) <= 1e-10, name
 
 
-def test_lambda_route_shares_kernel_values_across_the_ladder(monkeypatch):
-    # on the default ladder sqrt(lambda) halves from rung to rung, and so
-    # do the arm nodes: most kernel values of a rung are the last rung's
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every PanelBudget that a _regularized_limit call creates."""
     import plemelj.functionals as functionals
-    import plemelj.quadrature as quadrature
-    counts = {"kernel": 0, "integrand": 0}
-    j, gk15 = functionals.j_kernel, quadrature.gk15
+    made = []
+
+    class Recorded(functionals.PanelBudget):
+        def __init__(self, panels):
+            super().__init__(panels)
+            made.append(self)
+
+    monkeypatch.setattr(functionals, "PanelBudget", Recorded)
+    return made
+
+
+def test_lambda_route_shares_kernel_values_across_the_ladder(monkeypatch, budgets):
+    # in u = 2^m t every rung sees kernel(., lambda_0): one kernel value per
+    # node of the arm trees serves all seven rungs, and none is computed twice
+    import plemelj.functionals as functionals
+    args = []
+    j = functionals.j_kernel
 
     def counting_j(z, lam):
-        counts["kernel"] += 1
+        args.append((z, lam))
         return j(z, lam)
 
-    def counting_gk15(g, a, b):
-        counts["integrand"] += 15
-        return gk15(g, a, b)
-
     monkeypatch.setattr(functionals, "j_kernel", counting_j)
-    monkeypatch.setattr(quadrature, "gk15", counting_gk15)
     lambda_route(catalog_function("gauss(0.3)"), segment_path(-2.5, 2.5))
-    assert 0 < 2 * counts["kernel"] <= counts["integrand"]
+    (budget,) = budgets
+    arm_panels = budget.panels - budget.left    # the straight path is two arms
+    assert len(args) == 15 * arm_panels == 810
+    assert len(set(args)) == len(args)
+    assert {lam for _z, lam in args} == {_LAMBDA_LADDER[0]}
 
 
 def test_lambda_route_evaluates_f_once_per_point():
@@ -649,25 +664,23 @@ def test_lambda_route_evaluates_f_once_per_point():
     assert len(set(points)) == len(points)
 
 
-def test_ladder_work_is_pinned(monkeypatch):
+def test_ladder_work_is_pinned(monkeypatch, budgets):
     # a rung tolerance or a pre-split that changes changes no output, only
-    # the work: (integrand evaluations, GK15 panels, kernel calls)
+    # the work: (arm-tree panels, GK15 panels of the other pieces, kernel
+    # calls); every panel costs 15 kernel calls
     import plemelj.functionals as functionals
     import plemelj.quadrature as quadrature
-    counts = [0, 0, 0]
+    counts = [0, 0]
     gk15 = quadrature.gk15
 
     def counting_gk15(g, a, b):
-        def h(t):
-            counts[0] += 1
-            return g(t)
-        counts[1] += 1
-        return gk15(h, a, b)
+        counts[0] += 1
+        return gk15(g, a, b)
 
     monkeypatch.setattr(quadrature, "gk15", counting_gk15)
     for name in ("j_kernel", "full_line_kernel"):
         def counted(z, lam, kernel=getattr(functionals, name)):
-            counts[2] += 1
+            counts[1] += 1
             return kernel(z, lam)
         monkeypatch.setattr(functionals, name, counted)
     f = catalog_function("gauss(0.3)")
@@ -681,33 +694,38 @@ def test_ladder_work_is_pinned(monkeypatch):
             ("plus bent", lambda: lambda_route(f, bent)),
             ("full_line bent", lambda: lambda_route(f, bent, kernel="full_line")),
             ("overlap bent", lambda: overlap_delta(0.3 + 0.15j, f, bent))):
-        counts[:] = [0, 0, 0]
+        counts[:] = [0, 0]
         route()
-        work[name] = tuple(counts)
-    assert work == {"plus straight": (2820, 188, 810),
-                    "full_line straight": (2040, 136, 510),
-                    "plus bent": (3360, 224, 1530),
-                    "full_line bent": (3240, 216, 1170),
-                    "overlap bent": (3345, 223, 1305)}
+        budget = budgets[-1]
+        panels = budget.panels - budget.left
+        work[name] = (panels - counts[0], counts[0], counts[1])
+        assert counts[1] == 15 * panels, name
+    assert work == {"plus straight": (54, 0, 810),
+                    "full_line straight": (34, 0, 510),
+                    "plus bent": (52, 50, 1530),
+                    "full_line bent": (50, 28, 1170),
+                    "overlap bent": (52, 35, 1305)}
 
 
 @pytest.mark.parametrize("name", ["default", "overlap"])
 def test_rung_tolerances_split_the_propagated_bound(monkeypatch, name):
     # the limit is sum c_k V_k; rung k runs at tol sum|c_j| / (n |c_k|),
     # tol = 1e-11 / pieces, so every rung adds the same share to the
-    # propagated bound sum |c_k| tol_k, which stays tol sum |c_k|
+    # propagated bound sum |c_k| tol_k, which stays tol sum |c_k|; every
+    # arm tree brings each rung within its own tolerance
     import plemelj.functionals as functionals
     n = 7
     weights = [richardson([float(j == k) for j in range(n)], 4.0)[0]
                for k in range(n)]
-    tols = []
-    adaptive = functionals.integrate_adaptive
+    trees = []
+    ladder = functionals.integrate_ladder
 
-    def recording(g, a, b, abs_tol, **kwargs):
-        tols.append(abs_tol)
-        return adaptive(g, a, b, abs_tol=abs_tol, **kwargs)
+    def recording(kernel, lam, f, center, end, tols, *args, **kwargs):
+        values, errs = ladder(kernel, lam, f, center, end, tols, *args, **kwargs)
+        trees.append((list(tols), errs))
+        return values, errs
 
-    monkeypatch.setattr(functionals, "integrate_adaptive", recording)
+    monkeypatch.setattr(functionals, "integrate_ladder", recording)
     rng = random.Random("lambda:ratio-3")
     path, line = _seeded_path(rng, "straight")
     f = _seeded_functions(rng)[0]
@@ -718,12 +736,13 @@ def test_rung_tolerances_split_the_propagated_bound(monkeypatch, name):
         z2 = path.point((0, 0.4))
         value = overlap_delta(z2, f, path)
         ref = 2 * math.pi * f(z2)
-    pieces = len(tols) // n
-    assert pieces * n == len(tols)
-    rungs = [set(tols[k * pieces:(k + 1) * pieces]) for k in range(n)]
-    assert all(len(rung) == 1 for rung in rungs)
-    rung_tols = [min(rung) for rung in rungs]
+    pieces = len(trees)             # a straight path is two arms
+    assert pieces == 2
+    rung_tols = trees[0][0]
+    assert len(rung_tols) == n and all(tols == rung_tols for tols, _e in trees)
     assert all(0.0 < t < math.inf for t in rung_tols)
+    for _tols, errs in trees:
+        assert all(e <= t for e, t in zip(errs, rung_tols))
     tol, total = 1e-11 / pieces, sum(abs(c) for c in weights)
     shares = [abs(c) * t for c, t in zip(weights, rung_tols)]
     assert sum(shares) <= tol * total * (1.0 + 1e-12)
@@ -820,6 +839,156 @@ def test_overlap_error_estimate_covers_its_error(limits, family):
         limit, estimate = limits[-1]
         assert limit == value
         assert abs(value - 2 * math.pi * f(z2)) <= estimate <= 2e-11, f.label
+
+
+def _crosscheck_pool(seed):
+    """The requests of the crosscheck pool of perfbench/workloads.py for seed."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.generate("crosscheck", seed)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_error_estimate_covers_the_benchmark_closed_forms(limits, seed):
+    # the full-line lambda_routes (2 pi f(0)) and the overlaps (2 pi f(z2))
+    # of the benchmark's crosscheck pool, 16 per seed
+    checked = 0
+    for req in _crosscheck_pool(seed):
+        args = req["args"]
+        if req["op"] == "functional" and args["kernel"] == "delta":
+            f = catalog_function(args["function"])
+            value = lambda_route(f, Contour.from_json(args["contour"]), "full_line")
+            ref = 2 * math.pi * f.at_zero()
+        elif req["op"] == "overlap":
+            f, z2 = catalog_function(args["function"]), complex(*args["z2"])
+            value = overlap_delta(z2, f, Contour.from_json(args["contour"]))
+            ref = 2 * math.pi * f(z2)
+        else:
+            continue
+        limit, estimate = limits[-1]
+        assert limit == value
+        assert abs(value - ref) <= estimate, (req, value - ref, estimate)
+        checked += 1
+    assert checked == 16
+
+
+def _seeded_arms(rng, kind):
+    """(kernel, center, end) of seeded arms Line(0, end) that the ladder
+    integrates: both arms of straight and of bent crossings of the origin,
+    or, for "overlap", arms from a centre z2, forwards and backwards; every
+    direction within 0.6 of the real axis, lengths from 0.01 to 10."""
+    import plemelj.functionals as functionals
+    kernel = {"plus": functionals.j_kernel,
+              "minus": lambda z, lam: functionals.j_kernel(-z, lam),
+              "full_line": functionals.full_line_kernel,
+              "overlap": functionals.full_line_kernel}[kind]
+    arms = []
+    for bent in (False, True, False, True):
+        phi_in = rng.uniform(-0.6, 0.6)
+        phi_out = rng.uniform(-0.6, 0.6) if bent else phi_in
+        center = (complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5))
+                  if kind == "overlap" else 0.0 + 0.0j)
+        for sign, phi in ((-1.0, phi_in), (1.0, phi_out)):
+            length = 10.0 ** rng.uniform(-2.0, 1.0)
+            arms.append((kernel, center, sign * length * cmath.exp(1j * phi)))
+    return arms
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus", "full_line", "overlap"])
+def test_arm_tree_matches_each_rung_integrated_alone(kind):
+    # V_m of the u = 2^m t tree against kernel(zeta, lambda_m) f integrated
+    # over the same arm in t, rung by rung; rungs 0-3 weigh at most 5.1e-4
+    # in the limit, so only this shows a wrong scale or active range there
+    from plemelj.functionals import _PANEL_BUDGET, _arm_rungs, _rung_tolerances
+    from plemelj.quadrature import PanelBudget, integrate_adaptive
+    rng = random.Random(f"arm-tree:{kind}")
+    functions = _seeded_functions(rng)
+    tols = _rung_tolerances(1e-11 / 2)
+    for k, (kernel, center, end) in enumerate(_seeded_arms(rng, kind)):
+        f = functions[k % len(functions)]
+        values, errs = _arm_rungs(kernel, f, center, end, tols,
+                                  PanelBudget(_PANEL_BUDGET))
+        for m, (lam, tol) in enumerate(zip(_LAMBDA_LADDER, tols)):
+            splits, u = [], 0.5
+            while u * abs(end) > 0.4 * math.sqrt(lam):
+                splits.append(u)
+                u *= 0.5
+            ref, _err = integrate_adaptive(
+                lambda t: kernel(t * end, lam) * f(center + t * end) * end,
+                0.0, 1.0, abs_tol=tol, breakpoints=splits, max_panels=16384)
+            assert abs(values[m] - ref) <= errs[m] + tol, (f.label, end, m)
+
+
+def _plus_by_formula(f, path):
+    """The limit of the plus kernel's action along a path of Lines through
+    0 at a vertex, at 30 digits: i PV(f/z) + f(0) (pi - alpha), alpha the
+    turn of the path's direction at the crossing.  The PV is the integral
+    of the entire (f(z) - f(0))/z along the chord plus f(0) (ln|end/start|
+    + i turn), turn that of arg z along the lines that miss the origin."""
+    import mpmath as mp
+    g = _mp_twin(f.label)
+    d_in, d_out = path.crossing_directions()
+    alpha = cmath.phase(d_out / d_in)
+    with mp.workdps(30):
+        a, b = mp.mpc(path.start), mp.mpc(path.end)
+        f0 = g(mp.mpc(0))
+        chord = mp.quad(lambda s: (g(a + s * (b - a)) - f0) / (a + s * (b - a)) * (b - a),
+                        [0, 0.5, 1])
+        turn = sum(cmath.phase(seg.end / seg.start)
+                   for seg in path.segments if seg.start and seg.end)
+        pv = chord + f0 * (mp.log(abs(b) / abs(a)) + 1j * turn)
+        return complex(1j * pv + (mp.pi - alpha) * f0)
+
+
+def _refused_or_close(route, ref):
+    """AdmissibilityError, or a value within 1e-9 of ref."""
+    try:
+        value = route()
+    except AdmissibilityError as exc:
+        assert "panels" in str(exc) or "overflow" in str(exc)
+        return
+    assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_panel_budget_bounds_a_lambda_route_along_huge_f(monkeypatch):
+    # max |f| on the path is 5.8e208: quadrature refines without end
+    # against the roundoff of that magnitude; the panel budget stops it
+    import plemelj.functionals as functionals
+    calls = [0]
+    j = functionals.j_kernel
+
+    def counting_j(z, lam):
+        calls[0] += 1
+        return j(z, lam)
+
+    monkeypatch.setattr(functionals, "j_kernel", counting_j)
+    f = catalog_function("gauss(-1.2)")
+    path = segment_path(-8.18 - 4.82j, 0, 12.75 + 25.99j, 27.20 + 3.14j)
+    _refused_or_close(lambda: lambda_route(f, path, "plus"), _plus_by_formula(f, path))
+    assert 0 < calls[0] <= 15 * functionals._PANEL_BUDGET
+
+
+def test_panel_budget_bounds_an_overlap_against_a_vanishing_f(monkeypatch):
+    # 2 pi f(z2) is below 1e-12, the path's f up to 1e5 times larger
+    import plemelj.functionals as functionals
+    calls = [0]
+    k = functionals.full_line_kernel
+
+    def counting(z, lam):
+        calls[0] += 1
+        return k(z, lam)
+
+    monkeypatch.setattr(functionals, "full_line_kernel", counting)
+    f = catalog_function("poly_gauss(3,0.5)")
+    path = segment_path(-25.03 - 9.68j, -14.16 - 10.61j, 2.39 + 5.87j)
+    z2 = path.segments[1].point(0.5)
+    ref = 2 * math.pi * f(z2)
+    assert abs(ref) < 1e-12
+    _refused_or_close(lambda: overlap_delta(z2, f, path), ref)
+    assert 0 < calls[0] <= 15 * functionals._PANEL_BUDGET
 
 
 def test_routes_take_a_plain_callable():
