@@ -3,11 +3,13 @@
 For an analytic test function f integrable along an oriented contour that
 crosses the origin inside the appropriate wedge domain,
 
-    forward:   <I(+), f> =  i PV (f/z) + pi f(0)
-    backward:  <I(-), f> = -i PV (f/z) + pi f(0)
+    forward:   <I(+), f> =  i PV (f/z) + (pi - alpha) f(0)
+    backward:  <I(-), f> = -i PV (f/z) + (pi + alpha) f(0)
     delta:     <2 pi delta, f> = forward + backward = 2 pi f(0)
 
-where PV is the symmetric-excision principal value along the contour.
+where PV is the symmetric-excision principal value along the contour and
+alpha = phase(d_out / d_in) the turn of its direction at the crossing, 0
+where the path is straight there.
 :func:`pv_contour` computes it without a limit, by subtracting the
 singularity: PV (f/z) = integral of (f(z) - f(0))/z dz + f(0) L, where the
 first integrand is regular and L = ln|end/start| + i (turn of arg z along
@@ -26,8 +28,11 @@ verification suites.
 of the shifted full-line kernel along paths of bounded slope, recovering
 2 pi f(z2).
 
-Every route, like the functionals, reports an f that overflows or that
-quadrature cannot integrate along the path as AdmissibilityError.
+Every route, like the functionals, reports an f that overflows, divides
+by zero, or that quadrature cannot integrate along the path as
+AdmissibilityError.  All the quadrature of one route call shares one
+panel budget (:class:`~plemelj.quadrature.PanelBudget`), so that refusal
+comes after bounded work.
 
 The built-in test-function catalog (:func:`catalog_function`) knows
 "one", "gauss(a)", "poly_gauss(n,a)" and "cos_gauss".
@@ -50,9 +55,8 @@ from .contours import (
     deform_at_origin,
 )
 from .kernels import full_line_kernel, j_kernel
-from .quadrature import (PanelBudget, QuadratureError, integrate_adaptive,
-                         integrate_contour, integrate_ladder, integrate_segment,
-                         richardson)
+from .quadrature import (PanelBudget, QuadratureError, integrate_ladder,
+                         integrate_segment, richardson)
 
 
 class AdmissibilityError(ValueError):
@@ -79,31 +83,21 @@ class OrientationError(ValueError):
 
 # -- test functions --------------------------------------------------------
 
-_DECAY_CLASSES = ("compactly_supported_path", "gaussian_decay", "polynomial_bounded")
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Analytic function handle with the metadata the functionals need.
 
     ``value_at_zero`` may be supplied (it is cross-checked against an
     evaluation at 0 and a mismatch beyond 1e-10 is an error) or left None
-    to be evaluated.  ``decay_class`` is validated and recorded; no route
-    reads it yet.  Handles must be pure: they are called concurrently, and
-    the routes memoise f within a call, evaluating it once per distinct
-    point.
+    to be evaluated.  Handles must be pure: they are called concurrently,
+    and the routes memoise f within a call, evaluating it once per
+    distinct point.
     """
     eval: callable
     value_at_zero: complex = None
-    decay_class: str = "gaussian_decay"
     label: str = ""
 
     __test__ = False   # keep pytest collection away from the domain name
-
-    def __post_init__(self):
-        if self.decay_class not in _DECAY_CLASSES:
-            raise ValueError(
-                f"decay_class must be one of {_DECAY_CLASSES}, got {self.decay_class!r}")
 
     def __call__(self, z: complex) -> complex:
         return self.eval(z)
@@ -146,8 +140,7 @@ def catalog_function(name: str) -> TestFunction:
     """Catalog lookup: "one", "gauss(a)", "poly_gauss(n,a)", "cos_gauss"."""
     name = name.strip()
     if name == "one":
-        return TestFunction(lambda z: 1.0 + 0.0j, value_at_zero=1.0,
-                            decay_class="polynomial_bounded", label="one")
+        return TestFunction(lambda z: 1.0 + 0.0j, value_at_zero=1.0, label="one")
     if name == "cos_gauss":
         return TestFunction(lambda z: cmath.cos(z) * cmath.exp(-z * z),
                             value_at_zero=1.0, label="cos_gauss")
@@ -194,14 +187,17 @@ def check_analytic(f, path: Contour):
 
 @contextmanager
 def _admissible_f(op: str):
-    """Report an f that overflows, or that quadrature cannot integrate
-    along the path, as AdmissibilityError rather than as the bare error."""
+    """The one context of a route call's work on f.  Yields the call's
+    :class:`PanelBudget`, which every integral of the call charges, and
+    reports an f that overflows or divides by zero (ArithmeticError), or
+    that quadrature cannot integrate along the path within the budget, as
+    AdmissibilityError rather than as the bare error."""
     try:
-        yield
-    except (OverflowError, QuadratureError) as exc:
+        yield PanelBudget()
+    except (ArithmeticError, QuadratureError) as exc:
         raise AdmissibilityError(
-            f"{op}: f overflows or cannot be integrated along the path "
-            f"({exc})") from exc
+            f"{op}: f overflows, divides by zero or cannot be integrated "
+            f"along the path ({exc})") from exc
 
 
 def _admit_crossing_path(path: Contour, op: str, domain: WedgeDomain = None):
@@ -295,7 +291,7 @@ def _turn(pieces) -> float:
     return total
 
 
-def _principal_value(f, path: Contour, f0: complex):
+def _principal_value(f, path: Contour, f0: complex, budget: PanelBudget):
     """PV of f(z)/z along a crossing-marked path, by subtracting the
     singularity:
 
@@ -304,13 +300,13 @@ def _principal_value(f, path: Contour, f0: complex):
     where turn is that of arg z along the path (:func:`_turn`).  The first
     integrand is regular; each piece of the path, the crossing segment cut
     at the origin (:func:`crossing_arms`), is integrated by adaptive
-    Gauss-Kronrod, none of whose nodes is an endpoint.  Returns
-    (pv, error_estimate), the estimate being the summed quadrature
-    estimates.
+    Gauss-Kronrod, none of whose nodes is an endpoint, charged to
+    ``budget``.  Returns (pv, error_estimate), the estimate being the
+    summed quadrature estimates.
 
     The path must have passed :func:`_admit_crossing_path`.  An integral
-    that quadrature cannot finish next to the crossing raises
-    PvDivergenceError.
+    that quadrature cannot finish next to the crossing, with the budget
+    not spent, raises PvDivergenceError.
     """
     check_analytic(f, path)
     before, after = crossing_arms(path)
@@ -321,10 +317,10 @@ def _principal_value(f, path: Contour, f0: complex):
     for seg, at_origin in pieces:
         try:
             v, e = integrate_segment(lambda z: (f_of(z) - f0) / z, seg,
-                                     abs_tol=_QUAD_TOL)
+                                     abs_tol=_QUAD_TOL, budget=budget)
         except (QuadratureError, ZeroDivisionError) as exc:
-            if not at_origin:
-                raise
+            if not at_origin or budget.left < 0:
+                raise       # a spent budget says nothing about the PV
             raise PvDivergenceError(
                 "(f(z) - f(0))/z cannot be integrated next to the "
                 f"crossing ({exc}); the principal value does not exist") from exc
@@ -352,8 +348,8 @@ def pv_contour(f, path: Contour) -> complex:
     the path there).
     """
     _admit_crossing_path(path, "pv_contour")
-    with _admissible_f("pv_contour"):
-        pv, _err = _principal_value(f, path, _f_at_zero(f, "pv_contour"))
+    with _admissible_f("pv_contour") as budget:
+        pv, _err = _principal_value(f, path, _f_at_zero(f, "pv_contour"), budget)
     return pv
 
 
@@ -365,9 +361,10 @@ class FunctionalResult:
     decomposition.
 
     For plemelj_plus and plemelj_minus, value = pv_part + delta_part holds
-    exactly by construction.  For plemelj_delta, value, pv_part and
-    delta_part are the sums of the one-sided ones, so value may differ
-    from pv_part + delta_part in the last bits.
+    exactly by construction.  For plemelj_delta, value and pv_part are the
+    sums of the one-sided ones and delta_part is 2 pi f(0), their sum with
+    the corner terms cancelled, so value may differ from pv_part +
+    delta_part in the last bits.
     """
     value: complex
     pv_part: complex
@@ -379,41 +376,60 @@ def _crossing_moves_left_to_right(path: Contour) -> bool:
     return d_in.real > 1e-12 and d_out.real > 1e-12
 
 
+def _corner(path: Contour) -> float:
+    """alpha = phase(d_out / d_in), the turn of the path's direction at a
+    marked crossing that sits on a vertex, from the end tangent of the
+    segment before it and the start tangent of the one after; exactly 0 at
+    a crossing inside a segment, where the path has no corner."""
+    i, t = path.crossing, path.crossing_param
+    segs = path.segments
+    b = i - 1 if t <= 1e-13 else i      # the vertex after segment b
+    if 1e-13 < t < 1.0 - 1e-13 or not 0 <= b < len(segs) - 1:
+        return 0.0
+    return cmath.phase(segs[b + 1].derivative(0.0) / segs[b].derivative(1.0))
+
+
 def _plemelj(f, path: Contour, op: str, domain: WedgeDomain,
              signs: tuple) -> FunctionalResult:
     """Sum over the one-sided kernels s = +i (forward) and s = -i (mirrored)
-    in ``signs`` of s PV(f/z) + pi f(0), from one domain check, one f(0)
-    and one principal value.  A two-sided sum (the delta) must also cross
-    the origin from the left half plane to the right half plane."""
+    in ``signs`` of s PV(f/z) + (pi + i s alpha) f(0), alpha the corner of
+    the path at the crossing (:func:`_corner`), from one domain check, one
+    f(0) and one principal value.  A two-sided sum (the delta) must also
+    cross the origin from the left half plane to the right half plane; its
+    corner terms cancel, and its delta_part is 2 pi f(0) exactly."""
     _admit_crossing_path(path, op, domain)
     if len(signs) == 2 and not _crossing_moves_left_to_right(path):
         raise OrientationError(
             f"{op} requires the crossing to run from the left half "
             "plane to the right half plane")
-    with _admissible_f(op):
+    with _admissible_f(op) as budget:
         f0 = _f_at_zero(f, op)
-        pv, _err = _principal_value(f, path, f0)
-    delta_part = math.pi * f0
-    sides = [FunctionalResult(s * pv + delta_part, s * pv, delta_part)
-             for s in signs]
+        pv, _err = _principal_value(f, path, f0, budget)
+    alpha = _corner(path)
+    sides = []
+    for s in signs:     # s.imag = 1 forward, -1 mirrored
+        delta_part = (math.pi - s.imag * alpha) * f0
+        sides.append(FunctionalResult(s * pv + delta_part, s * pv, delta_part))
     if len(sides) == 1:
         return sides[0]
     plus, minus = sides
     return FunctionalResult(
         plus.value + minus.value, plus.pv_part + minus.pv_part,
-        plus.delta_part + minus.delta_part)
+        2.0 * math.pi * f0)
 
 
 def plemelj_plus(f, path: Contour) -> FunctionalResult:
     """Action of the forward kernel limit on f along the path:
-    i PV(f/z) + pi f(0), for paths inside the 'plus' wedge domain crossing
-    the origin left half -> right half."""
+    i PV(f/z) + (pi - alpha) f(0), for paths inside the 'plus' wedge domain
+    crossing the origin left half -> right half, alpha the turn of the
+    path's direction at a crossing on a vertex (0 inside a segment)."""
     return _plemelj(f, path, "plemelj_plus", WedgeDomain.plus(), (1j,))
 
 
 def plemelj_minus(f, path: Contour) -> FunctionalResult:
     """Action of the mirrored kernel limit on f along the path:
-    -i PV(f/z) + pi f(0), for paths inside the 'minus' wedge domain."""
+    -i PV(f/z) + (pi + alpha) f(0), for paths inside the 'minus' wedge
+    domain, alpha as in :func:`plemelj_plus`."""
     return _plemelj(f, path, "plemelj_minus", WedgeDomain.minus(), (-1j,))
 
 
@@ -444,28 +460,30 @@ def deformation_route(f, path: Contour, side: str = "above") -> complex:
     the origin circled from above and must agree with plemelj_plus;
     side='below' integrates the mirrored kernel -i f(z)/z (the mirrored
     picture) and must agree with plemelj_minus -- for crossings traversed
-    left to right that are locally straight.  This is the geometric half
-    of the extended formulas.  The integrand is analytic off the origin,
-    so by Cauchy's theorem the deformed integral does not depend on the
-    arc radius, and one radius gives the value.  A path that meets the
-    origin away from its marked crossing, or whose crossing is one of its
-    ends, raises ContourError.
+    left to right, the corner term of a crossing on a vertex included.
+    This is the geometric half of the extended formulas.  The integrand is
+    analytic off the origin, so by Cauchy's theorem the deformed integral
+    does not depend on the arc radius, and one radius gives the value.
+    Each deformed segment is integrated to 1e-12 / (number of segments),
+    pre-split at its point nearest the origin where that lies within
+    4 eps.  A path that meets the origin away from its marked crossing,
+    or whose crossing is one of its ends, raises ContourError.
     """
     _admit_crossing_path(path, "deformation_route")
     sign = 1j if side == "above" else -1j
     before, after = path.arm_lengths()
     eps = 0.1 * min(before, after)
-    deformed = deform_at_origin(path, eps, side)
-    breaks = {}
-    for i, seg in enumerate(deformed.segments):
-        d, t = seg.min_distance(0.0 + 0.0j)
-        if d < 4.0 * eps and 1e-9 < t < 1.0 - 1e-9:
-            breaks[i] = (t,)
+    deformed = deform_at_origin(path, eps, side).segments
     f_of = _evaluator(f)
-    with _admissible_f("deformation_route"):
-        value, _e = integrate_contour(lambda z: sign * f_of(z) / z, deformed,
-                                      abs_tol=_QUAD_TOL,
-                                      seg_breakpoints=breaks)
+    value = 0.0 + 0.0j
+    with _admissible_f("deformation_route") as budget:
+        for seg in deformed:
+            d, t = seg.min_distance(0.0 + 0.0j)
+            cut = (t,) if d < 4.0 * eps and 1e-9 < t < 1.0 - 1e-9 else ()
+            v, _e = integrate_segment(lambda z: sign * f_of(z) / z, seg,
+                                      abs_tol=_QUAD_TOL / len(deformed),
+                                      breakpoints=cut, budget=budget)
+            value += v
     return value
 
 
@@ -494,15 +512,6 @@ def _richardson_weights(n: int, ratio: float):
 # last.  The last rungs carry the limit, the first ones almost nothing, so
 # each rung is integrated only as tightly as its weight needs.
 _WEIGHTS = _richardson_weights(7, 4.0)
-
-
-# GK15 panels that one _regularized_limit call may evaluate, over its arm
-# trees and its other pieces together: at most 202 were needed in the
-# tier-1 tests and 116 in the benchmark's crosscheck pools (seeds 1-5)
-# when it was set.  An f that quadrature cannot integrate spends it in
-# about 0.2 s (2-core x86-64 host, Python 3.11) and raises instead of
-# refining for tens of seconds.
-_PANEL_BUDGET = 2048
 
 
 def _rung_tolerances(tol: float):
@@ -575,7 +584,8 @@ def _arm_rungs(kernel, f_of, center: complex, end: complex, tols, budget):
                             splits, budget)
 
 
-def _regularized_limit(kernel, f, path: Contour, loc, center=0.0 + 0.0j):
+def _regularized_limit(kernel, f, path: Contour, loc, budget: PanelBudget,
+                       center=0.0 + 0.0j):
     """Integrate kernel(z - center, lambda) f(z) along the path for each
     lambda of the 7-rung ladder of ratio 4 (``_LAMBDA_LADDER``) and
     Richardson-extrapolate the regularization away.  ``loc`` is the path's
@@ -598,14 +608,14 @@ def _regularized_limit(kernel, f, path: Contour, loc, center=0.0 + 0.0j):
     arms and other pieces (:func:`_centred_pieces`).  Each arm is
     integrated once for all seven rungs, in u = 2^m t, where every rung
     sees the same kernel (:func:`_arm_rungs`).  Each other piece is
-    integrated rung by rung, kernel(zeta, lambda) evaluated directly, and
-    pre-split where it crosses a circle of radius 2^-k times the shorter
-    side of the path, k >= 1, down to 0.4 sqrt(lambda); a memo keyed by
-    zeta evaluates f once per distinct node of its rungs.
+    integrated rung by rung (:func:`integrate_segment`), kernel(zeta,
+    lambda) evaluated directly, and pre-split where it crosses a circle of
+    radius 2^-k times the shorter side of the path, k >= 1, down to
+    0.4 sqrt(lambda); a memo keyed by zeta evaluates f once per distinct
+    node of its rungs.
 
-    All of it shares one budget of ``_PANEL_BUDGET`` GK15 panels, so an f
-    that quadrature cannot integrate raises QuadratureError after bounded
-    work.
+    All of it charges the route call's ``budget``, so an f that quadrature
+    cannot integrate raises QuadratureError after bounded work.
     """
     arms, rest = _centred_pieces(path, loc, center)
     i, t = loc
@@ -614,8 +624,6 @@ def _regularized_limit(kernel, f, path: Contour, loc, center=0.0 + 0.0j):
                if v > 1e-13 * path.length)
     tols = _rung_tolerances(1e-11 / (len(arms) + len(rest)))
     f_of = _evaluator(f)
-    exp = cmath.exp
-    budget = PanelBudget(_PANEL_BUDGET)
     values = [0.0 + 0.0j] * len(_LAMBDA_LADDER)
     errs = [0.0] * len(_LAMBDA_LADDER)
     for arm, sign in arms:
@@ -624,28 +632,11 @@ def _regularized_limit(kernel, f, path: Contour, loc, center=0.0 + 0.0j):
         errs = [e + w for e, w in zip(errs, es)]
     f_memo = {}
 
-    def integrand(seg, lam):
-        """t -> kernel(zeta, lam) f(center + zeta) dzeta/dt along ``seg``,
-        with zeta and dzeta/dt the expressions of its ``point`` and
-        ``derivative``."""
-        line = isinstance(seg, Line)
-        if line:
-            a, d = seg.start, seg.end - seg.start
-        else:
-            c, r, t0, sweep = seg.center, seg.radius, seg.theta_start, seg.sweep
-            dr = 1j * sweep * r
-
-        def h(t):
-            if line:
-                zeta, dz = a + t * d, d
-            else:
-                e = exp(1j * (t0 + t * sweep))
-                zeta, dz = c + r * e, dr * e
-            v = f_memo.get(zeta)
-            if v is None:
-                v = f_memo[zeta] = f_of(center + zeta)
-            return kernel(zeta, lam) * v * dz
-        return h
+    def f_at(zeta):
+        v = f_memo.get(zeta)
+        if v is None:
+            v = f_memo[zeta] = f_of(center + zeta)
+        return v
 
     for m, (lam, tol) in enumerate(zip(_LAMBDA_LADDER, tols)):
         floor = 0.4 * math.sqrt(lam)
@@ -657,9 +648,9 @@ def _regularized_limit(kernel, f, path: Contour, loc, center=0.0 + 0.0j):
         for seg, cut in rest:
             splits = [u for r in radii for u in seg.radius_hits(r)
                       if 1e-9 < u < 1.0 - 1e-9]
-            v, e = integrate_adaptive(integrand(seg, lam), 0.0, 1.0,
-                                      abs_tol=tol, breakpoints=splits + list(cut),
-                                      budget=budget)
+            v, e = integrate_segment(lambda zeta: kernel(zeta, lam) * f_at(zeta),
+                                     seg, abs_tol=tol,
+                                     breakpoints=splits + list(cut), budget=budget)
             values[m] += v
             errs[m] += e
     limit, correction = richardson(values, ratio=4.0)
@@ -690,9 +681,9 @@ def lambda_route(f, path: Contour, kernel: str = "plus") -> complex:
     else:
         raise ValueError(f"kernel must be plus|minus|full_line, got {kernel!r}")
     _admit_crossing_path(path, "lambda_route", domain)
-    with _admissible_f("lambda_route"):
+    with _admissible_f("lambda_route") as budget:
         limit, _err = _regularized_limit(
-            k_of, f, path, (path.crossing, path.crossing_param))
+            k_of, f, path, (path.crossing, path.crossing_param), budget)
     return limit
 
 
@@ -761,7 +752,7 @@ def overlap_delta(z2: complex, f, path: Contour) -> complex:
         raise DomainViolationError(
             f"overlap_delta: z2 = {z2!r} is an end of the path; the sifting "
             "point must lie between its ends")
-    with _admissible_f("overlap_delta"):
+    with _admissible_f("overlap_delta") as budget:
         limit, _err = _regularized_limit(full_line_kernel, f, path, loc,
-                                         center=z2)
+                                         budget, center=z2)
     return limit

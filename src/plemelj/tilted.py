@@ -129,13 +129,14 @@ class TiltedResult:
     kernel_mismatch: bool
 
 
-def _pv_real_line(g, q_min: float, q_max: float):
+def _pv_real_line(g, q_min: float, q_max: float, budget):
     """PV of integral g(q)/q dq over [q_min, q_max] through the pole at 0.
 
     Integrates the regular fold (g(q) - g(-q))/q over (0, m], m the
-    shorter side, and g(q)/q over the rest of the longer side.  Returns
-    (pv, summed quadrature error estimate).  Independent of the singularity
-    subtraction along contours in functionals._principal_value.
+    shorter side, and g(q)/q over the rest of the longer side, charged to
+    the route call's ``budget``.  Returns (pv, summed quadrature error
+    estimate).  Independent of the singularity subtraction along contours
+    in functionals._principal_value.
     """
     m = min(-q_min, q_max)
 
@@ -143,11 +144,13 @@ def _pv_real_line(g, q_min: float, q_max: float):
         return (g(q) - g(-q)) / q
 
     core, core_err = integrate_adaptive(folded, 0.0, m, abs_tol=1e-13,
-                                        breakpoints=(m * 1e-6, m * 1e-3))
+                                        breakpoints=(m * 1e-6, m * 1e-3),
+                                        budget=budget)
     rest = 0.0 + 0.0j
     for lo, hi in ((m, q_max), (q_min, -m)):   # the longer side's excess
         if hi > lo:
-            v, e = integrate_adaptive(lambda q: g(q) / q, lo, hi, abs_tol=1e-13)
+            v, e = integrate_adaptive(lambda q: g(q) / q, lo, hi, abs_tol=1e-13,
+                                      budget=budget)
             rest += v
             core_err += e
     return core + rest, core_err
@@ -166,8 +169,9 @@ def tilted_plemelj(f, line: TiltedLine) -> TiltedResult:
     not converge on the line, which the kernel_mismatch flag reports.  The
     flag depends on phi alone, however short the line.
 
-    An f whose value at 0 is not finite, or that overflows or cannot be
-    integrated along the line, raises AdmissibilityError.
+    An f whose value at 0 is not finite, or that overflows, divides by
+    zero or cannot be integrated along the line within the call's panel
+    budget, raises AdmissibilityError.
     """
     path = line.to_contour()
     phase = cmath.exp(1j * line.phi)
@@ -175,10 +179,10 @@ def tilted_plemelj(f, line: TiltedLine) -> TiltedResult:
     def g(q):
         return f(q * phase)
 
-    with _admissible_f("tilted_plemelj"):
+    with _admissible_f("tilted_plemelj") as budget:
         check_analytic(f, path)
         f0 = _f_at_zero(f, "tilted_plemelj")
-        pv, _err = _pv_real_line(g, line.q_min, line.q_max)
+        pv, _err = _pv_real_line(g, line.q_min, line.q_max, budget)
     delta_part = -1j * math.pi * f0
     return TiltedResult(pv + delta_part, pv, delta_part,
                         not line.strict_kernel_valid)

@@ -22,6 +22,7 @@ from plemelj.functionals import (_LAMBDA_LADDER, CATALOG_EXAMPLES,
                                  plemelj_minus, plemelj_plus,
                                  pv_contour, catalog_function)
 from plemelj.quadrature import richardson
+from plemelj.tilted import TiltedLine, tilted_plemelj
 
 # frozen series-oracle values (tests below regenerate them)
 TWO_SHI_ONE = 2.1145017507514570291    # PV int_{-1}^{1} e^z/z dz = 2 Shi(1)
@@ -168,9 +169,11 @@ def test_lambda_route_refuses_a_crossing_at_an_end_of_the_path(points, kernel):
 
 def test_pv_error_estimate_within_contract():
     from plemelj.functionals import _principal_value
+    from plemelj.quadrature import PanelBudget
     for name in ("gauss(0.3)", "cos_gauss", "poly_gauss(2,0.3)"):
         f = catalog_function(name)
-        _pv, err = _principal_value(f, segment_path(-3.0, 3.0), f.at_zero())
+        _pv, err = _principal_value(f, segment_path(-3.0, 3.0), f.at_zero(),
+                                    PanelBudget())
         assert err <= 1e-8
 
 
@@ -225,6 +228,17 @@ def test_pv_pole_next_to_the_path():
     ref = (cmath.log(1.0 - a) - cmath.log(-1.0 - a)) / a
     pv = pv_contour(f, segment_path(-1.0, 1.0))
     assert abs(pv - ref) <= 1e-10 * abs(ref)
+
+
+def test_pv_pole_too_close_to_resolve_spends_the_budget():
+    # a pole 1e-15 off the path next to the crossing: the PV exists, but
+    # quadrature cannot resolve the pole within the panel budget, which
+    # proves nothing about the PV
+    a = 1e-2 + 1e-15j
+    f = TestFunction(lambda z: 1.0 / (z - a), value_at_zero=-1.0 / a)
+    with pytest.raises(AdmissibilityError, match="budget") as info:
+        pv_contour(f, segment_path(-1.0, 1.0))
+    assert not isinstance(info.value, PvDivergenceError)
 
 
 def test_pv_pole_at_the_origin_is_inadmissible():
@@ -397,15 +411,17 @@ def test_deformation_route_agrees_above():
 def test_deformed_integrals_are_cauchy_in_eps():
     # the deformed-path functional stabilizes as the arc radius shrinks
     from plemelj.contours import deform_at_origin
-    from plemelj.quadrature import integrate_contour
+    from plemelj.quadrature import integrate_segment
     f = catalog_function("gauss(0.3)")
     seg = segment_path(-3.0, 3.0)
     vals = []
     for k in range(6):
         eps = 0.3 * 0.5 ** k
         d = deform_at_origin(seg, eps, "above")
-        v, _ = integrate_contour(lambda z: 1j * f(z) / z, d, abs_tol=1e-12)
-        vals.append(v)
+        n = len(d.segments)
+        vals.append(sum(integrate_segment(lambda z: 1j * f(z) / z, s,
+                                          abs_tol=1e-12 / n)[0]
+                        for s in d.segments))
     # the integrand is analytic off the origin, so the value is exactly
     # epsilon-independent and the ladder sits at quadrature noise
     diffs = [abs(b - a) for a, b in zip(vals[:-1], vals[1:])]
@@ -417,13 +433,13 @@ def test_deformation_route_integrates_once(monkeypatch):
     # the route integrates at one radius and extrapolates nothing
     import plemelj.functionals as functionals
     calls = []
-    integrate = functionals.integrate_contour
+    deform = functionals.deform_at_origin
 
-    def counting(g, contour, **kwargs):
-        calls.append(contour)
-        return integrate(g, contour, **kwargs)
+    def counting(path, epsilon, side):
+        calls.append(epsilon)
+        return deform(path, epsilon, side)
 
-    monkeypatch.setattr(functionals, "integrate_contour", counting)
+    monkeypatch.setattr(functionals, "deform_at_origin", counting)
     f = catalog_function("gauss(0.3)")
     seg = segment_path(-3.0, 3.0)
     value = deformation_route(f, seg, side="above")
@@ -432,9 +448,9 @@ def test_deformation_route_integrates_once(monkeypatch):
 
 
 def test_default_ladders_extrapolate_in_lambda():
-    # seven rungs of ratio 4, the Richardson step in lambda; the kernel memo
-    # serves rung m as 2^m kernel(2^m zeta, lambda_0) without checking that
-    # 4^m lambda_m is lambda_0, so it must hold to the bit
+    # seven rungs of ratio 4, the Richardson step in lambda; an arm's panel
+    # tree serves rung m with kernel(., lambda_0) in u = 2^m t without
+    # checking that 4^m lambda_m is lambda_0, so it must hold to the bit
     assert len(_LAMBDA_LADDER) == 7
     assert all(4.0 ** m * lam == _LAMBDA_LADDER[0]
                for m, lam in enumerate(_LAMBDA_LADDER))
@@ -616,13 +632,13 @@ def test_lambda_route_crossing_on_an_arc(path):
 
 @pytest.fixture
 def budgets(monkeypatch):
-    """Every PanelBudget that a _regularized_limit call creates."""
+    """Every PanelBudget that a route call creates."""
     import plemelj.functionals as functionals
     made = []
 
     class Recorded(functionals.PanelBudget):
-        def __init__(self, panels):
-            super().__init__(panels)
+        def __init__(self, *args):
+            super().__init__(*args)
             made.append(self)
 
     monkeypatch.setattr(functionals, "PanelBudget", Recorded)
@@ -902,15 +918,14 @@ def test_arm_tree_matches_each_rung_integrated_alone(kind):
     # V_m of the u = 2^m t tree against kernel(zeta, lambda_m) f integrated
     # over the same arm in t, rung by rung; rungs 0-3 weigh at most 5.1e-4
     # in the limit, so only this shows a wrong scale or active range there
-    from plemelj.functionals import _PANEL_BUDGET, _arm_rungs, _rung_tolerances
+    from plemelj.functionals import _arm_rungs, _rung_tolerances
     from plemelj.quadrature import PanelBudget, integrate_adaptive
     rng = random.Random(f"arm-tree:{kind}")
     functions = _seeded_functions(rng)
     tols = _rung_tolerances(1e-11 / 2)
     for k, (kernel, center, end) in enumerate(_seeded_arms(rng, kind)):
         f = functions[k % len(functions)]
-        values, errs = _arm_rungs(kernel, f, center, end, tols,
-                                  PanelBudget(_PANEL_BUDGET))
+        values, errs = _arm_rungs(kernel, f, center, end, tols, PanelBudget())
         for m, (lam, tol) in enumerate(zip(_LAMBDA_LADDER, tols)):
             splits, u = [], 0.5
             while u * abs(end) > 0.4 * math.sqrt(lam):
@@ -918,7 +933,8 @@ def test_arm_tree_matches_each_rung_integrated_alone(kind):
                 u *= 0.5
             ref, _err = integrate_adaptive(
                 lambda t: kernel(t * end, lam) * f(center + t * end) * end,
-                0.0, 1.0, abs_tol=tol, breakpoints=splits, max_panels=16384)
+                0.0, 1.0, abs_tol=tol, breakpoints=splits,
+                budget=PanelBudget(16384))
             assert abs(values[m] - ref) <= errs[m] + tol, (f.label, end, m)
 
 
@@ -968,7 +984,7 @@ def test_panel_budget_bounds_a_lambda_route_along_huge_f(monkeypatch):
     f = catalog_function("gauss(-1.2)")
     path = segment_path(-8.18 - 4.82j, 0, 12.75 + 25.99j, 27.20 + 3.14j)
     _refused_or_close(lambda: lambda_route(f, path, "plus"), _plus_by_formula(f, path))
-    assert 0 < calls[0] <= 15 * functionals._PANEL_BUDGET
+    assert 0 < calls[0] <= 15 * functionals.PanelBudget().panels
 
 
 def test_panel_budget_bounds_an_overlap_against_a_vanishing_f(monkeypatch):
@@ -988,7 +1004,85 @@ def test_panel_budget_bounds_an_overlap_against_a_vanishing_f(monkeypatch):
     ref = 2 * math.pi * f(z2)
     assert abs(ref) < 1e-12
     _refused_or_close(lambda: overlap_delta(z2, f, path), ref)
-    assert 0 < calls[0] <= 15 * functionals._PANEL_BUDGET
+    assert 0 < calls[0] <= 15 * functionals.PanelBudget().panels
+
+
+_FUZZ_F = "gauss(-1.2)"
+_FUZZ_PATH = segment_path(-8.18 - 4.82j, 0, 12.75 + 25.99j, 27.20 + 3.14j)
+
+
+@pytest.mark.parametrize("route", [
+    lambda f, path: deformation_route(f, path, "above"),
+    lambda f, path: deformation_route(f, path, "below"),
+    lambda f, path: lambda_route(f, path, "plus"),
+    pv_contour,
+    plemelj_plus,
+], ids=["deformation-above", "deformation-below", "lambda-plus", "pv_contour",
+        "plemelj_plus"])
+def test_every_route_bounds_its_work_along_huge_f(monkeypatch, route):
+    # max |f| on the path is 5.8e208: each route refuses it after at most
+    # one budget of panels, counted as GK15 panels and, on the ladder, as
+    # kernel calls (every panel of a ladder route costs 15 of them)
+    import plemelj.functionals as functionals
+    import plemelj.quadrature as quadrature
+    counts = {"gk15": 0, "kernel": 0}
+    gk15, j = quadrature.gk15, functionals.j_kernel
+
+    def counting_gk15(g, a, b):
+        counts["gk15"] += 1
+        return gk15(g, a, b)
+
+    def counting_j(z, lam):
+        counts["kernel"] += 1
+        return j(z, lam)
+
+    monkeypatch.setattr(quadrature, "gk15", counting_gk15)
+    monkeypatch.setattr(functionals, "j_kernel", counting_j)
+    with pytest.raises(AdmissibilityError):
+        route(catalog_function(_FUZZ_F), _FUZZ_PATH)
+    panels = max(counts["gk15"], counts["kernel"] / 15)
+    assert panels <= quadrature.PanelBudget().panels
+
+
+_POLE_AT_ONE = TestFunction(lambda z: 1.0 / (z - 1.0))
+
+
+@pytest.mark.parametrize("route", [
+    lambda f: deformation_route(f, segment_path(-2.0, 2.0), "above"),
+    lambda f: tilted_plemelj(f, TiltedLine(0.0, -2.0, 2.0)),
+    lambda f: lambda_route(f, segment_path(-2.0, 2.0), "plus"),
+    lambda f: overlap_delta(0.5, f, segment_path(-2.0, 2.0)),
+], ids=["deformation_route", "tilted_plemelj", "lambda_route", "overlap_delta"])
+def test_an_f_that_divides_by_zero_is_inadmissible(route):
+    # a quadrature node lands on the pole at z = 1 on the path
+    with pytest.raises(AdmissibilityError, match="division by zero"):
+        route(_POLE_AT_ONE)
+
+
+@pytest.mark.parametrize("path", [
+    segment_path(-2.0 + 0.3j, 0, 2.0 + 0.5j),
+    segment_path(-2.0 - 0.5j, 0, 2.0 + 0.3j),
+], ids=["turning-left", "turning-right"])
+def test_plemelj_formulas_carry_the_corner_term(path):
+    # a crossing on a vertex that turns the path by alpha: plus is
+    # i PV + (pi - alpha) f(0) and minus -i PV + (pi + alpha) f(0), as the
+    # kernel limit and the deformed path give them; the delta stays 2 pi f(0)
+    f = catalog_function("gauss(0.3)")
+    d_in, d_out = path.crossing_directions()
+    alpha = cmath.phase(d_out / d_in)
+    assert abs(alpha) > 0.05
+    plus, minus = plemelj_plus(f, path), plemelj_minus(f, path)
+    assert abs(plus.delta_part - (math.pi - alpha) * f.at_zero()) <= 1e-15
+    assert abs(minus.delta_part - (math.pi + alpha) * f.at_zero()) <= 1e-15
+    assert abs(plus.value - _plus_by_formula(f, path)) <= 1e-13
+    for value, ref in ((plus.value, lambda_route(f, path, "plus")),
+                       (plus.value, deformation_route(f, path, "above")),
+                       (minus.value, lambda_route(f, path, "minus")),
+                       (minus.value, deformation_route(f, path, "below"))):
+        assert abs(value - ref) <= 1e-12
+    delta = plemelj_delta(f, path)
+    assert delta.delta_part == 2 * math.pi * f.at_zero()
+    assert abs(delta.value - 2 * math.pi * f.at_zero()) <= 1e-14
 
 
 def test_routes_take_a_plain_callable():
@@ -1066,9 +1160,9 @@ def test_delta_runs_one_pv_ladder(monkeypatch):
     calls = []
     principal_value = functionals._principal_value
 
-    def counting(f, path, f0):
+    def counting(f, path, f0, budget):
         calls.append(path)
-        return principal_value(f, path, f0)
+        return principal_value(f, path, f0, budget)
 
     monkeypatch.setattr(functionals, "_principal_value", counting)
     bent = segment_path(-2.0, -0.5 + 0.4j, 0.0, 0.5 + 0.4j, 2.0)

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from plemelj.contours import Arc, Line
-from plemelj.quadrature import (QuadratureError, gk15, integrate_adaptive,
-                                integrate_segment, richardson)
+from plemelj.quadrature import (PanelBudget, QuadratureError, gk15,
+                                integrate_adaptive, integrate_segment,
+                                richardson)
 
 
 def test_kronrod_polynomial_exactness():
@@ -44,7 +45,7 @@ def test_adaptive_raises_when_stalled():
     # |x|^{-1/2} endpoint singularity on a budget too small to resolve it
     with pytest.raises(QuadratureError):
         integrate_adaptive(lambda x: abs(x) ** -0.5, 0.0, 1.0,
-                           abs_tol=1e-14, max_panels=8)
+                           abs_tol=1e-14, budget=PanelBudget(8))
 
 
 @pytest.mark.parametrize("bad", [math.nan, complex(math.inf, math.inf)])

@@ -232,8 +232,8 @@ def test_pv_part_check_can_fail(monkeypatch):
     from plemelj import tilted, verify
     pv_real_line = tilted._pv_real_line
 
-    def off(g, q_min, q_max):
-        pv, err = pv_real_line(g, q_min, q_max)
+    def off(g, q_min, q_max, budget):
+        pv, err = pv_real_line(g, q_min, q_max, budget)
         return pv + 1e-9, err
     monkeypatch.setattr(tilted, "_pv_real_line", off)
     checks = {c.name: c for c in verify.suite_tilted()}
