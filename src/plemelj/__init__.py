@@ -44,7 +44,6 @@ from .functionals import (
     FunctionalResult,
     OrientationError,
     TestFunction,
-    delta_action,
     overlap_delta,
     plemelj_delta,
     plemelj_minus,
@@ -72,9 +71,8 @@ __all__ = [
     "TruncationError", "direct_quadrature", "j_closed_form", "kernel_limit",
     "kernel_limit_mirror",
     "AdmissibilityError", "DomainViolationError", "FunctionalResult",
-    "OrientationError", "TestFunction", "delta_action", "overlap_delta",
-    "plemelj_delta", "plemelj_minus", "plemelj_plus", "pv_contour",
-    "catalog_function",
+    "OrientationError", "TestFunction", "overlap_delta", "plemelj_delta",
+    "plemelj_minus", "plemelj_plus", "pv_contour", "catalog_function",
     "TiltedLine", "TiltedResult", "arg_limit", "arg_regularized",
     "tilted_plemelj",
     "__version__",

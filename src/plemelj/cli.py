@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 from . import functionals
 from .contours import Contour, ContourError
-from .functionals import (AdmissibilityError, DomainViolationError,
-                          OrientationError)
+from .functionals import AdmissibilityError, DomainViolationError
 from .kernels import RegularizationSchedule, _decider
 
 _FMT = "{:.16e}".format   # 17 significant digits, lowercase scientific
@@ -348,8 +347,7 @@ def main(argv=None) -> int:
         try:
             report = run_functional(args.kernel, args.function, contour,
                                     cross_check=args.cross_check)
-        except (DomainViolationError, OrientationError, AdmissibilityError,
-                ContourError) as exc:
+        except (DomainViolationError, AdmissibilityError, ContourError) as exc:
             seg = getattr(exc, "segment_index", None)
             where = "" if seg is None else f" (segment {seg})"
             print(f"error: {exc}{where}", file=sys.stderr)

@@ -344,24 +344,20 @@ class Contour:
         return before, after
 
     def crossing_directions(self):
-        """Unit tangents just before and just after the marked crossing."""
+        """Tangents (d_in, d_out) of the path at the marked crossing.  On a
+        vertex they are the end tangent of the segment before it and the
+        start tangent of the one after; inside a segment, or within 1e-13
+        of an end of the path, they are the same tangent twice, so the
+        path has no turn there."""
         if self.crossing is None:
             raise ContourError("contour has no crossing marker")
         i, t = self.crossing, self.crossing_param
         segs = self.segments
-        if t > 1e-9:
-            d_in = segs[i].derivative(max(0.0, t - 1e-9))
-        else:
-            if i == 0:
-                raise ContourError("crossing at the very start of the contour")
-            d_in = segs[i - 1].derivative(1.0)
-        if t < 1.0 - 1e-9:
-            d_out = segs[i].derivative(min(1.0, t + 1e-9))
-        else:
-            if i == len(segs) - 1:
-                raise ContourError("crossing at the very end of the contour")
-            d_out = segs[i + 1].derivative(0.0)
-        return d_in / abs(d_in), d_out / abs(d_out)
+        b = i - 1 if t <= 1e-13 else i      # the vertex after segment b
+        if 1e-13 < t < 1.0 - 1e-13 or not 0 <= b < len(segs) - 1:
+            d = segs[i].derivative(t)
+            return d, d
+        return segs[b].derivative(1.0), segs[b + 1].derivative(0.0)
 
     def truncated(self, length_in: float, length_out: float) -> "Contour":
         """Replace infinite rays by finite straight segments of the given lengths."""

@@ -3,13 +3,19 @@
 For an analytic test function f integrable along an oriented contour that
 crosses the origin inside the appropriate wedge domain,
 
-    forward:   <I(+), f> =  i PV (f/z) + (pi - alpha) f(0)
-    backward:  <I(-), f> = -i PV (f/z) + (pi + alpha) f(0)
-    delta:     <2 pi delta, f> = forward + backward = 2 pi f(0)
+    forward:   <I(+), f> =  i PV (f/z) - dtheta(+i) f(0)
+    backward:  <I(-), f> = -i PV (f/z) + dtheta(-i) f(0)
+    delta:     <2 pi delta, f> = forward + backward = 2 pi w f(0)
 
-where PV is the symmetric-excision principal value along the contour and
-alpha = phase(d_out / d_in) the turn of its direction at the crossing, 0
-where the path is straight there.
+where PV is the symmetric-excision principal value along the contour.
+For the kernel s/z, s = +-i, dtheta(s) is the signed angle that a small
+indentation of the path around the origin sweeps from the incoming arm to
+the outgoing one on the side of s, avoiding the direction -s, the centre
+of the kernel's excluded wedge.  A path straight at the crossing has
+dtheta(+i) = -pi and dtheta(-i) = pi left to right, the textbook pi f(0),
+and the opposite right to left; a turn alpha = phase(d_out / d_in) at the
+crossing adds alpha to both.  The winding w = (dtheta(-i) - dtheta(+i)) /
+2 pi is 1 left to right, -1 right to left and 0 for a U-turn.
 :func:`pv_contour` computes it without a limit, by subtracting the
 singularity: PV (f/z) = integral of (f(z) - f(0))/z dz + f(0) L, where the
 first integrand is regular and L = ln|end/start| + i (turn of arg z along
@@ -78,7 +84,8 @@ class DomainViolationError(ValueError):
 
 
 class OrientationError(ValueError):
-    """Contour traverses the crossing in the wrong direction."""
+    """Contour runs right to left where a route needs increasing real part
+    (the slope check of :func:`overlap_delta`)."""
 
 
 # -- test functions --------------------------------------------------------
@@ -361,93 +368,90 @@ class FunctionalResult:
     decomposition.
 
     For plemelj_plus and plemelj_minus, value = pv_part + delta_part holds
-    exactly by construction.  For plemelj_delta, value and pv_part are the
-    sums of the one-sided ones and delta_part is 2 pi f(0), their sum with
-    the corner terms cancelled, so value may differ from pv_part +
-    delta_part in the last bits.
+    exactly by construction, delta_part being the indentation's term
+    -dtheta(+i) f(0) or dtheta(-i) f(0).  For plemelj_delta, value and
+    pv_part are the sums of the one-sided ones and delta_part is
+    2 pi w f(0), w the winding of the crossing (1, 0 or -1), their sum with
+    the turn terms cancelled, so value may differ from pv_part + delta_part
+    in the last bits.
     """
     value: complex
     pv_part: complex
     delta_part: complex
 
 
-def _crossing_moves_left_to_right(path: Contour) -> bool:
+def _sweep(path: Contour, s: complex) -> float:
+    """dtheta(s): the signed angle that a small indentation at the marked
+    crossing sweeps from the incoming arm, direction -d_in, to the outgoing
+    one, d_out, for the kernel s/z, s = +-i.  Of the two arcs,
+    alpha - pi (clockwise from -d_in) and alpha + pi (counterclockwise),
+    alpha = phase(d_out / d_in) the turn of the path there, it takes the
+    one that avoids the direction -s, the centre of the kernel's excluded
+    wedge; the domain check keeps both arms out of that wedge, so exactly
+    one does.  Measured from s, -d_in lies at theta in (-pi, pi), and the
+    arc alpha - pi stays in that range iff theta + alpha > 0."""
     d_in, d_out = path.crossing_directions()
-    return d_in.real > 1e-12 and d_out.real > 1e-12
-
-
-def _corner(path: Contour) -> float:
-    """alpha = phase(d_out / d_in), the turn of the path's direction at a
-    marked crossing that sits on a vertex, from the end tangent of the
-    segment before it and the start tangent of the one after; exactly 0 at
-    a crossing inside a segment, where the path has no corner."""
-    i, t = path.crossing, path.crossing_param
-    segs = path.segments
-    b = i - 1 if t <= 1e-13 else i      # the vertex after segment b
-    if 1e-13 < t < 1.0 - 1e-13 or not 0 <= b < len(segs) - 1:
-        return 0.0
-    return cmath.phase(segs[b + 1].derivative(0.0) / segs[b].derivative(1.0))
+    # complex d / d can miss 1 by 1e-17j; a straight crossing keeps alpha = 0
+    alpha = 0.0 if d_in == d_out else cmath.phase(d_out / d_in)
+    if cmath.phase(-d_in / s) + alpha > 0.0:
+        return alpha - math.pi
+    return alpha + math.pi
 
 
 def _plemelj(f, path: Contour, op: str, domain: WedgeDomain,
              signs: tuple) -> FunctionalResult:
     """Sum over the one-sided kernels s = +i (forward) and s = -i (mirrored)
-    in ``signs`` of s PV(f/z) + (pi + i s alpha) f(0), alpha the corner of
-    the path at the crossing (:func:`_corner`), from one domain check, one
-    f(0) and one principal value.  A two-sided sum (the delta) must also
-    cross the origin from the left half plane to the right half plane; its
-    corner terms cancel, and its delta_part is 2 pi f(0) exactly."""
+    in ``signs`` of s PV(f/z) + s i dtheta(s) f(0) (:func:`_sweep`), from
+    one domain check, one f(0) and one principal value.  In a two-sided sum
+    (the delta) the turns cancel, and its delta_part is 2 pi w f(0) exactly,
+    w = (dtheta(-i) - dtheta(+i)) / 2 pi the winding of the crossing."""
     _admit_crossing_path(path, op, domain)
-    if len(signs) == 2 and not _crossing_moves_left_to_right(path):
-        raise OrientationError(
-            f"{op} requires the crossing to run from the left half "
-            "plane to the right half plane")
     with _admissible_f(op) as budget:
         f0 = _f_at_zero(f, op)
         pv, _err = _principal_value(f, path, f0, budget)
-    alpha = _corner(path)
-    sides = []
-    for s in signs:     # s.imag = 1 forward, -1 mirrored
-        delta_part = (math.pi - s.imag * alpha) * f0
+    sides, sweeps = [], []
+    for s in signs:     # s i = -s.imag, -1 forward and 1 mirrored
+        sweeps.append(_sweep(path, s))
+        delta_part = -s.imag * sweeps[-1] * f0
         sides.append(FunctionalResult(s * pv + delta_part, s * pv, delta_part))
     if len(sides) == 1:
         return sides[0]
     plus, minus = sides
+    winding = round((sweeps[1] - sweeps[0]) / (2.0 * math.pi))
     return FunctionalResult(
         plus.value + minus.value, plus.pv_part + minus.pv_part,
-        2.0 * math.pi * f0)
+        2.0 * math.pi * winding * f0)
 
 
 def plemelj_plus(f, path: Contour) -> FunctionalResult:
-    """Action of the forward kernel limit on f along the path:
-    i PV(f/z) + (pi - alpha) f(0), for paths inside the 'plus' wedge domain
-    crossing the origin left half -> right half, alpha the turn of the
-    path's direction at a crossing on a vertex (0 inside a segment)."""
+    """Action of the forward kernel limit i/z on f along the path:
+    i PV(f/z) - dtheta(+i) f(0), for paths inside the 'plus' wedge domain
+    that cross the origin in any direction; dtheta(+i) is the angle that
+    an indentation above the origin sweeps from the incoming arm to the
+    outgoing one (:func:`_sweep`).  Left to right this is
+    i PV(f/z) + (pi - alpha) f(0), alpha the turn of the path's direction
+    at a crossing on a vertex (0 inside a segment); right to left it is
+    i PV(f/z) - (pi + alpha) f(0)."""
     return _plemelj(f, path, "plemelj_plus", WedgeDomain.plus(), (1j,))
 
 
 def plemelj_minus(f, path: Contour) -> FunctionalResult:
-    """Action of the mirrored kernel limit on f along the path:
-    -i PV(f/z) + (pi + alpha) f(0), for paths inside the 'minus' wedge
-    domain, alpha as in :func:`plemelj_plus`."""
+    """Action of the mirrored kernel limit -i/z on f along the path:
+    -i PV(f/z) + dtheta(-i) f(0), for paths inside the 'minus' wedge
+    domain, the indentation passing below the origin.  Left to right this
+    is -i PV(f/z) + (pi + alpha) f(0), right to left
+    -i PV(f/z) - (pi - alpha) f(0), alpha as in :func:`plemelj_plus`."""
     return _plemelj(f, path, "plemelj_minus", WedgeDomain.minus(), (-1j,))
 
 
 def plemelj_delta(f, path: Contour) -> FunctionalResult:
     """Action of the two-sided delta on f: forward + backward functional,
-    equal to 2 pi f(0) by construction, with the PV/delta split of the sum.
-    The path must lie in the intersection domain, cross the origin, and
-    traverse it from the left half plane to the right half plane."""
+    with the PV/delta split of the sum.  The path must lie in the
+    intersection domain and cross the origin; the value is 2 pi w f(0),
+    w the winding of the crossing: 1 left to right, -1 right to left and
+    0 for a U-turn, as ``lambda_route(f, path, "full_line")`` gives it."""
     return _plemelj(f, path, "plemelj_delta", WedgeDomain.intersection(),
                     (1j, -1j))
-
-
-def delta_action(f, path: Contour) -> complex:
-    """Action of the two-sided delta on f: forward + backward functional,
-    equal to 2 pi f(0) by construction.  The path must lie in the
-    intersection domain, cross the origin, and traverse it from the left
-    half plane to the right half plane."""
-    return plemelj_delta(f, path).value
 
 
 # -- verification routes ----------------------------------------------------
@@ -459,8 +463,10 @@ def deformation_route(f, path: Contour, side: str = "above") -> complex:
     side='above' integrates the forward kernel i f(z)/z over the path with
     the origin circled from above and must agree with plemelj_plus;
     side='below' integrates the mirrored kernel -i f(z)/z (the mirrored
-    picture) and must agree with plemelj_minus -- for crossings traversed
-    left to right, the corner term of a crossing on a vertex included.
+    picture) and must agree with plemelj_minus, for every crossing
+    direction where such an arc exists, the turn of a crossing on a vertex
+    included.  A U-turn in the intersection domain has none and raises
+    ContourError.
     This is the geometric half of the extended formulas.  The integrand is
     analytic off the origin, so by Cauchy's theorem the deformed integral
     does not depend on the arc radius, and one radius gives the value.

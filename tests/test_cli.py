@@ -625,6 +625,22 @@ def test_functional_cross_check_tilted(tmp_path):
     assert abs(lam - formula) <= 1e-5 * abs(formula)
 
 
+@pytest.mark.parametrize("kernel", ["I_plus", "I_minus", "delta"])
+def test_functional_cross_check_right_to_left(tmp_path, kernel):
+    # no crossing direction is refused: right to left the one-sided
+    # functionals carry -pi f(0), and --kernel delta exits 0 with
+    # -2 pi f(0), each as the lambda route gives it
+    contour = _contour_file(tmp_path, (2.0, -2.0), 0)
+    out = tmp_path / "rep.json"
+    r = run_cli("functional", "--kernel", kernel, "--function", "gauss(0.3)",
+                "--contour", str(contour), "--out", str(out), "--cross-check")
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(out.read_text())
+    assert rep["cross_check"]["agree"] is True
+    expected = -(2 if kernel == "delta" else 1) * math.pi * math.exp(-0.09)
+    assert abs(rep["delta_part"]["re"] - expected) < 1e-14
+
+
 def test_functional_domain_violation_exit_1(tmp_path):
     contour = _contour_file(tmp_path, (-1.0, -0.5 - 1.2j, 0.0, 1.0), 2)
     out = tmp_path / "rep.json"

@@ -16,7 +16,7 @@ from plemelj.contours import (Arc, Contour, ContourError, Line,
 from plemelj.functionals import (_LAMBDA_LADDER, CATALOG_EXAMPLES,
                                  AdmissibilityError, DomainViolationError, FunctionalResult,
                                  OrientationError, PvDivergenceError,
-                                 TestFunction, check_analytic, delta_action,
+                                 TestFunction, check_analytic,
                                  deformation_route, lambda_route,
                                  overlap_delta, plemelj_delta,
                                  plemelj_minus, plemelj_plus,
@@ -1085,6 +1085,49 @@ def test_plemelj_formulas_carry_the_corner_term(path):
     assert abs(delta.value - 2 * math.pi * f.at_zero()) <= 1e-14
 
 
+_TURN = math.atan(0.15) - math.atan(0.25)   # alpha of (2-0.3j, 0, -2+0.5j)
+
+
+@pytest.mark.parametrize("points, plus, minus, arc", [
+    # right to left: i PV - (pi + alpha) f(0) and -i PV - (pi - alpha) f(0)
+    ((2, -2), -math.pi, -math.pi, True),
+    ((2, 0, -2 + 0.5j), -math.pi + math.atan(0.25), -math.pi - math.atan(0.25), True),
+    ((2 - 0.3j, 0, -2 + 0.5j), -math.pi - _TURN, -math.pi + _TURN, True),
+    # U-turns: the indentation sweeps the short way between the arms
+    ((-1 + 1j, 0, -2 + 1j), math.atan(0.5) - math.pi / 4, None, True),
+    ((1 + 1j, 0, 2 + 1j), math.pi / 4 - math.atan(0.5), None, True),
+    ((-1 - 1j, 0, -2 - 1j), None, math.atan(0.5) - math.pi / 4, True),
+    # in the intersection domain no arc above or below joins the arms
+    ((-1 + 0.2j, 0, -1 - 0.2j), -2 * math.atan(0.2), 2 * math.atan(0.2), False),
+    ((1 - 0.2j, 0, 1 + 0.2j), -2 * math.atan(0.2), 2 * math.atan(0.2), False),
+], ids=["back", "back-bent", "back-bent-off-axis", "u-turn-plus",
+        "u-turn-plus-mirror", "u-turn-minus", "u-turn-left", "u-turn-right"])
+def test_plemelj_formulas_follow_the_crossing_direction(points, plus, minus, arc):
+    # s PV + s i dtheta f(0), dtheta the sweep of an indentation on the
+    # kernel's side, as the kernel limit and the deformed path give it
+    f = catalog_function("gauss(0.3)")
+    f0 = f.at_zero()
+    path = segment_path(*points)
+    for functional, kernel, side, coef in ((plemelj_plus, "plus", "above", plus),
+                                           (plemelj_minus, "minus", "below", minus)):
+        if coef is None:
+            with pytest.raises(DomainViolationError):
+                functional(f, path)
+            continue
+        res = functional(f, path)
+        assert abs(res.delta_part - coef * f0) <= 1e-14
+        assert abs(res.value - lambda_route(f, path, kernel)) <= 1e-12
+        if arc:
+            assert abs(res.value - deformation_route(f, path, side)) <= 1e-12
+        else:
+            with pytest.raises(ContourError):
+                deformation_route(f, path, side)
+    if plus is not None and minus is not None:
+        delta = plemelj_delta(f, path)
+        assert abs(delta.delta_part - (plus + minus) * f0) <= 1e-14
+        assert abs(delta.value - lambda_route(f, path, "full_line")) <= 1e-12
+
+
 def test_routes_take_a_plain_callable():
     # a plain callable goes through the routes as its TestFunction does
     f = catalog_function("cos_gauss")
@@ -1130,29 +1173,35 @@ def test_overlap_at_a_vertex_and_next_to_the_path(where):
 
 def test_delta_examples():
     seg = segment_path(-3.0, 3.0)
-    assert abs(delta_action(catalog_function("gauss(0)"), seg) - 2 * math.pi) < 1e-10
-    assert abs(delta_action(catalog_function("poly_gauss(1,0)"), seg)) < 1e-10
+    assert abs(plemelj_delta(catalog_function("gauss(0)"), seg).value - 2 * math.pi) < 1e-10
+    assert abs(plemelj_delta(catalog_function("poly_gauss(1,0)"), seg).value) < 1e-10
 
 
 def test_delta_bent_path_with_lambda_oracle():
     bent = segment_path(-2.0, -0.5 + 0.4j, 0.0, 0.5 + 0.4j, 2.0)
     f = catalog_function("cos_gauss")
-    val = delta_action(f, bent)
+    val = plemelj_delta(f, bent).value
     assert abs(val - 2 * math.pi) < 1e-10
     route = lambda_route(f, bent, kernel="full_line")
     assert abs(route - val) <= max(1e-5 * abs(val), 1e-8)
 
 
-def test_delta_rejects_wrong_orientation():
-    back = segment_path(1.0, -1.0)   # right to left
-    with pytest.raises(OrientationError):
-        delta_action(catalog_function("gauss(0)"), back)
+def test_delta_follows_the_crossing_direction():
+    # right to left the delta winds once clockwise, -2 pi f(0); a U-turn
+    # does not wind; both as the full-line kernel limit gives them
+    f = catalog_function("gauss(0.3)")
+    back = segment_path(1.0, -1.0)
+    res = plemelj_delta(f, back)
+    assert res.delta_part == -2 * math.pi * f.at_zero()
+    assert abs(res.value - lambda_route(f, back, "full_line")) <= 1e-12
+    u_turn = plemelj_delta(f, segment_path(-1 + 0.2j, 0, -1 - 0.2j))
+    assert u_turn.delta_part == 0
 
 
 def test_delta_rejects_wedge_path():
     path = segment_path(-1.0, -0.5 + 0.9j, 0.0, 1.0, crossing=2)
     with pytest.raises(DomainViolationError):
-        delta_action(catalog_function("gauss(0)"), path)
+        plemelj_delta(catalog_function("gauss(0)"), path).value
 
 
 def test_delta_runs_one_pv_ladder(monkeypatch):
@@ -1167,7 +1216,7 @@ def test_delta_runs_one_pv_ladder(monkeypatch):
     monkeypatch.setattr(functionals, "_principal_value", counting)
     bent = segment_path(-2.0, -0.5 + 0.4j, 0.0, 0.5 + 0.4j, 2.0)
     f = catalog_function("gauss(0.3)")
-    val = delta_action(f, bent)
+    val = plemelj_delta(f, bent).value
     assert len(calls) == 1
     assert abs(val - 2 * math.pi * f.at_zero()) < 1e-10
     res = plemelj_delta(f, bent)
