@@ -40,6 +40,13 @@ Anchoring identities, transcribed from Abramowitz & Stegun ch. 7:
   (7.1.23)  sqrt(pi) z e^{z^2} erfc z ~ 1 + sum_{m>=1} (-1)^m
                 (1*3*...*(2m-1)) / (2 z^2)^m,   |arg z| < 3 pi/4
 
+Mirrored pairs.  :func:`erfcx_pair` gives erfcx(w) and erfcx(-w) from one
+right-half-plane evaluation, the reflection being the same identity as
+J(z) + J(-z) = K(z) for the kernels; each value is bit for bit the
+:func:`erfcx_complex` value.  It calls the module's ``_erfcx_right`` and
+``_exp_square`` directly, so a replaced ``erfcx_complex`` (a tracer, a
+test) does not see the pair's evaluations off the imaginary axis.
+
 Overflow is reported as the value complex(inf, inf), never as an exception:
 the divergent sector |arg w| > 3 pi/4 at large |w| is legitimate input whose
 blow-up downstream code classifies.
@@ -186,6 +193,23 @@ def erfcx_complex(w: complex) -> complex:
     if e is OVERFLOW:
         return OVERFLOW
     return 2.0 * e - _erfcx_right(-w)
+
+
+def erfcx_pair(w: complex) -> tuple:
+    """(erfcx(w), erfcx(-w)), bit for bit the two :func:`erfcx_complex`
+    values, from one right-half-plane evaluation off the imaginary axis:
+    erfcx at whichever of +-w has Re > 0, and the reflection
+    2 exp(w^2) - that value for the other.  On the axis (and for a NaN
+    real part) both values are evaluated directly."""
+    if w.real > 0.0:
+        r = _erfcx_right(w)
+        e = _exp_square(-w.real, -w.imag)
+        return r, OVERFLOW if e is OVERFLOW else 2.0 * e - r
+    if w.real < 0.0:
+        r = _erfcx_right(-w)
+        e = _exp_square(w.real, w.imag)
+        return OVERFLOW if e is OVERFLOW else 2.0 * e - r, r
+    return erfcx_complex(w), erfcx_complex(-w)
 
 
 def erfc_complex(w: complex) -> complex:

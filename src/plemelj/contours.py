@@ -767,7 +767,8 @@ def deform_at_origin(path: Contour, epsilon: float, side: str) -> Contour:
     if not chosen:
         raise ContourError(
             f"no radius-{epsilon} arc on side {side!r} connects the excision "
-            "points; the crossing arms are too close to vertical")
+            f"points: neither arc between their arguments {theta_a:.4f} and "
+            f"{theta_b:.4f} passes {side} the origin")
     arc = Arc(0.0 + 0.0j, float(epsilon), theta_a, theta_a + chosen[0])
     # snap straight neighbours exactly onto the arc endpoints (the cut
     # solver leaves ~1e-15 residue that would trip the continuity check)

@@ -60,7 +60,8 @@ from .contours import (
     meets_off_crossing,
     deform_at_origin,
 )
-from .kernels import full_line_kernel, j_kernel
+from .kernels import (full_line_kernel, full_line_kernel_pair, j_kernel,
+                      j_kernel_pair)
 from .quadrature import (PanelBudget, QuadratureError, integrate_ladder,
                          integrate_segment, richardson)
 
@@ -530,43 +531,61 @@ def _rung_tolerances(tol: float):
 
 def _centred_pieces(path: Contour, loc, center: complex):
     """The path in the offset zeta = z - center, cut at ``loc``, its point
-    next to the kernel centre.  Returns (arms, rest): arms are (Line, sign)
-    pairs, each a Line from exactly zeta = 0 outwards, the one before the
-    cut reversed (sign -1); rest are (segment, breakpoints) pairs, the
-    other pieces in path order.  The signed integrals add up to the path's.
+    next to the kernel centre.  Returns (arms, rest): arms are
+    (end, sign, folded) triples; rest are (segment, breakpoints) pairs,
+    the other pieces in path order.  An unfolded arm is the Line from
+    exactly zeta = 0 to ``end``, the one before the cut reversed
+    (sign -1); a folded arm is the Line(-end, end) through zeta = 0, the
+    arm and its mirror image.  The signed integrals add up to the path's.
 
-    The pieces next to the cut become arms where all of them are Lines (or
-    the path ends there).  That moves the vertex from the cut, within
-    CROSSING_TOL of a marked crossing or 1e-10 of overlap's z2, to the
-    centre; the path stays continuous and its ends stay fixed, so by
-    Cauchy's theorem the integral of the analytic integrand does not change.
-    An arc next to the cut keeps the vertex where it is, and an arc cut
-    inside is integrated whole, with the cut as a breakpoint.
+    A cut inside a Line folds its two sides: the longer one is cut at the
+    shorter one's length, the two mirror images +-end form the folded arm,
+    and the longer side's leftover, a Line that does not meet the centre,
+    joins the rest.  A cut at a vertex between Lines (or at an end of the
+    path) makes one arm of each Line next to it.  That moves the crossing,
+    within CROSSING_TOL of a marked crossing or 1e-10 of overlap's z2, to
+    the centre; the path stays continuous and its ends stay fixed, so by
+    Cauchy's theorem the integral of the analytic integrand does not
+    change.  An arc next to the cut keeps the vertex where it is, and an
+    arc cut inside is integrated whole, with the cut as a breakpoint.
     """
     segs = [seg.shifted(-center) for seg in path.segments]
     i, t = loc
     if 1e-13 < t < 1.0 - 1e-13:      # inside segment i
         if isinstance(segs[i], Arc):
             return [], [(seg, (t,) if k == i else ()) for k, seg in enumerate(segs)]
-        b = a = i
-    else:                            # at the vertex after segment b
-        b = i - 1 if t <= 1e-13 else i
-        a = b + 1
-        if not all(isinstance(seg, Line) for seg in segs[max(b, 0):a + 1]):
-            return [], [(seg, ()) for seg in segs]
+        start, end = segs[i].start, segs[i].end
+        if abs(end) <= abs(start):
+            fold, left = end, (start, -end)
+        else:
+            fold, left = -start, (-start, end)
+        rest = [(seg, ()) for seg in segs]
+        gap = abs(start + end)       # the leftover's length
+        if gap * gap == 0.0:         # too short for a Line: the sides match
+            del rest[i]
+        else:
+            rest[i] = (Line(*left), ())
+        return [(fold, 1.0, True)], rest
+    b = i - 1 if t <= 1e-13 else i   # at the vertex after segment b
+    a = b + 1
+    if not all(isinstance(seg, Line) for seg in segs[max(b, 0):a + 1]):
+        return [], [(seg, ()) for seg in segs]
     arms = []
     if b >= 0:
-        arms.append((Line(0.0, segs[b].start), -1.0))
+        arms.append((segs[b].start, -1.0, False))
     if a < len(segs):
-        arms.append((Line(0.0, segs[a].end), 1.0))
+        arms.append((segs[a].end, 1.0, False))
     rest = [(seg, ()) for k, seg in enumerate(segs) if not b <= k <= a]
     return arms, rest
 
 
 def _arm_rungs(kernel, f_of, center: complex, end: complex, tols, budget):
     """The rung integrals V_m of kernel(zeta, lambda_m) f(center + zeta)
-    dzeta over the arm Line(0, ``end``) and their estimates, from one panel
-    tree (:func:`integrate_ladder`) charged to ``budget``.
+    dzeta over the arm Line(0, ``end``), or over the folded arm
+    Line(-end, end), and their estimates, from one panel tree
+    (:func:`integrate_ladder`) charged to ``budget``.  ``kernel`` returns
+    (k(zeta),) for an arm and the mirrored pair (k(zeta), k(-zeta)) for a
+    folded one.
 
     Substituting x -> x/s in the defining integrals gives the scaling law
     s J(s zeta, s^2 lam) = J(zeta, lam), and the same for the mirrored and
@@ -575,7 +594,8 @@ def _arm_rungs(kernel, f_of, center: complex, end: complex, tols, budget):
 
         V_m = integral over [0, 2^m] of kernel(u E, lam0) f(center + u E 2^-m) E du,
 
-    and every rung sees the same kernel.  Besides the rung ends 2^m, the
+    (on a folded arm plus kernel(-u E, lam0) f(center - u E 2^-m) E), and
+    every rung sees the same kernel.  Besides the rung ends 2^m, the
     tree is pre-split at the powers of two 2^i < 1 with 2^i |E| >
     0.4 sqrt(lam0), so it holds every rung's pre-splits in t, at 2^-k with
     2^-k |E| > 0.4 sqrt(lambda_m).
@@ -590,12 +610,13 @@ def _arm_rungs(kernel, f_of, center: complex, end: complex, tols, budget):
                             splits, budget)
 
 
-def _regularized_limit(kernel, f, path: Contour, loc, budget: PanelBudget,
-                       center=0.0 + 0.0j):
+def _regularized_limit(kernel, pair, f, path: Contour, loc,
+                       budget: PanelBudget, center=0.0 + 0.0j):
     """Integrate kernel(z - center, lambda) f(z) along the path for each
     lambda of the 7-rung ladder of ratio 4 (``_LAMBDA_LADDER``) and
-    Richardson-extrapolate the regularization away.  ``loc`` is the path's
-    point at the centre.  Returns (limit, error_estimate).
+    Richardson-extrapolate the regularization away.  ``pair(zeta, lam)``
+    gives (kernel(zeta, lam), kernel(-zeta, lam)), bit for bit.  ``loc``
+    is the path's point at the centre.  Returns (limit, error_estimate).
 
     The limit is sum c_k V_k over the rung integrals V_k, with the
     triangle's weights c_k (``_WEIGHTS``), so a quadrature error e_k on
@@ -613,12 +634,15 @@ def _regularized_limit(kernel, f, path: Contour, loc, budget: PanelBudget,
     The path is integrated in zeta = z - center, cut at the centre into
     arms and other pieces (:func:`_centred_pieces`).  Each arm is
     integrated once for all seven rungs, in u = 2^m t, where every rung
-    sees the same kernel (:func:`_arm_rungs`).  Each other piece is
-    integrated rung by rung (:func:`integrate_segment`), kernel(zeta,
-    lambda) evaluated directly, and pre-split where it crosses a circle of
-    radius 2^-k times the shorter side of the path, k >= 1, down to
-    0.4 sqrt(lambda); a memo keyed by zeta evaluates f once per distinct
-    node of its rungs.
+    sees the same kernel (:func:`_arm_rungs`).  Where the centre lies
+    inside a Line, its two sides fold into one arm over Line(-E, E): one
+    tree, whose every node takes both kernel values from one ``pair``
+    call, one erfcx for a half-line kernel.  Each other piece, the longer
+    side's leftover included, is integrated rung by rung
+    (:func:`integrate_segment`), kernel(zeta, lambda) evaluated directly,
+    and pre-split where it crosses a circle of radius 2^-k times the
+    shorter side of the path, k >= 1, down to 0.4 sqrt(lambda); a memo
+    keyed by zeta evaluates f once per distinct node of its rungs.
 
     All of it charges the route call's ``budget``, so an f that quadrature
     cannot integrate raises QuadratureError after bounded work.
@@ -632,8 +656,9 @@ def _regularized_limit(kernel, f, path: Contour, loc, budget: PanelBudget,
     f_of = _evaluator(f)
     values = [0.0 + 0.0j] * len(_LAMBDA_LADDER)
     errs = [0.0] * len(_LAMBDA_LADDER)
-    for arm, sign in arms:
-        vs, es = _arm_rungs(kernel, f_of, center, arm.end, tols, budget)
+    for end, sign, folded in arms:
+        k_of = pair if folded else lambda zeta, lam: (kernel(zeta, lam),)
+        vs, es = _arm_rungs(k_of, f_of, center, end, tols, budget)
         values = [v + sign * w for v, w in zip(values, vs)]
         errs = [e + w for e, w in zip(errs, es)]
     f_memo = {}
@@ -679,17 +704,20 @@ def lambda_route(f, path: Contour, kernel: str = "plus") -> complex:
     or away from its marked crossing raises ContourError.
     """
     if kernel == "plus":
-        k_of, domain = j_kernel, WedgeDomain.plus()
+        k_of, pair, domain = j_kernel, j_kernel_pair, WedgeDomain.plus()
     elif kernel == "minus":
-        k_of, domain = (lambda z, lam: j_kernel(-z, lam)), WedgeDomain.minus()
+        k_of, pair, domain = ((lambda z, lam: j_kernel(-z, lam)),
+                              (lambda z, lam: j_kernel_pair(-z, lam)),
+                              WedgeDomain.minus())
     elif kernel == "full_line":
-        k_of, domain = full_line_kernel, WedgeDomain.intersection()
+        k_of, pair, domain = (full_line_kernel, full_line_kernel_pair,
+                              WedgeDomain.intersection())
     else:
         raise ValueError(f"kernel must be plus|minus|full_line, got {kernel!r}")
     _admit_crossing_path(path, "lambda_route", domain)
     with _admissible_f("lambda_route") as budget:
         limit, _err = _regularized_limit(
-            k_of, f, path, (path.crossing, path.crossing_param), budget)
+            k_of, pair, f, path, (path.crossing, path.crossing_param), budget)
     return limit
 
 
@@ -759,6 +787,7 @@ def overlap_delta(z2: complex, f, path: Contour) -> complex:
             f"overlap_delta: z2 = {z2!r} is an end of the path; the sifting "
             "point must lie between its ends")
     with _admissible_f("overlap_delta") as budget:
-        limit, _err = _regularized_limit(full_line_kernel, f, path, loc,
-                                         budget, center=z2)
+        limit, _err = _regularized_limit(
+            full_line_kernel, full_line_kernel_pair, f, path, loc, budget,
+            center=z2)
     return limit

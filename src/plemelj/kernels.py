@@ -115,6 +115,21 @@ def j_kernel(z: complex, lam: float) -> complex:
     return out
 
 
+def j_kernel_pair(z: complex, lam: float) -> tuple:
+    """(J(z, lambda), J(-z, lambda)), bit for bit the two :func:`j_kernel`
+    values, from one erfcx evaluation (``_erfcx_py.erfcx_pair``): -z maps
+    to -w exactly.  Where either value is not finite and nonzero (overflow,
+    underflow, a w beyond the double range), both come from j_kernel."""
+    sq = math.sqrt(lam)
+    w = complex(0.5 * z.imag / sq, -0.5 * z.real / sq)
+    scale = 0.5 * SQRT_PI / sq
+    a, b = _erfcx_py.erfcx_pair(w)
+    a, b = scale * a, scale * b
+    if a and b and cmath.isfinite(a) and cmath.isfinite(b):
+        return a, b
+    return j_kernel(z, lam), j_kernel(-z, lam)
+
+
 def _j_far(z: complex, lam: float) -> complex:
     """J where w = -i z / (2 sqrt(lambda)) is beyond the double range.
     There sqrt(pi) w erfcx(w) = 1 + O(1/|w|^2) is 1 to double precision
@@ -145,6 +160,15 @@ def full_line_kernel(z: complex, lam: float) -> complex:
     """Full-line Gaussian kernel sqrt(pi/lambda) exp(-z^2 / (4 lambda)),
     i.e. J(z, lambda) + J(-z, lambda); the nascent delta.  Overflow tagged."""
     return _full_line(_require_finite(z, "z"), _require_positive(lam))
+
+
+def full_line_kernel_pair(z: complex, lam: float) -> tuple:
+    """(K(z, lambda), K(-z, lambda)) from one evaluation, as a folded
+    lambda-ladder arm takes them: K depends on z through z * z, which -z
+    gives bit for bit.  Internal, like :func:`j_kernel_pair`: z and lambda
+    are not validated."""
+    k = _full_line(z, lam)
+    return k, k
 
 
 def _full_line(z: complex, lam: float) -> complex:

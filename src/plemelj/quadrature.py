@@ -8,8 +8,8 @@ ladders of the lambda routes.
 import cmath
 import heapq
 import math
-from itertools import repeat
-from operator import gt, mul
+from itertools import chain, repeat
+from operator import add, gt, mul
 
 from .contours import Line
 
@@ -54,9 +54,10 @@ class PanelBudget:
     Every route call charges one budget with all of its integrals.  The
     default, 2,048 panels, is about four times the largest accepted call
     measured: in the test suite, pv_contour 524 (a pole 1e-7 off the
-    path), a lambda ladder 202, tilted_plemelj 48 and deformation_route
-    40; in the benchmark's pools (seeds 1-5), a lambda ladder 116,
-    deformation_route 35, a Plemelj functional 23 and tilted_plemelj 18.
+    path), a lambda ladder 202 (a crossing inside an arc), tilted_plemelj
+    48 and deformation_route 40; in the benchmark's pools (seeds 1-5), a
+    lambda ladder 91, deformation_route 35, a Plemelj functional 23 and
+    tilted_plemelj 18.
     An f that quadrature cannot integrate spends it in well under a
     second and raises instead of refining for tens of seconds.
     """
@@ -171,11 +172,13 @@ def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
 
 
 # The G7/K15 nodes on [-1, 1], the seven Gauss nodes first; the Kronrod
-# weights in that order, and the Gauss weights over the Kronrod weights
+# weights in that order, written out twice (a folded arm lays the mirror
+# images of the fifteen nodes after them), and the Gauss weights over the
+# Kronrod weights
 _LADDER_NODES = (-_XGK[1], _XGK[1], -_XGK[3], _XGK[3], -_XGK[5], _XGK[5],
                  _XGK[7], -_XGK[0], _XGK[0], -_XGK[2], _XGK[2], -_XGK[4],
                  _XGK[4], -_XGK[6], _XGK[6])
-_LADDER_WK = tuple(_WGK[_XGK.index(abs(x))] for x in _LADDER_NODES)
+_LADDER_WK = tuple(_WGK[_XGK.index(abs(x))] for x in _LADDER_NODES) * 2
 _LADDER_WG_WK = tuple(wg / wk for wg, wk in zip(
     (_WG[0], _WG[0], _WG[1], _WG[1], _WG[2], _WG[2], _WG[3]), _LADDER_WK))
 
@@ -184,14 +187,18 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
                      breakpoints, budget):
     """The n = len(tols) integrals
 
-        V_m = integral over [0, 2^m] of kernel(u E, lam) f(center + u E 2^-m) E du,
+        V_m = integral over [0, 2^m] of sum_j k_j(u E) f(center + s_j u E 2^-m) E du,
 
     m = 0 .. n - 1, E = ``end``, on one adaptive G7/K15 panel tree over
-    [0, 2^(n-1)].
+    [0, 2^(n-1)].  ``kernel(z, lam)`` returns the tuple (k_1(z), ...) of
+    one or two values: (k(z),) integrates the arm Line(0, E) (s_1 = 1),
+    and the mirrored pair (k(z), k(-z)) the fold of that arm with its
+    mirror image, s_2 = -1, f taken at center - u E 2^-m, which is the
+    integral over Line(-E, E).
 
     The tree is split at 2^m and at ``breakpoints``.  Rung m sums the
     panels with hi <= 2^m.  A panel evaluates the kernel once per node u.
-    f is evaluated once per distinct node u 2^-m of the call: a panel
+    f is evaluated once per distinct node +-u 2^-m of the call: a panel
     [lo, hi] on rung m and the panel [2 lo, 2 hi] on rung m + 1 share
     their nodes exactly.  The panel with the largest weighted estimate
     sum |weights[m]| e_m is bisected until every rung's summed estimate is
@@ -216,7 +223,10 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
         rungs it does not serve."""
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         zs = [(mid + half * x) * end for x in _LADDER_NODES]
-        kw = list(map(mul, _LADDER_WK, map(kernel, zs, repeat(lam))))
+        ks = list(chain.from_iterable(zip(*map(kernel, zs, repeat(lam)))))
+        kw = list(map(mul, _LADDER_WK, ks))
+        folded = len(ks) > len(zs)
+        nodes = zs + [-z for z in zs] if folded else zs
         scale = half * end
         size = abs(scale)
         frac, first = math.frexp(hi)     # the first rung m with hi <= 2^m
@@ -226,12 +236,15 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
             key = (lo * s, hi * s)
             fs = f_at.get(key)
             if fs is None:
-                fs = f_at[key] = list(map(f, [center + s * z for z in zs]))
-            terms = list(map(mul, kw, fs))
+                fs = f_at[key] = list(map(f, [center + s * z for z in nodes]))
+            prods = list(map(mul, kw, fs))
+            # a node's term adds its mirror image's before the panel sums,
+            # so the parts of the two halves that cancel do so first
+            terms = list(map(add, prods, prods[len(zs):])) if folded else prods
             kron = sum(terms)
             vals.append(scale * kron)
             errs.append(size * abs(kron - sum(map(mul, _LADDER_WG_WK, terms))))
-            mags.append(size * sum(map(abs, terms)))
+            mags.append(size * sum(map(abs, prods)))
         return vals, errs, mags
 
     budget.take(len(pts) - 1)

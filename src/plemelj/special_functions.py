@@ -8,9 +8,12 @@ the reflection erfcx(w) = 2 exp(w^2) - erfcx(-w), with the phase of
 exp(w^2) in double-double, for Re w < 0.  The wrappers here validate the
 argument and call the core through its module,
 ``_erfcx_py.erfcx_complex(...)``, so that replacing that module attribute
-(as a tracer or a test does) sees every call.  The reflection calls the
+(as a tracer or a test does) sees every call through these wrappers and
+:func:`plemelj.kernels.j_kernel`.  The reflection calls the
 right-half-plane evaluator directly, so such a replacement sees one call
-per erfcx value.
+per erfcx value.  It does not see the kernel pairs of a folded lambda-ladder
+arm (``kernels.j_kernel_pair``): those go through ``_erfcx_py.erfcx_pair``,
+one right-half-plane evaluation for both values of a pair.
 
 Public surface:
 

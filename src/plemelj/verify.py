@@ -179,6 +179,29 @@ def suite_kernels():
                 worst = max(worst, abs(base - other) / max(1.0, abs(base)))
     checks.append(_check("kernels/scaling-identity-dyadic", worst, 0.0))
 
+    # the kernel pairs of a folded ladder arm (functionals._centred_pieces):
+    # j_kernel_pair(z) is (j_kernel(z), j_kernel(-z)) to the bit, from one
+    # erfcx wherever Re w != 0, and full_line_kernel_pair(z) is
+    # (K(z), K(-z)) to the bit.  Seeded z over the Weideman disk, the
+    # asymptotic series and the overflow sector of w, a tenth of them real
+    # (Re w = +-0)
+    def bits(*values):
+        return [(v.real.hex(), v.imag.hex()) for v in values]
+
+    mismatches = 0
+    rng = random.Random(20240617)
+    for k in range(400):
+        z = cmath.rect(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-math.pi, math.pi))
+        if k % 10 == 0:
+            z = complex(z.real, 0.0)
+        lam = 10.0 ** rng.uniform(-6.0, 0.0)
+        mismatches += (bits(*kernels.j_kernel_pair(z, lam))
+                       != bits(kernels.j_kernel(z, lam), kernels.j_kernel(-z, lam)))
+        mismatches += (bits(*kernels.full_line_kernel_pair(z, lam))
+                       != bits(kernels.full_line_kernel(z, lam),
+                               kernels.full_line_kernel(-z, lam)))
+    checks.append(_check("kernels/pair-identity", mismatches, 0.0))
+
     worst = 0.0
     rng = random.Random(20240613)
     n = 0

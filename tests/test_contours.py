@@ -379,6 +379,21 @@ def test_deform_epsilon_too_large():
         deform_at_origin(segment_path(-1.0, 1.0), 1.5, "above")
 
 
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_deform_names_the_arc_that_is_missing(side):
+    # a U-turn whose arms both run near the negative real axis: the arcs
+    # between the excision points, at arguments +-(pi - atan 0.2), pass
+    # through -eps and +eps, so neither passes above or below the origin
+    path = segment_path(-1 + 0.2j, 0, -1 - 0.2j)
+    theta = math.pi - math.atan(0.2)
+    with pytest.raises(ContourError) as info:
+        deform_at_origin(path, 0.1, side)
+    message = str(info.value)
+    assert (f"neither arc between their arguments {theta:.4f} and {-theta:.4f} "
+            f"passes {side} the origin") in message
+    assert "vertical" not in message
+
+
 def test_deform_twice_raises():
     d = deform_at_origin(segment_path(-1.0, 1.0), 0.1, "above")
     with pytest.raises(ContourError):

@@ -646,22 +646,31 @@ def budgets(monkeypatch):
 
 
 def test_lambda_route_shares_kernel_values_across_the_ladder(monkeypatch, budgets):
-    # in u = 2^m t every rung sees kernel(., lambda_0): one kernel value per
-    # node of the arm trees serves all seven rungs, and none is computed twice
+    # in u = 2^m t every rung sees kernel(., lambda_0), and the straight
+    # path folds into one arm over Line(-E, E): one kernel pair per node of
+    # its tree serves all seven rungs and both mirror images, and no node
+    # or mirrored node is computed twice
     import plemelj.functionals as functionals
-    args = []
-    j = functionals.j_kernel
+    args, singles = [], []
+    pair, j = functionals.j_kernel_pair, functionals.j_kernel
+
+    def counting_pair(z, lam):
+        args.append((z, lam))
+        return pair(z, lam)
 
     def counting_j(z, lam):
-        args.append((z, lam))
+        singles.append((z, lam))
         return j(z, lam)
 
+    monkeypatch.setattr(functionals, "j_kernel_pair", counting_pair)
     monkeypatch.setattr(functionals, "j_kernel", counting_j)
     lambda_route(catalog_function("gauss(0.3)"), segment_path(-2.5, 2.5))
     (budget,) = budgets
-    arm_panels = budget.panels - budget.left    # the straight path is two arms
-    assert len(args) == 15 * arm_panels == 810
-    assert len(set(args)) == len(args)
+    fold_panels = budget.panels - budget.left   # no leftover: the sides match
+    assert len(args) == 15 * fold_panels == 285
+    assert singles == []
+    nodes = [z for z, _lam in args] + [-z for z, _lam in args]
+    assert len(set(nodes)) == len(nodes)
     assert {lam for _z, lam in args} == {_LAMBDA_LADDER[0]}
 
 
@@ -683,7 +692,8 @@ def test_lambda_route_evaluates_f_once_per_point():
 def test_ladder_work_is_pinned(monkeypatch, budgets):
     # a rung tolerance or a pre-split that changes changes no output, only
     # the work: (arm-tree panels, GK15 panels of the other pieces, kernel
-    # calls); every panel costs 15 kernel calls
+    # calls); every panel costs 15 kernel calls, a kernel pair on a folded
+    # arm counted as one
     import plemelj.functionals as functionals
     import plemelj.quadrature as quadrature
     counts = [0, 0]
@@ -694,7 +704,8 @@ def test_ladder_work_is_pinned(monkeypatch, budgets):
         return gk15(g, a, b)
 
     monkeypatch.setattr(quadrature, "gk15", counting_gk15)
-    for name in ("j_kernel", "full_line_kernel"):
+    for name in ("j_kernel", "j_kernel_pair", "full_line_kernel",
+                 "full_line_kernel_pair"):
         def counted(z, lam, kernel=getattr(functionals, name)):
             counts[1] += 1
             return kernel(z, lam)
@@ -716,11 +727,11 @@ def test_ladder_work_is_pinned(monkeypatch, budgets):
         panels = budget.panels - budget.left
         work[name] = (panels - counts[0], counts[0], counts[1])
         assert counts[1] == 15 * panels, name
-    assert work == {"plus straight": (54, 0, 810),
-                    "full_line straight": (34, 0, 510),
-                    "plus bent": (52, 50, 1530),
-                    "full_line bent": (50, 28, 1170),
-                    "overlap bent": (52, 35, 1305)}
+    assert work == {"plus straight": (19, 0, 285),
+                    "full_line straight": (17, 0, 255),
+                    "plus bent": (25, 50, 1125),
+                    "full_line bent": (27, 28, 825),
+                    "overlap bent": (28, 53, 1215)}
 
 
 @pytest.mark.parametrize("name", ["default", "overlap"])
@@ -733,15 +744,20 @@ def test_rung_tolerances_split_the_propagated_bound(monkeypatch, name):
     n = 7
     weights = [richardson([float(j == k) for j in range(n)], 4.0)[0]
                for k in range(n)]
-    trees = []
-    ladder = functionals.integrate_ladder
+    trees, segments = [], []
+    ladder, segment = functionals.integrate_ladder, functionals.integrate_segment
 
     def recording(kernel, lam, f, center, end, tols, *args, **kwargs):
         values, errs = ladder(kernel, lam, f, center, end, tols, *args, **kwargs)
         trees.append((list(tols), errs))
         return values, errs
 
+    def recording_segment(g, seg, **kwargs):
+        segments.append((seg, kwargs["abs_tol"]))
+        return segment(g, seg, **kwargs)
+
     monkeypatch.setattr(functionals, "integrate_ladder", recording)
+    monkeypatch.setattr(functionals, "integrate_segment", recording_segment)
     rng = random.Random("lambda:ratio-3")
     path, line = _seeded_path(rng, "straight")
     f = _seeded_functions(rng)[0]
@@ -752,10 +768,15 @@ def test_rung_tolerances_split_the_propagated_bound(monkeypatch, name):
         z2 = path.point((0, 0.4))
         value = overlap_delta(z2, f, path)
         ref = 2 * math.pi * f(z2)
-    pieces = len(trees)             # a straight path is two arms
-    assert pieces == 2
+    # a straight path is one folded arm and at most one leftover piece,
+    # integrated rung by rung
+    leftovers = {seg for seg, _tol in segments}
+    assert len(trees) == 1 and len(leftovers) <= 1
+    pieces = len(trees) + len(leftovers)
     rung_tols = trees[0][0]
     assert len(rung_tols) == n and all(tols == rung_tols for tols, _e in trees)
+    assert [tol for _seg, tol in segments] == rung_tols[:len(segments)]
+    assert len(segments) == n * len(leftovers)
     assert all(0.0 < t < math.inf for t in rung_tols)
     for _tols, errs in trees:
         assert all(e <= t for e, t in zip(errs, rung_tols))
@@ -857,6 +878,56 @@ def test_overlap_error_estimate_covers_its_error(limits, family):
         assert abs(value - 2 * math.pi * f(z2)) <= estimate <= 2e-11, f.label
 
 
+_FORMULAS = {"plus": plemelj_plus, "minus": plemelj_minus, "full_line": plemelj_delta}
+
+
+@pytest.mark.parametrize("case", ["unequal-arms", "vertex", "overlap-off-centre"])
+def test_arm_shapes_match_the_formula_route(limits, case):
+    # a crossing inside a Line folds its sides at the shorter one's length
+    # and integrates the longer side's leftover as a piece of its own; a
+    # crossing at a vertex keeps two single arms; an overlap folds about z2
+    # wherever it lies on its segment.  Each against the formula route or
+    # 2 pi f(z2), within 1e-12 and within the returned estimate
+    import plemelj.functionals as functionals
+    rng = random.Random(f"arm-shapes:{case}")
+    checked = 0
+    for f in _seeded_functions(rng):
+        d_in = cmath.exp(1j * rng.uniform(-0.4, 0.4))
+        d_out = cmath.exp(1j * rng.uniform(-0.4, 0.4)) if case == "vertex" else d_in
+        a, b = rng.uniform(0.5, 1.5), rng.uniform(2.0, 3.0)
+        if rng.random() < 0.5:
+            a, b = b, a
+        if case == "overlap-off-centre":
+            path = segment_path(-2.6 * d_in, 2.5 * d_in)
+            z2 = rng.uniform(-1.8, 1.8) * d_in
+            loc, center, routes = path.min_distance(z2)[1], z2, {
+                "overlap": (lambda: overlap_delta(z2, f, path), 2 * math.pi * f(z2))}
+        else:
+            path = segment_path(-a * d_in, 0, b * d_out) if case == "vertex" \
+                else segment_path(-a * d_in, b * d_out)
+            loc, center = (path.crossing, path.crossing_param), 0j
+            routes = {kernel: (lambda kernel=kernel: lambda_route(f, path, kernel),
+                               formula(f, path).value)
+                      for kernel, formula in _FORMULAS.items()}
+        arms, rest = functionals._centred_pieces(path, loc, center)
+        if case == "vertex":
+            assert [(sign, folded) for _e, sign, folded in arms] == [
+                (-1.0, False), (1.0, False)] and rest == []
+        else:
+            assert [folded for _e, _s, folded in arms] == [True]
+            (leftover, _cut), = rest
+            assert abs(leftover.length - abs(abs(path.start - center)
+                                              - abs(path.end - center))) <= 1e-12
+        for name, (route, ref) in routes.items():
+            value = route()
+            limit, estimate = limits[-1]
+            assert limit == value
+            assert abs(value - ref) <= estimate, (f.label, name)
+            assert _rel_err(value, ref) <= 1e-12, (f.label, name)
+            checked += 1
+    assert checked == (3 if case == "overlap-off-centre" else 9)
+
+
 def _crosscheck_pool(seed):
     """The requests of the crosscheck pool of perfbench/workloads.py for seed."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -892,15 +963,19 @@ def test_error_estimate_covers_the_benchmark_closed_forms(limits, seed):
 
 
 def _seeded_arms(rng, kind):
-    """(kernel, center, end) of seeded arms Line(0, end) that the ladder
-    integrates: both arms of straight and of bent crossings of the origin,
-    or, for "overlap", arms from a centre z2, forwards and backwards; every
+    """(kernel, pair, center, end) of seeded arms Line(0, end) that the
+    ladder integrates, pair(z, lam) = (kernel(z, lam), kernel(-z, lam)):
+    both arms of straight and of bent crossings of the origin, or, for
+    "overlap", arms from a centre z2, forwards and backwards; every
     direction within 0.6 of the real axis, lengths from 0.01 to 10."""
     import plemelj.functionals as functionals
-    kernel = {"plus": functionals.j_kernel,
-              "minus": lambda z, lam: functionals.j_kernel(-z, lam),
-              "full_line": functionals.full_line_kernel,
-              "overlap": functionals.full_line_kernel}[kind]
+    j, j_pair = functionals.j_kernel, functionals.j_kernel_pair
+    k, k_pair = functionals.full_line_kernel, functionals.full_line_kernel_pair
+    kernel, pair = {
+        "plus": (j, j_pair),
+        "minus": (lambda z, lam: j(-z, lam), lambda z, lam: j_pair(-z, lam)),
+        "full_line": (k, k_pair),
+        "overlap": (k, k_pair)}[kind]
     arms = []
     for bent in (False, True, False, True):
         phi_in = rng.uniform(-0.6, 0.6)
@@ -909,7 +984,7 @@ def _seeded_arms(rng, kind):
                   if kind == "overlap" else 0.0 + 0.0j)
         for sign, phi in ((-1.0, phi_in), (1.0, phi_out)):
             length = 10.0 ** rng.uniform(-2.0, 1.0)
-            arms.append((kernel, center, sign * length * cmath.exp(1j * phi)))
+            arms.append((kernel, pair, center, sign * length * cmath.exp(1j * phi)))
     return arms
 
 
@@ -918,24 +993,41 @@ def test_arm_tree_matches_each_rung_integrated_alone(kind):
     # V_m of the u = 2^m t tree against kernel(zeta, lambda_m) f integrated
     # over the same arm in t, rung by rung; rungs 0-3 weigh at most 5.1e-4
     # in the limit, so only this shows a wrong scale or active range there
+    _check_arm_tree(kind, folded=False)
+
+
+@pytest.mark.parametrize("kind", ["plus", "minus", "full_line", "overlap"])
+def test_folded_arm_tree_matches_each_half_integrated_alone(kind):
+    # the tree of a folded arm, Line(-end, end), with a kernel pair per
+    # node, against its two halves integrated alone, rung by rung
+    _check_arm_tree(kind, folded=True)
+
+
+def _check_arm_tree(kind, folded):
     from plemelj.functionals import _arm_rungs, _rung_tolerances
     from plemelj.quadrature import PanelBudget, integrate_adaptive
     rng = random.Random(f"arm-tree:{kind}")
     functions = _seeded_functions(rng)
     tols = _rung_tolerances(1e-11 / 2)
-    for k, (kernel, center, end) in enumerate(_seeded_arms(rng, kind)):
+    for k, (kernel, pair, center, end) in enumerate(_seeded_arms(rng, kind)):
         f = functions[k % len(functions)]
-        values, errs = _arm_rungs(kernel, f, center, end, tols, PanelBudget())
+        k_of = pair if folded else lambda z, lam, kernel=kernel: (kernel(z, lam),)
+        values, errs = _arm_rungs(k_of, f, center, end, tols, PanelBudget())
+        halves = ((end, 1.0), (-end, -1.0))[:1 + folded]
         for m, (lam, tol) in enumerate(zip(_LAMBDA_LADDER, tols)):
             splits, u = [], 0.5
             while u * abs(end) > 0.4 * math.sqrt(lam):
                 splits.append(u)
                 u *= 0.5
-            ref, _err = integrate_adaptive(
-                lambda t: kernel(t * end, lam) * f(center + t * end) * end,
-                0.0, 1.0, abs_tol=tol, breakpoints=splits,
-                budget=PanelBudget(16384))
-            assert abs(values[m] - ref) <= errs[m] + tol, (f.label, end, m)
+            ref = 0j
+            for e, sign in halves:    # the half Line(0, -end) runs inwards
+                v, _err = integrate_adaptive(
+                    lambda t: kernel(t * e, lam) * f(center + t * e) * e,
+                    0.0, 1.0, abs_tol=tol, breakpoints=splits,
+                    budget=PanelBudget(16384))
+                ref += sign * v
+            assert abs(values[m] - ref) <= errs[m] + len(halves) * tol, \
+                (f.label, end, m)
 
 
 def _plus_by_formula(f, path):
@@ -989,15 +1081,14 @@ def test_panel_budget_bounds_a_lambda_route_along_huge_f(monkeypatch):
 
 def test_panel_budget_bounds_an_overlap_against_a_vanishing_f(monkeypatch):
     # 2 pi f(z2) is below 1e-12, the path's f up to 1e5 times larger
+    # (a kernel pair of the folded arm counted as one call)
     import plemelj.functionals as functionals
     calls = [0]
-    k = functionals.full_line_kernel
-
-    def counting(z, lam):
-        calls[0] += 1
-        return k(z, lam)
-
-    monkeypatch.setattr(functionals, "full_line_kernel", counting)
+    for name in ("full_line_kernel", "full_line_kernel_pair"):
+        def counting(z, lam, k=getattr(functionals, name)):
+            calls[0] += 1
+            return k(z, lam)
+        monkeypatch.setattr(functionals, name, counting)
     f = catalog_function("poly_gauss(3,0.5)")
     path = segment_path(-25.03 - 9.68j, -14.16 - 10.61j, 2.39 + 5.87j)
     z2 = path.segments[1].point(0.5)

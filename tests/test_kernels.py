@@ -16,7 +16,8 @@ from plemelj.kernels import (RegularizationSchedule,
                              SingularInputError, TruncationError,
                              _decide, _full_line,
                              direct_quadrature, full_line_kernel,
-                             full_line_limit, j_closed_form, j_kernel,
+                             full_line_kernel_pair, full_line_limit,
+                             j_closed_form, j_kernel, j_kernel_pair,
                              kernel_limit, kernel_limit_mirror)
 from plemelj.special_functions import OVERFLOW, SQRT_PI, is_overflow
 
@@ -166,6 +167,86 @@ def test_dyadic_scaling_is_exact(name):
             assert s * kernel(s * z, lams[0]) == base, (z, lam)
             compared += 1
     assert compared > 1000
+
+
+def _bits(v):
+    """The exact bits of a complex value, signed zeros and NaN included."""
+    return v.real.hex(), v.imag.hex()
+
+
+_PAIR_REGIONS = ("weideman", "asymptotic", "overflow", "axis", "far")
+
+
+def _pair_points(region, n):
+    """n seeded (z, lam) whose w = -i z / (2 sqrt(lam)) or -w lies in
+    ``region`` of the erfcx core: the Weideman disk |w| < 8, the asymptotic
+    series beyond it, the sector where exp(w^2) overflows on the left half
+    plane (Re w^2 > 733), the imaginary axis (real z, Re w = +-0), and w
+    beyond the double range, where j_kernel takes _j_far.  Both signs of
+    w are drawn, so every region but the axis meets the reflection."""
+    rng = random.Random(f"kernel-pair:{region}")
+    out = []
+    for _ in range(n):
+        lam = 10.0 ** rng.uniform(-6.0, 0.0)
+        sign = rng.choice((-1.0, 1.0))
+        if region == "weideman":
+            w = cmath.rect(rng.uniform(0.0, 8.0), rng.uniform(-math.pi, math.pi))
+        elif region == "asymptotic":
+            w = cmath.rect(10.0 ** rng.uniform(0.91, 5.0), rng.uniform(-math.pi, math.pi))
+        elif region == "overflow":
+            w = sign * cmath.rect(rng.uniform(45.0, 1e3), rng.uniform(-0.6, 0.6))
+        elif region == "axis":
+            out.append((complex(sign * 10.0 ** rng.uniform(-3.0, 3.0), 0.0), lam))
+            continue
+        else:
+            z = cmath.rect(10.0 ** rng.uniform(200.0, 300.0), rng.uniform(-math.pi, math.pi))
+            out.append((z, 10.0 ** rng.uniform(-300.0, -260.0)))
+            continue
+        out.append((2j * math.sqrt(lam) * w, lam))
+    return out
+
+
+@pytest.mark.parametrize("region", _PAIR_REGIONS)
+def test_kernel_pair_is_two_kernel_calls_bit_for_bit(region):
+    # a folded ladder arm takes J(z) and J(-z) from one j_kernel_pair
+    # call: each value must be the j_kernel value to the bit, signed zeros,
+    # overflow tags and the _j_far values included; the same holds for the
+    # core's pair, and K(-z) is K(z) to the bit
+    branches = set()
+    for z, lam in _pair_points(region, 2000):
+        assert list(map(_bits, j_kernel_pair(z, lam))) == [
+            _bits(j_kernel(z, lam)), _bits(j_kernel(-z, lam))], (z, lam)
+        sq = math.sqrt(lam)
+        w = complex(0.5 * z.imag / sq, -0.5 * z.real / sq)
+        assert list(map(_bits, _erfcx_py.erfcx_pair(w))) == [
+            _bits(_erfcx_py.erfcx_complex(w)), _bits(_erfcx_py.erfcx_complex(-w))], w
+        assert list(map(_bits, full_line_kernel_pair(z, lam))) == [
+            _bits(full_line_kernel(z, lam)), _bits(full_line_kernel(-z, lam))], (z, lam)
+        branches.add((w.real > 0.0) - (w.real < 0.0))
+    assert branches == ({0} if region == "axis" else {-1, 1})
+
+
+def test_kernel_pair_costs_one_erfcx_off_the_axis(monkeypatch):
+    # the pair's gain: one right-half-plane erfcx for both values wherever
+    # Re w != 0 and both values are finite and nonzero; two on the axis
+    calls = [0]
+    right = _erfcx_py._erfcx_right
+
+    def counting(w):
+        calls[0] += 1
+        return right(w)
+
+    for region, per_pair in (("weideman", 1), ("asymptotic", 1), ("axis", 2)):
+        points = [(z, lam) for z, lam in _pair_points(region, 400)
+                  if all(v and not is_overflow(v)
+                         for v in (j_kernel(z, lam), j_kernel(-z, lam)))]
+        assert len(points) >= 200
+        monkeypatch.setattr(_erfcx_py, "_erfcx_right", counting)
+        calls[0] = 0
+        for z, lam in points:
+            j_kernel_pair(z, lam)
+        assert calls[0] == per_pair * len(points), region
+        monkeypatch.setattr(_erfcx_py, "_erfcx_right", right)
 
 
 @settings(max_examples=300, deadline=None)
@@ -975,4 +1056,19 @@ def test_dyadic_scaling_check_can_fail(monkeypatch):
     monkeypatch.setattr(kernels, "j_kernel", lambda z, lam: j(z, lam) * (
         1.0 + 2.0 ** -52 if lam < 0.01 else 1.0))
     check = {c.name: c for c in verify.suite_kernels()}["kernels/scaling-identity-dyadic"]
+    assert check.measured > 0 and not check.passed
+
+
+def test_pair_identity_check_can_fail(monkeypatch):
+    # a pair whose mirrored value is one ulp off breaks the bit-exact
+    # identity the check holds at tolerance 0
+    from plemelj import verify
+    pair = kernels.j_kernel_pair
+
+    def skewed(z, lam):
+        a, b = pair(z, lam)
+        return a, b * (1.0 + 2.0 ** -52)
+
+    monkeypatch.setattr(kernels, "j_kernel_pair", skewed)
+    check = {c.name: c for c in verify.suite_kernels()}["kernels/pair-identity"]
     assert check.measured > 0 and not check.passed
