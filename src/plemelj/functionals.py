@@ -64,6 +64,7 @@ from .kernels import (full_line_kernel, full_line_kernel_pair, j_kernel,
                       j_kernel_pair)
 from .quadrature import (PanelBudget, QuadratureError, integrate_ladder,
                          integrate_segment, richardson)
+from .special_functions import erfc_complex
 
 
 class AdmissibilityError(ValueError):
@@ -582,7 +583,7 @@ def _centred_pieces(path: Contour, loc, center: complex):
 def _arm_rungs(kernel, f_of, center: complex, end: complex, tols, budget):
     """The rung integrals V_m of kernel(zeta, lambda_m) f(center + zeta)
     dzeta over the arm Line(0, ``end``), or over the folded arm
-    Line(-end, end), and their estimates, from one panel tree
+    Line(-end, end), and their estimates, from one G10/K21 panel tree
     (:func:`integrate_ladder`) charged to ``budget``.  ``kernel`` returns
     (k(zeta),) for an arm and the mirrored pair (k(zeta), k(-zeta)) for a
     folded one.
@@ -629,7 +630,8 @@ def _regularized_limit(kernel, pair, f, path: Contour, loc,
     550 tol and more.
     The error estimate is the larger of the triangle's last correction and
     the propagated quadrature estimate sum |c_k| e_k, e_k the summed
-    quadrature estimates of rung k.
+    quadrature estimates of rung k, plus the kernel mass that the rungs
+    lose beyond the path's ends (:func:`_end_tails`).
 
     The path is integrated in zeta = z - center, cut at the centre into
     arms and other pieces (:func:`_centred_pieces`).  Each arm is
@@ -686,7 +688,39 @@ def _regularized_limit(kernel, pair, f, path: Contour, loc,
             errs[m] += e
     limit, correction = richardson(values, ratio=4.0)
     propagated = sum(abs(c) * e for c, e in zip(_WEIGHTS, errs))
-    return limit, max(correction, propagated)
+    return limit, max(correction, propagated) + _end_tails(f_of, path, center)
+
+
+def _end_tails(f_of, path: Contour, center: complex) -> float:
+    """A bound on what the ladder's limit loses with the kernel's mass
+    beyond the ends of the path:
+
+        sum over the ends of |f(end)| sum_k |c_k| pi |erfc(x_k)|,
+
+    x_k = +-(end - center) / (2 sqrt(lambda_k)), the sign making
+    Re x_k >= 0.  Continued from an end in the kernel's decay sector,
+    integral sqrt(pi/lambda) exp(-zeta^2/4 lambda) dzeta = pi erfc(x_k),
+    and Richardson carries each rung's loss into the limit with its weight
+    c_k.  Re x_k^2 grows fourfold from rung to rung; the sum stops where
+    exp(-Re x_k^2) underflows.  An f that cannot be evaluated at an end
+    makes the bound infinite."""
+    bound = 0.0
+    for end in (path.start, path.end):
+        try:
+            size = abs(f_of(end))
+        except ArithmeticError:
+            return math.inf
+        if not size < math.inf:
+            return math.inf
+        zeta = end - center
+        for c, lam in zip(_WEIGHTS, _LAMBDA_LADDER):
+            x = zeta / (2.0 * math.sqrt(lam))
+            if x.real < 0.0:
+                x = -x
+            if (x * x).real > 745.0:
+                break
+            bound += size * abs(c) * math.pi * abs(erfc_complex(x))
+    return bound
 
 
 def lambda_route(f, path: Contour, kernel: str = "plus") -> complex:

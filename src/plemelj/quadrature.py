@@ -1,8 +1,9 @@
 """Shared quadrature and extrapolation machinery.
 
-Complex-valued adaptive Gauss-Kronrod (G7/K15) integration over real
-parameter intervals and over contour segments, bounded by a panel
-budget, plus generic Richardson extrapolation for the regularization
+Complex-valued adaptive Gauss-Kronrod integration over real parameter
+intervals and over contour segments (G7/K15), and the one panel tree of
+a lambda-ladder arm (G10/K21), all bounded by a budget of integrand
+evaluations, plus generic Richardson extrapolation for the regularization
 ladders of the lambda routes.
 """
 import cmath
@@ -48,29 +49,32 @@ class QuadratureError(Exception):
 
 
 class PanelBudget:
-    """The GK15 panels that a group of integrals may evaluate between them;
-    :meth:`take` raises QuadratureError once they are spent.
+    """The integrand evaluations that a group of integrals may make between
+    them; :meth:`take` raises QuadratureError once they are spent.  A GK15
+    panel charges 15 and a K21 panel of the lambda ladder 21.
 
     Every route call charges one budget with all of its integrals.  The
-    default, 2,048 panels, is about four times the largest accepted call
-    measured: in the test suite, pv_contour 524 (a pole 1e-7 off the
-    path), a lambda ladder 202 (a crossing inside an arc), tilted_plemelj
-    48 and deformation_route 40; in the benchmark's pools (seeds 1-5), a
-    lambda ladder 91, deformation_route 35, a Plemelj functional 23 and
-    tilted_plemelj 18.
+    default, 30,720 evaluations (2,048 GK15 panels), is about four times
+    the largest accepted call measured: in the test suite, pv_contour
+    7,860 (a pole 1e-7 off the path), a lambda ladder 3,030 (a crossing
+    inside an arc), tilted_plemelj 720 and deformation_route 600; in the
+    benchmark's pools (seeds 1-5), a lambda ladder 1,275,
+    deformation_route 525, a Plemelj functional 345 and tilted_plemelj
+    270.
     An f that quadrature cannot integrate spends it in well under a
     second and raises instead of refining for tens of seconds.
     """
 
-    def __init__(self, panels: int = 2048):
-        self.panels = panels
-        self.left = panels
+    def __init__(self, evals: int = 30720):
+        self.evals = evals
+        self.left = evals
 
     def take(self, n: int):
         self.left -= n
         if self.left < 0:
             raise QuadratureError(
-                f"the budget of {self.panels} quadrature panels is spent")
+                f"the budget of {self.evals} integrand evaluations "
+                f"({self.evals // 15} GK15 panels) is spent")
 
 
 # (node, Kronrod weight, Gauss weight or 0.0) of the node pairs off the
@@ -115,20 +119,20 @@ def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
     features, e.g. the crossing neighbourhood of a kernel integrand).  The
     panel with the largest error estimate is bisected until the summed
     estimate is at most abs_tol + 1e-16 * magnitude, or until the largest
-    estimate is negligible next to that.  Every GK15 panel evaluated is
-    charged to ``budget`` (:class:`PanelBudget`, a fresh default one when
-    None), which raises QuadratureError when it runs out.  Returns
-    (value, error_estimate); raises QuadratureError if the sum is not
-    finite or if the estimate exceeds 100 * (abs_tol + 1e-14 * magnitude),
-    so a refinement that stopped short of abs_tol but within that returns
-    normally.
+    estimate is negligible next to that.  Every GK15 panel evaluated
+    charges its 15 evaluations to ``budget`` (:class:`PanelBudget`, a
+    fresh default one when None), which raises QuadratureError when it
+    runs out.  Returns (value, error_estimate); raises QuadratureError if
+    the sum is not finite or if the estimate exceeds
+    100 * (abs_tol + 1e-14 * magnitude), so a refinement that stopped
+    short of abs_tol but within that returns normally.
     """
     if a == b:
         return 0.0 + 0.0j, 0.0
     if budget is None:
         budget = PanelBudget()
     pts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
-    budget.take(len(pts) - 1)
+    budget.take(15 * (len(pts) - 1))
     heap = []
     total = 0.0 + 0.0j
     total_err = 0.0
@@ -151,7 +155,7 @@ def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             continue  # interval at roundoff width; give up on it
-        budget.take(2)
+        budget.take(30)
         v1, e1, m1 = gk15(g, lo, mid)
         v2, e2, m2 = gk15(g, mid, hi)
         total += v1 + v2 - val
@@ -171,16 +175,53 @@ def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
     return total, total_err
 
 
-# The G7/K15 nodes on [-1, 1], the seven Gauss nodes first; the Kronrod
-# weights in that order, written out twice (a folded arm lays the mirror
-# images of the fifteen nodes after them), and the Gauss weights over the
-# Kronrod weights
-_LADDER_NODES = (-_XGK[1], _XGK[1], -_XGK[3], _XGK[3], -_XGK[5], _XGK[5],
-                 _XGK[7], -_XGK[0], _XGK[0], -_XGK[2], _XGK[2], -_XGK[4],
-                 _XGK[4], -_XGK[6], _XGK[6])
-_LADDER_WK = tuple(_WGK[_XGK.index(abs(x))] for x in _LADDER_NODES) * 2
-_LADDER_WG_WK = tuple(wg / wk for wg, wk in zip(
-    (_WG[0], _WG[0], _WG[1], _WG[1], _WG[2], _WG[2], _WG[3]), _LADDER_WK))
+# QUADPACK G10/K21 nodes and weights (positive half; rule is symmetric),
+# for the panels of the lambda ladder
+_XGK21 = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+)
+_WGK21 = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208643851237,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+# 10-point Gauss weights, matching _XGK21 indices 1, 3, 5, 7, 9; the
+# centre is a Kronrod node only.
+_WG10 = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+# The G10/K21 nodes on [-1, 1], the ten Gauss nodes first, then the other
+# Kronrod nodes and the centre; the Kronrod weights in that order, written
+# out twice (a folded arm lays the mirror images of the 21 nodes after
+# them), and the Gauss weights over the Kronrod weights
+_LADDER_NODES = tuple(chain.from_iterable(
+    (-_XGK21[i], _XGK21[i]) for i in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))) + (_XGK21[10],)
+_LADDER_WK = tuple(_WGK21[_XGK21.index(abs(x))] for x in _LADDER_NODES) * 2
+_LADDER_WG_WK = tuple(_WG10[_XGK21.index(abs(x)) // 2] / wk
+                      for x, wk in zip(_LADDER_NODES[:10], _LADDER_WK))
 
 
 def integrate_ladder(kernel, lam, f, center, end, tols, weights,
@@ -189,12 +230,12 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
 
         V_m = integral over [0, 2^m] of sum_j k_j(u E) f(center + s_j u E 2^-m) E du,
 
-    m = 0 .. n - 1, E = ``end``, on one adaptive G7/K15 panel tree over
-    [0, 2^(n-1)].  ``kernel(z, lam)`` returns the tuple (k_1(z), ...) of
-    one or two values: (k(z),) integrates the arm Line(0, E) (s_1 = 1),
-    and the mirrored pair (k(z), k(-z)) the fold of that arm with its
-    mirror image, s_2 = -1, f taken at center - u E 2^-m, which is the
-    integral over Line(-E, E).
+    m = 0 .. n - 1, E = ``end``, on one adaptive G10/K21 panel tree over
+    [0, 2^(n-1)] (QUADPACK's qk21 rule).  ``kernel(z, lam)`` returns the
+    tuple (k_1(z), ...) of one or two values: (k(z),) integrates the arm
+    Line(0, E) (s_1 = 1), and the mirrored pair (k(z), k(-z)) the fold of
+    that arm with its mirror image, s_2 = -1, f taken at
+    center - u E 2^-m, which is the integral over Line(-E, E).
 
     The tree is split at 2^m and at ``breakpoints``.  Rung m sums the
     panels with hi <= 2^m.  A panel evaluates the kernel once per node u.
@@ -208,7 +249,14 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
     final panels (``math.fsum``); raises QuadratureError, as
     :func:`integrate_adaptive` does, for a rung whose sum is not finite or
     whose estimate exceeds 100 * (tols[m] + 1e-14 * magnitude), and when
-    the ``budget`` (:class:`PanelBudget`) is spent.
+    the ``budget`` (:class:`PanelBudget`), charged 21 evaluations per
+    panel, is spent.
+
+    K21 rather than K15: the tight last rungs bisect a K15 tree well past
+    its pre-splits on the pessimistic |K15 - G7| estimate, while K21 meets
+    them on the pre-split tree (on Line(-2.5, 2.5) with the half-line
+    kernel, 11 panels instead of 19), and every panel also pays the rung
+    sums over its f vector.
     """
     n = len(tols)
     top = 2.0 ** (n - 1)
@@ -247,7 +295,7 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
             mags.append(size * sum(map(abs, prods)))
         return vals, errs, mags
 
-    budget.take(len(pts) - 1)
+    budget.take(21 * (len(pts) - 1))
     spans = list(zip(pts[:-1], pts[1:]))
     vals, errs, mags = zip(*[panel(lo, hi) for lo, hi in spans])
     total = list(map(sum, zip(*vals)))
@@ -270,7 +318,7 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
         if mid <= lo or mid >= hi:
             kept.append(vals)
             continue  # interval at roundoff width; give up on it
-        budget.take(2)
+        budget.take(42)
         v1, e1, m1 = panel(lo, mid)
         v2, e2, m2 = panel(mid, hi)
         total = [t + a + b - v for t, a, b, v in zip(total, v1, v2, vals)]

@@ -5,9 +5,10 @@ import math
 import pytest
 
 from plemelj.contours import Arc, Line
-from plemelj.quadrature import (PanelBudget, QuadratureError, gk15,
-                                integrate_adaptive, integrate_segment,
-                                richardson)
+from plemelj.quadrature import (_LADDER_NODES, _LADDER_WG_WK, _LADDER_WK,
+                                PanelBudget, QuadratureError, gk15,
+                                integrate_adaptive, integrate_ladder,
+                                integrate_segment, richardson)
 
 
 def test_kronrod_polynomial_exactness():
@@ -16,6 +17,64 @@ def test_kronrod_polynomial_exactness():
         val, _err, _mag = gk15(lambda x, k=k: x ** k, -1.0, 1.0)
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         assert abs(val - exact) < 5e-15, k
+
+
+def test_ladder_rule_is_g10_k21():
+    # the lambda ladder's panels use QUADPACK's G10/K21: 21 Kronrod nodes,
+    # the ten Gauss nodes first, then the other Kronrod nodes and the
+    # centre; K21 integrates x^k exactly up to degree 31, G10 up to 19
+    kronrod = _LADDER_WK[:21]
+    gauss = [r * w for r, w in zip(_LADDER_WG_WK, kronrod)]
+    assert len(_LADDER_NODES) == 21 and len(gauss) == 10
+    assert _LADDER_WK[21:] == kronrod and _LADDER_NODES[20] == 0.0
+    assert abs(math.fsum(kronrod) - 2.0) <= 1e-15
+    assert abs(math.fsum(gauss) - 2.0) <= 1e-15
+
+    def rule(weights, k):
+        return math.fsum(w * x ** k for w, x in zip(weights, _LADDER_NODES))
+
+    for k in range(32):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(rule(kronrod, k) - exact) <= 1e-15, k
+        if k <= 19:
+            assert abs(rule(gauss, k) - exact) <= 1e-15, k
+    # and not beyond: the degrees are those of a 21- and a 10-point rule
+    assert abs(rule(kronrod, 32) - 2.0 / 33) > 1e-13
+    assert abs(rule(gauss, 20) - 2.0 / 21) > 1e-9
+
+
+@pytest.mark.parametrize("folded", [False, True], ids=["arm", "folded-arm"])
+def test_ladder_rungs_match_adaptive_within_their_estimates(folded):
+    # each rung integral of one panel tree against the same integral over
+    # [0, 2^m] by adaptive GK15, within the two returned estimates; the
+    # kernel is not even, so the fold's mirrored values differ
+    lam, end, center = 0.0625, 1.7 * cmath.exp(0.3j), 0.2 - 0.1j
+
+    def k(z):
+        return cmath.exp(-z * z / (4.0 * lam)) / (1.0 + 0.3j * z)
+
+    def f(z):
+        return (1.0 + z) * cmath.exp(-(z - 0.3) * (z - 0.3))
+
+    kernel = (lambda z, _lam: (k(z), k(-z))) if folded else (lambda z, _lam: (k(z),))
+    n = 7
+    tols = [1e-12] * n
+    values, errs = integrate_ladder(kernel, lam, f, center, end, tols, [1.0] * n,
+                                    (0.5, 0.25), PanelBudget())
+    assert all(e <= t for e, t in zip(errs, tols))
+    for m in range(n):
+        s = 2.0 ** -m
+
+        def g(u):
+            z = u * end
+            v = k(z) * f(center + s * z)
+            if folded:
+                v += k(-z) * f(center - s * z)
+            return v * end
+
+        ref, ref_err = integrate_adaptive(g, 0.0, 2.0 ** m, abs_tol=1e-14,
+                                          breakpoints=[2.0 ** i for i in range(-2, 6)])
+        assert abs(values[m] - ref) <= errs[m] + ref_err, m
 
 
 def test_adaptive_oscillatory():
@@ -45,7 +104,7 @@ def test_adaptive_raises_when_stalled():
     # |x|^{-1/2} endpoint singularity on a budget too small to resolve it
     with pytest.raises(QuadratureError):
         integrate_adaptive(lambda x: abs(x) ** -0.5, 0.0, 1.0,
-                           abs_tol=1e-14, budget=PanelBudget(8))
+                           abs_tol=1e-14, budget=PanelBudget(15 * 8))
 
 
 @pytest.mark.parametrize("bad", [math.nan, complex(math.inf, math.inf)])
