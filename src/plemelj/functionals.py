@@ -643,8 +643,9 @@ def _regularized_limit(kernel, pair, f, path: Contour, loc,
     side's leftover included, is integrated rung by rung
     (:func:`integrate_segment`), kernel(zeta, lambda) evaluated directly,
     and pre-split where it crosses a circle of radius 2^-k times the
-    shorter side of the path, k >= 1, down to 0.4 sqrt(lambda); a memo
-    keyed by zeta evaluates f once per distinct node of its rungs.
+    shorter side of the path, k >= 1, down to 0.4 sqrt(lambda), those
+    crossings found once per call; a memo keyed by zeta evaluates f once
+    per distinct node of its rungs.
 
     All of it charges the route call's ``budget``, so an f that quadrature
     cannot integrate raises QuadratureError after bounded work.
@@ -671,16 +672,19 @@ def _regularized_limit(kernel, pair, f, path: Contour, loc,
             v = f_memo[zeta] = f_of(center + zeta)
         return v
 
+    # each piece's crossings of the circles down to the last rung's floor,
+    # found once; rung m keeps those of radius > 0.4 sqrt(lambda_m)
+    radii = []
+    r = 0.5 * side
+    while r > 0.4 * math.sqrt(_LAMBDA_LADDER[-1]):
+        radii.append(r)
+        r *= 0.5
+    hits = [[(r, [u for u in seg.radius_hits(r) if 1e-9 < u < 1.0 - 1e-9])
+             for r in radii] for seg, _cut in rest]
     for m, (lam, tol) in enumerate(zip(_LAMBDA_LADDER, tols)):
         floor = 0.4 * math.sqrt(lam)
-        radii = []
-        r = 0.5 * side
-        while r > floor:
-            radii.append(r)
-            r *= 0.5
-        for seg, cut in rest:
-            splits = [u for r in radii for u in seg.radius_hits(r)
-                      if 1e-9 < u < 1.0 - 1e-9]
+        for (seg, cut), seg_hits in zip(rest, hits):
+            splits = [u for r, us in seg_hits if r > floor for u in us]
             v, e = integrate_segment(lambda zeta: kernel(zeta, lam) * f_at(zeta),
                                      seg, abs_tol=tol,
                                      breakpoints=splits + list(cut), budget=budget)

@@ -206,9 +206,9 @@ def direct_quadrature(z: complex, lam: float):
     integral.
 
     Panel length pi / (2 max(|Re z|, |Im z|, sqrt(lambda))) keeps the
-    oscillation and the envelope resolved (quarter periods hold the K15
-    rule at roundoff); integration continues past the envelope peak until
-    the analytic tail bound
+    oscillation and the envelope resolved (quarter periods hold the
+    G10/K21 rule at roundoff); integration continues past the envelope
+    peak until the analytic tail bound
 
         integral_X^inf exp(-lambda x^2 - Im(z) x) dx
             <= exp(-lambda X^2 - Im(z) X) / (2 lambda X + Im z)
@@ -225,7 +225,7 @@ def direct_quadrature(z: complex, lam: float):
             "integrand envelope peaks beyond the double range "
             f"(Im z = {z.imag:.3g}, lambda = {lam:.3g}); use j_closed_form")
     scale = max(abs(z.real), abs(z.imag), math.sqrt(lam))
-    h = 0.5 * math.pi / scale   # quarter-period panels keep K15 near roundoff
+    h = 0.5 * math.pi / scale   # quarter-period panels keep K21 near roundoff
     x_peak = max(0.0, growth / (2.0 * lam))
 
     def integrand(x):

@@ -1,10 +1,10 @@
 """Shared quadrature and extrapolation machinery.
 
 Complex-valued adaptive Gauss-Kronrod integration over real parameter
-intervals and over contour segments (G7/K15), and the one panel tree of
-a lambda-ladder arm (G10/K21), all bounded by a budget of integrand
-evaluations, plus generic Richardson extrapolation for the regularization
-ladders of the lambda routes.
+intervals and over contour segments, and the one panel tree of a
+lambda-ladder arm, all on one panel rule (QUADPACK's G10/K21) and bounded
+by a budget of integrand evaluations, plus generic Richardson
+extrapolation for the regularization ladders of the lambda routes.
 """
 import cmath
 import heapq
@@ -14,169 +14,8 @@ from operator import add, gt, mul
 
 from .contours import Line
 
-# QUADPACK G7/K15 nodes and weights (positive half; rule is symmetric).
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-# 7-point Gauss weights, matching _XGK indices 1, 3, 5, 7.
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-
-
-class QuadratureError(Exception):
-    """Adaptive refinement failed to reach the requested tolerance."""
-
-
-class PanelBudget:
-    """The integrand evaluations that a group of integrals may make between
-    them; :meth:`take` raises QuadratureError once they are spent.  A GK15
-    panel charges 15 and a K21 panel of the lambda ladder 21.
-
-    Every route call charges one budget with all of its integrals.  The
-    default, 30,720 evaluations (2,048 GK15 panels), is about four times
-    the largest accepted call measured: in the test suite, pv_contour
-    7,860 (a pole 1e-7 off the path), a lambda ladder 3,030 (a crossing
-    inside an arc), tilted_plemelj 720 and deformation_route 600; in the
-    benchmark's pools (seeds 1-5), a lambda ladder 1,275,
-    deformation_route 525, a Plemelj functional 345 and tilted_plemelj
-    270.
-    An f that quadrature cannot integrate spends it in well under a
-    second and raises instead of refining for tens of seconds.
-    """
-
-    def __init__(self, evals: int = 30720):
-        self.evals = evals
-        self.left = evals
-
-    def take(self, n: int):
-        self.left -= n
-        if self.left < 0:
-            raise QuadratureError(
-                f"the budget of {self.evals} integrand evaluations "
-                f"({self.evals // 15} GK15 panels) is spent")
-
-
-# (node, Kronrod weight, Gauss weight or 0.0) of the node pairs off the
-# centre, in the order gk15 sums them
-_GK15_PAIRS = tuple(zip(_XGK[:7], _WGK[:7],
-                        (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
-_WGK_CENTRE, _WG_CENTRE = _WGK[7], _WG[3]
-
-
-def gk15(g, a: float, b: float):
-    """One G7/K15 panel of ``g`` over [a, b].
-
-    Returns (kronrod_value, error_estimate, magnitude) where magnitude is
-    the K15 sum of |g| (used for noise floors and tail criteria).
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = g(mid)
-    kron = _WGK_CENTRE * fc
-    gauss = _WG_CENTRE * fc
-    mag = _WGK_CENTRE * abs(fc)
-    for x, wk, wg in _GK15_PAIRS:
-        dx = half * x
-        fl = g(mid - dx)
-        fr = g(mid + dx)
-        pair = fl + fr
-        kron += wk * pair
-        mag += wk * (abs(fl) + abs(fr))
-        if wg:
-            gauss += wg * pair
-    kron *= half
-    gauss *= half
-    mag *= abs(half)
-    return kron, abs(kron - gauss), mag
-
-
-def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
-                       breakpoints=(), budget=None):
-    """Adaptive G7/K15 integration of complex-valued ``g`` over [a, b].
-
-    ``breakpoints`` pre-splits the interval (pass locations of known sharp
-    features, e.g. the crossing neighbourhood of a kernel integrand).  The
-    panel with the largest error estimate is bisected until the summed
-    estimate is at most abs_tol + 1e-16 * magnitude, or until the largest
-    estimate is negligible next to that.  Every GK15 panel evaluated
-    charges its 15 evaluations to ``budget`` (:class:`PanelBudget`, a
-    fresh default one when None), which raises QuadratureError when it
-    runs out.  Returns (value, error_estimate); raises QuadratureError if
-    the sum is not finite or if the estimate exceeds
-    100 * (abs_tol + 1e-14 * magnitude), so a refinement that stopped
-    short of abs_tol but within that returns normally.
-    """
-    if a == b:
-        return 0.0 + 0.0j, 0.0
-    if budget is None:
-        budget = PanelBudget()
-    pts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
-    budget.take(15 * (len(pts) - 1))
-    heap = []
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    total_mag = 0.0
-    counter = 0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err, mag = gk15(g, lo, hi)
-        total += val
-        total_err += err
-        total_mag += mag
-        heapq.heappush(heap, (-err, counter, lo, hi, val))
-        counter += 1
-    # noise floor: no point refining below roundoff of the accumulated mass
-    while heap and total_err > abs_tol + 1e-16 * total_mag:
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        if -neg_err < 1e-3 * (abs_tol + 1e-16 * total_mag) / max(1, len(heap)):
-            heapq.heappush(heap, (neg_err, counter, lo, hi, val))
-            counter += 1
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            continue  # interval at roundoff width; give up on it
-        budget.take(30)
-        v1, e1, m1 = gk15(g, lo, mid)
-        v2, e2, m2 = gk15(g, mid, hi)
-        total += v1 + v2 - val
-        total_err += e1 + e2 - (-neg_err)
-        total_mag += m1 + m2
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2))
-        counter += 1
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        raise QuadratureError(
-            f"integrand is not finite on [{a!r}, {b!r}]: the sum is {total!r}")
-    if total_err > 100 * (abs_tol + 1e-14 * total_mag):
-        raise QuadratureError(
-            f"adaptive quadrature stalled: error estimate {total_err:.3e} "
-            f"exceeds tolerance {abs_tol:.3e}")
-    return total, total_err
-
-
-# QUADPACK G10/K21 nodes and weights (positive half; rule is symmetric),
-# for the panels of the lambda ladder
+# QUADPACK's G10/K21 nodes and weights (positive half; the rule is
+# symmetric), the one panel rule of every integral
 _XGK21 = (
     0.995657163025808080735527280689003,
     0.973906528517171720077964012084452,
@@ -213,15 +52,136 @@ _WG10 = (
     0.295524224714752870173892994651338,
 )
 
-# The G10/K21 nodes on [-1, 1], the ten Gauss nodes first, then the other
-# Kronrod nodes and the centre; the Kronrod weights in that order, written
-# out twice (a folded arm lays the mirror images of the 21 nodes after
-# them), and the Gauss weights over the Kronrod weights
-_LADDER_NODES = tuple(chain.from_iterable(
-    (-_XGK21[i], _XGK21[i]) for i in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8))) + (_XGK21[10],)
-_LADDER_WK = tuple(_WGK21[_XGK21.index(abs(x))] for x in _LADDER_NODES) * 2
-_LADDER_WG_WK = tuple(_WG10[_XGK21.index(abs(x)) // 2] / wk
-                      for x, wk in zip(_LADDER_NODES[:10], _LADDER_WK))
+# The 21 nodes on [-1, 1] as node pairs (-x, x), the five pairs of Gauss
+# nodes first, then the other Kronrod pairs, then the centre; the Kronrod
+# weight of each pair; the Kronrod weights of the nodes in that order,
+# written out twice (a folded ladder arm lays the mirror images of the 21
+# nodes after them); and the Gauss weights of the first ten nodes over
+# their Kronrod weights
+_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_NODES = tuple(chain.from_iterable(
+    (-_XGK21[i], _XGK21[i]) for i in _ORDER)) + (_XGK21[10],)
+_WK_PAIR = tuple(_WGK21[i] for i in _ORDER)
+_WK = (tuple(chain.from_iterable((w, w) for w in _WK_PAIR)) + (_WGK21[10],)) * 2
+_WG_WK = tuple(chain.from_iterable(
+    (g / w, g / w) for g, w in zip(_WG10, _WK_PAIR)))
+
+
+class QuadratureError(Exception):
+    """Adaptive refinement failed to reach the requested tolerance."""
+
+
+class PanelBudget:
+    """The integrand evaluations that a group of integrals may make between
+    them; :meth:`take` raises QuadratureError once they are spent.  Every
+    panel, on the one G10/K21 rule, charges 21.
+
+    Every route call charges one budget with all of its integrals.  The
+    default, 30,720 evaluations (1,462 panels), is about five times the
+    largest accepted call measured: in the test suite, pv_contour 5,544
+    (a pole 1e-7 off the path), overlap_delta 2,814 and a lambda ladder
+    2,646 (crossings on an arc), tilted_plemelj 546 and deformation_route
+    462; in the benchmark's pools (seeds 1-5), a lambda ladder 1,197,
+    overlap_delta 840, deformation_route 399, a Plemelj functional 231
+    and tilted_plemelj 168.
+    An f that quadrature cannot integrate spends it in well under a
+    second and raises instead of refining for tens of seconds.
+    """
+
+    def __init__(self, evals: int = 30720):
+        self.evals = evals
+        self.left = evals
+
+    def take(self, n: int):
+        self.left -= n
+        if self.left < 0:
+            raise QuadratureError(
+                f"the budget of {self.evals} integrand evaluations "
+                f"({self.evals // 21} G10/K21 panels) is spent")
+
+
+def gk15(g, a: float, b: float):
+    """One G10/K21 panel of ``g`` over [a, b], QUADPACK's qk21 (the name
+    is older than the rule).
+
+    Returns (kronrod_value, error_estimate, magnitude): the K21 value,
+    |K21 - G10|, and the K21 sum of |g| (used for noise floors and tail
+    criteria).
+    """
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fs = [g(mid + half * x) for x in _NODES]
+    # as in qk21, a node's value joins its mirror image's before the
+    # weights, so the odd parts cancel first
+    pairs = list(map(add, fs[0:20:2], fs[1:20:2]))
+    kron = sum(map(mul, _WK_PAIR, pairs), _WGK21[10] * fs[20])
+    gauss = sum(map(mul, _WG10, pairs))    # the five Gauss pairs
+    return (half * kron, abs(half * (kron - gauss)),
+            abs(half) * sum(map(mul, _WK, map(abs, fs))))
+
+
+def integrate_adaptive(g, a: float, b: float, abs_tol: float = 1e-12,
+                       breakpoints=(), budget=None):
+    """Adaptive G10/K21 integration of complex-valued ``g`` over [a, b].
+
+    ``breakpoints`` pre-splits the interval (pass locations of known sharp
+    features, e.g. the crossing neighbourhood of a kernel integrand).  The
+    panel with the largest error estimate is bisected until the summed
+    estimate is at most abs_tol + 1e-16 * magnitude, or until the largest
+    estimate is negligible next to that.  Every panel evaluated
+    (:func:`gk15`) charges its 21 evaluations to ``budget``
+    (:class:`PanelBudget`, a fresh default one when None), which raises
+    QuadratureError when it runs out.  Returns (value, error_estimate); raises QuadratureError if
+    the sum is not finite or if the estimate exceeds
+    100 * (abs_tol + 1e-14 * magnitude), so a refinement that stopped
+    short of abs_tol but within that returns normally.
+    """
+    if a == b:
+        return 0.0 + 0.0j, 0.0
+    if budget is None:
+        budget = PanelBudget()
+    pts = [a] + sorted(p for p in breakpoints if a < p < b) + [b]
+    budget.take(21 * (len(pts) - 1))
+    heap = []
+    total = 0.0 + 0.0j
+    total_err = 0.0
+    total_mag = 0.0
+    counter = 0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        val, err, mag = gk15(g, lo, hi)
+        total += val
+        total_err += err
+        total_mag += mag
+        heapq.heappush(heap, (-err, counter, lo, hi, val))
+        counter += 1
+    # noise floor: no point refining below roundoff of the accumulated mass
+    while heap and total_err > abs_tol + 1e-16 * total_mag:
+        neg_err, _, lo, hi, val = heapq.heappop(heap)
+        if -neg_err < 1e-3 * (abs_tol + 1e-16 * total_mag) / max(1, len(heap)):
+            heapq.heappush(heap, (neg_err, counter, lo, hi, val))
+            counter += 1
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            continue  # interval at roundoff width; give up on it
+        budget.take(42)
+        v1, e1, m1 = gk15(g, lo, mid)
+        v2, e2, m2 = gk15(g, mid, hi)
+        total += v1 + v2 - val
+        total_err += e1 + e2 - (-neg_err)
+        total_mag += m1 + m2
+        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
+        counter += 1
+        heapq.heappush(heap, (-e2, counter, mid, hi, v2))
+        counter += 1
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise QuadratureError(
+            f"integrand is not finite on [{a!r}, {b!r}]: the sum is {total!r}")
+    if total_err > 100 * (abs_tol + 1e-14 * total_mag):
+        raise QuadratureError(
+            f"adaptive quadrature stalled: error estimate {total_err:.3e} "
+            f"exceeds tolerance {abs_tol:.3e}")
+    return total, total_err
 
 
 def integrate_ladder(kernel, lam, f, center, end, tols, weights,
@@ -230,12 +190,13 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
 
         V_m = integral over [0, 2^m] of sum_j k_j(u E) f(center + s_j u E 2^-m) E du,
 
-    m = 0 .. n - 1, E = ``end``, on one adaptive G10/K21 panel tree over
-    [0, 2^(n-1)] (QUADPACK's qk21 rule).  ``kernel(z, lam)`` returns the
-    tuple (k_1(z), ...) of one or two values: (k(z),) integrates the arm
-    Line(0, E) (s_1 = 1), and the mirrored pair (k(z), k(-z)) the fold of
-    that arm with its mirror image, s_2 = -1, f taken at
-    center - u E 2^-m, which is the integral over Line(-E, E).
+    m = 0 .. n - 1, E = ``end``, on one adaptive panel tree over
+    [0, 2^(n-1)] with the G10/K21 rule of :func:`gk15`.
+    ``kernel(z, lam)`` returns the tuple (k_1(z), ...) of one or two
+    values: (k(z),) integrates the arm Line(0, E) (s_1 = 1), and the
+    mirrored pair (k(z), k(-z)) the fold of that arm with its mirror
+    image, s_2 = -1, f taken at center - u E 2^-m, which is the integral
+    over Line(-E, E).
 
     The tree is split at 2^m and at ``breakpoints``.  Rung m sums the
     panels with hi <= 2^m.  A panel evaluates the kernel once per node u.
@@ -251,12 +212,6 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
     whose estimate exceeds 100 * (tols[m] + 1e-14 * magnitude), and when
     the ``budget`` (:class:`PanelBudget`), charged 21 evaluations per
     panel, is spent.
-
-    K21 rather than K15: the tight last rungs bisect a K15 tree well past
-    its pre-splits on the pessimistic |K15 - G7| estimate, while K21 meets
-    them on the pre-split tree (on Line(-2.5, 2.5) with the half-line
-    kernel, 11 panels instead of 19), and every panel also pays the rung
-    sums over its f vector.
     """
     n = len(tols)
     top = 2.0 ** (n - 1)
@@ -270,9 +225,9 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
         """(values, estimates, magnitudes) of [lo, hi] per rung, 0 on the
         rungs it does not serve."""
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        zs = [(mid + half * x) * end for x in _LADDER_NODES]
+        zs = [(mid + half * x) * end for x in _NODES]
         ks = list(chain.from_iterable(zip(*map(kernel, zs, repeat(lam)))))
-        kw = list(map(mul, _LADDER_WK, ks))
+        kw = list(map(mul, _WK, ks))
         folded = len(ks) > len(zs)
         nodes = zs + [-z for z in zs] if folded else zs
         scale = half * end
@@ -291,7 +246,7 @@ def integrate_ladder(kernel, lam, f, center, end, tols, weights,
             terms = list(map(add, prods, prods[len(zs):])) if folded else prods
             kron = sum(terms)
             vals.append(scale * kron)
-            errs.append(size * abs(kron - sum(map(mul, _LADDER_WG_WK, terms))))
+            errs.append(size * abs(kron - sum(map(mul, _WG_WK, terms))))
             mags.append(size * sum(map(abs, prods)))
         return vals, errs, mags
 

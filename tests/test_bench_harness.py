@@ -7,8 +7,9 @@ speed probe can take fewer than the 5 samples the harness needs, and the
 run then ends without a result line.
 
 The benchmark's worker reads ``plemelj.BACKEND``, and its tracer wraps
-``gk15(g, a, b)`` and replaces the ``eval`` field of the catalog's
-TestFunctions, so this also guards those names.
+``quadrature.gk15(g, a, b)``, the one G10/K21 panel rule, to count panels
+and integrand evaluations, and replaces the ``eval`` field of the
+catalog's TestFunctions, so this also guards those names.
 
 The result line must be strict JSON, with no ``NaN`` or ``Infinity``,
 and carry every per-layer metric that ``BENCHMARK.json`` names, each

@@ -752,17 +752,17 @@ _PINNED_PATHS = {
 # change to the PV or the report to the same bytes
 _PINNED_REPORT_SHA256 = {
     ("I_plus", "straight"):
-        "8909f3526c04ab04a136aebfe174e89dcc6809b18162b3356d087740d789f613",
+        "ba6e17d367fd0debb18cc6c1f1fb9aae55cb1d41ccae495d0c3626384af0279b",
     ("I_plus", "bent"):
-        "b0f83929a51ed68c4987ce362ac1bca6306ff1b218f939ceb39cbe08baaeb4cf",
+        "1e8e7c2bd56a9a0a7b1504b4dec51ce8dfab1a6d399bc0cd319718914a3d9e41",
     ("I_plus", "arc"):
-        "a53c90233cf889057a73b35289c33c3cc92f5523f47a71994f30927b482f95e9",
+        "fb8636fb5d77654fff6dba66bc9cbafdc4d5086b3371ded4f9358d04337f5811",
     ("I_minus", "straight"):
-        "a9873d54ab641bba81773770167828effefaa6f933b47bcf627efda73101593a",
+        "8b172528a706d037ba5c6b52e6bc3e899a53f09bd2a8c3f20608072db0ed87b5",
     ("I_minus", "bent"):
-        "520018e3d0377e29708d709d6191052c1412d0e217235d10280ebad5f3aa9652",
+        "652b388a97b8fd295b2e8984280ad1ebae8414dd6b4bbb8c36487d770c06aa83",
     ("I_minus", "arc"):
-        "35d7f3321706ef6049a6ae756a9b59d6821a0952cce376818805518b57e4ed6d",
+        "1a100271b0f288047cb1587dd8611b854727f87d1a52d550a52a1eb4b230db16",
     ("delta", "straight"):
         "43b24dd24addca4b80f97d20ad7249cda3bde54c44789fcb5a5d00bef4dd746d",
     ("delta", "bent"):

@@ -691,9 +691,9 @@ def test_lambda_route_evaluates_f_once_per_point():
 
 def test_ladder_work_is_pinned(monkeypatch, budgets):
     # a rung tolerance or a pre-split that changes changes no output, only
-    # the work: (arm-tree panels, GK15 panels of the other pieces, kernel
-    # calls); a K21 arm-tree panel costs 21 kernel calls and a GK15 panel
-    # 15, a kernel pair on a folded arm counted as one
+    # the work: (arm-tree panels, panels of the other pieces, kernel
+    # calls); every panel is a G10/K21 one and costs 21 kernel calls, a
+    # kernel pair on a folded arm counted as one
     import plemelj.functionals as functionals
     import plemelj.quadrature as quadrature
     counts = [0, 0]
@@ -724,15 +724,43 @@ def test_ladder_work_is_pinned(monkeypatch, budgets):
         counts[:] = [0, 0]
         route()
         budget = budgets[-1]
-        tree_panels, rem = divmod(budget.evals - budget.left - 15 * counts[0], 21)
+        panels, rem = divmod(budget.evals - budget.left, 21)
         assert rem == 0, name
-        work[name] = (tree_panels, counts[0], counts[1])
-        assert counts[1] == 21 * tree_panels + 15 * counts[0], name
+        work[name] = (panels - counts[0], counts[0], counts[1])
+        assert counts[1] == 21 * panels, name
     assert work == {"plus straight": (11, 0, 231),
                     "full_line straight": (11, 0, 231),
-                    "plus bent": (15, 50, 1065),
-                    "full_line bent": (15, 28, 735),
-                    "overlap bent": (14, 53, 1089)}
+                    "plus bent": (15, 28, 903),
+                    "full_line bent": (15, 28, 903),
+                    "overlap bent": (14, 49, 1323)}
+
+
+def test_pv_work_is_pinned(monkeypatch, budgets):
+    # the integrand evaluations that pv_contour charges: every panel of the
+    # PV is a G10/K21 one, made through quadrature.gk15 (so a gk15 patched
+    # by name sees it), and charges 21
+    import plemelj.quadrature as quadrature
+    calls = [0]
+    gk15 = quadrature.gk15
+
+    def counting_gk15(g, a, b):
+        calls[0] += 1
+        return gk15(g, a, b)
+
+    monkeypatch.setattr(quadrature, "gk15", counting_gk15)
+    f = catalog_function("gauss(0.3)")
+    work = {}
+    for name, path in (
+            ("straight", segment_path(-2.5, 2.5)),
+            ("bent", segment_path(-2.5, -0.6 - 0.3j, 0.6 + 0.3j, 2.6)),
+            ("arc", Contour([Arc(-1.9, 0.7, math.pi, 0.0), Line(-1.2, 2.5)],
+                            crossing=1))):
+        calls[0] = 0
+        pv_contour(f, path)
+        budget = budgets[-1]
+        work[name] = budget.evals - budget.left
+        assert work[name] == 21 * calls[0], name
+    assert work == {"straight": 84, "bent": 84, "arc": 189}
 
 
 @pytest.mark.parametrize("name", ["default", "overlap"])
@@ -1045,7 +1073,7 @@ def _check_arm_tree(kind, folded):
                 v, _err = integrate_adaptive(
                     lambda t: kernel(t * e, lam) * f(center + t * e) * e,
                     0.0, 1.0, abs_tol=tol, breakpoints=splits,
-                    budget=PanelBudget(15 * 16384))
+                    budget=PanelBudget(21 * 16384))
                 ref += sign * v
             assert abs(values[m] - ref) <= errs[m] + len(halves) * tol, \
                 (f.label, end, m)
@@ -1097,7 +1125,7 @@ def test_panel_budget_bounds_a_lambda_route_along_huge_f(monkeypatch):
     f = catalog_function("gauss(-1.2)")
     path = segment_path(-8.18 - 4.82j, 0, 12.75 + 25.99j, 27.20 + 3.14j)
     _refused_or_close(lambda: lambda_route(f, path, "plus"), _plus_by_formula(f, path))
-    assert 0 < calls[0] <= functionals.PanelBudget().evals == 15 * 2048
+    assert 0 < calls[0] <= functionals.PanelBudget().evals == 30720
 
 
 def test_panel_budget_bounds_an_overlap_against_a_vanishing_f(monkeypatch):
@@ -1116,7 +1144,7 @@ def test_panel_budget_bounds_an_overlap_against_a_vanishing_f(monkeypatch):
     ref = 2 * math.pi * f(z2)
     assert abs(ref) < 1e-12
     _refused_or_close(lambda: overlap_delta(z2, f, path), ref)
-    assert 0 < calls[0] <= functionals.PanelBudget().evals == 15 * 2048
+    assert 0 < calls[0] <= functionals.PanelBudget().evals == 30720
 
 
 _FUZZ_F = "gauss(-1.2)"
@@ -1133,7 +1161,7 @@ _FUZZ_PATH = segment_path(-8.18 - 4.82j, 0, 12.75 + 25.99j, 27.20 + 3.14j)
         "plemelj_plus"])
 def test_every_route_bounds_its_work_along_huge_f(monkeypatch, route):
     # max |f| on the path is 5.8e208: each route refuses it after at most
-    # one budget of integrand evaluations, counted as 15 per GK15 panel
+    # one budget of integrand evaluations, counted as 21 per gk15 panel
     # and, on the ladder, as kernel calls (one per evaluation)
     import plemelj.functionals as functionals
     import plemelj.quadrature as quadrature
@@ -1152,8 +1180,8 @@ def test_every_route_bounds_its_work_along_huge_f(monkeypatch, route):
     monkeypatch.setattr(functionals, "j_kernel", counting_j)
     with pytest.raises(AdmissibilityError):
         route(catalog_function(_FUZZ_F), _FUZZ_PATH)
-    evals = max(15 * counts["gk15"], counts["kernel"])
-    assert evals <= quadrature.PanelBudget().evals == 15 * 2048
+    evals = max(21 * counts["gk15"], counts["kernel"])
+    assert evals <= quadrature.PanelBudget().evals == 30720
 
 
 _POLE_AT_ONE = TestFunction(lambda z: 1.0 / (z - 1.0))

@@ -5,33 +5,42 @@ import math
 import pytest
 
 from plemelj.contours import Arc, Line
-from plemelj.quadrature import (_LADDER_NODES, _LADDER_WG_WK, _LADDER_WK,
-                                PanelBudget, QuadratureError, gk15,
-                                integrate_adaptive, integrate_ladder,
-                                integrate_segment, richardson)
+from plemelj.quadrature import (_NODES, _WG_WK, _WK, PanelBudget,
+                                QuadratureError, gk15, integrate_adaptive,
+                                integrate_ladder, integrate_segment,
+                                richardson)
 
 
 def test_kronrod_polynomial_exactness():
-    # the 15-point Kronrod rule integrates monomials up to degree 22 exactly
-    for k in range(0, 23):
-        val, _err, _mag = gk15(lambda x, k=k: x ** k, -1.0, 1.0)
+    # the one panel rule is G10/K21: K21 integrates x^k exactly up to
+    # degree 31 and G10 up to 19, so their difference, the estimate, is
+    # at roundoff up to degree 19; and neither one degree beyond
+    for k in range(32):
+        val, err, mag = gk15(lambda x, k=k: x ** k, -1.0, 1.0)
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         assert abs(val - exact) < 5e-15, k
+        if k <= 19:
+            assert err < 5e-15, k
+    val, _err, _mag = gk15(lambda x: x ** 32, -1.0, 1.0)
+    assert abs(val - 2.0 / 33) > 1e-13
+    _val, err, _mag = gk15(lambda x: x ** 20, -1.0, 1.0)
+    assert err > 1e-9
 
 
 def test_ladder_rule_is_g10_k21():
-    # the lambda ladder's panels use QUADPACK's G10/K21: 21 Kronrod nodes,
-    # the ten Gauss nodes first, then the other Kronrod nodes and the
-    # centre; K21 integrates x^k exactly up to degree 31, G10 up to 19
-    kronrod = _LADDER_WK[:21]
-    gauss = [r * w for r, w in zip(_LADDER_WG_WK, kronrod)]
-    assert len(_LADDER_NODES) == 21 and len(gauss) == 10
-    assert _LADDER_WK[21:] == kronrod and _LADDER_NODES[20] == 0.0
+    # the panel tables of gk15 and the lambda ladder: QUADPACK's G10/K21,
+    # 21 Kronrod nodes, the ten Gauss nodes first, then the other Kronrod
+    # nodes and the centre; K21 integrates x^k exactly up to degree 31,
+    # G10 up to 19
+    kronrod = _WK[:21]
+    gauss = [r * w for r, w in zip(_WG_WK, kronrod)]
+    assert len(_NODES) == 21 and len(gauss) == 10
+    assert _WK[21:] == kronrod and _NODES[20] == 0.0
     assert abs(math.fsum(kronrod) - 2.0) <= 1e-15
     assert abs(math.fsum(gauss) - 2.0) <= 1e-15
 
     def rule(weights, k):
-        return math.fsum(w * x ** k for w, x in zip(weights, _LADDER_NODES))
+        return math.fsum(w * x ** k for w, x in zip(weights, _NODES))
 
     for k in range(32):
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
@@ -46,8 +55,8 @@ def test_ladder_rule_is_g10_k21():
 @pytest.mark.parametrize("folded", [False, True], ids=["arm", "folded-arm"])
 def test_ladder_rungs_match_adaptive_within_their_estimates(folded):
     # each rung integral of one panel tree against the same integral over
-    # [0, 2^m] by adaptive GK15, within the two returned estimates; the
-    # kernel is not even, so the fold's mirrored values differ
+    # [0, 2^m] by integrate_adaptive, within the two returned estimates;
+    # the kernel is not even, so the fold's mirrored values differ
     lam, end, center = 0.0625, 1.7 * cmath.exp(0.3j), 0.2 - 0.1j
 
     def k(z):
@@ -104,7 +113,45 @@ def test_adaptive_raises_when_stalled():
     # |x|^{-1/2} endpoint singularity on a budget too small to resolve it
     with pytest.raises(QuadratureError):
         integrate_adaptive(lambda x: abs(x) ** -0.5, 0.0, 1.0,
-                           abs_tol=1e-14, budget=PanelBudget(15 * 8))
+                           abs_tol=1e-14, budget=PanelBudget(21 * 8))
+
+
+def test_a_gk15_patched_by_name_sees_every_panel(monkeypatch):
+    # the benchmark's tracer counts panels and integrand evaluations by
+    # wrapping quadrature.gk15 by name: every panel of integrate_adaptive
+    # and integrate_segment goes through that name, and each evaluates the
+    # integrand the 21 times it charges
+    import plemelj.quadrature as quadrature
+    calls, evals = [0], [0]
+    gk15 = quadrature.gk15
+
+    def counting_gk15(g, a, b):
+        calls[0] += 1
+
+        def counted(x):
+            evals[0] += 1
+            return g(x)
+        return gk15(counted, a, b)
+
+    def g(z):
+        return cmath.exp(-(z - 0.3j) * (z - 0.3j)) / (1.2 + z)
+
+    monkeypatch.setattr(quadrature, "gk15", counting_gk15)
+    for name, run in (
+            ("adaptive", lambda budget: integrate_adaptive(
+                lambda x: math.sin(40.0 * x), 0.0, math.pi, abs_tol=1e-13,
+                breakpoints=(0.5,), budget=budget)),
+            ("line", lambda budget: integrate_segment(
+                g, Line(-0.7 + 0.2j, 1.3 - 0.4j), abs_tol=1e-13,
+                breakpoints=(0.25,), budget=budget)),
+            ("arc", lambda budget: integrate_segment(
+                g, Arc(0.2 - 0.1j, 0.9, -2.0, 1.1), abs_tol=1e-13,
+                budget=budget))):
+        budget = PanelBudget()
+        calls[0] = evals[0] = 0
+        run(budget)
+        assert calls[0] >= 2, name
+        assert budget.evals - budget.left == 21 * calls[0] == evals[0], name
 
 
 @pytest.mark.parametrize("bad", [math.nan, complex(math.inf, math.inf)])
