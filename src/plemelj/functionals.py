@@ -598,11 +598,13 @@ def _arm_rungs(kernel, f_of, center: complex, end: complex, tols, budget):
     (on a folded arm plus kernel(-u E, lam0) f(center - u E 2^-m) E), and
     every rung sees the same kernel.  Besides the rung ends 2^m, the
     tree is pre-split at the powers of two 2^i < 1 with 2^i |E| >
-    0.4 sqrt(lam0), so it holds every rung's pre-splits in t, at 2^-k with
-    2^-k |E| > 0.4 sqrt(lambda_m).
+    2 sqrt(lam0), one width of the kernel's Gaussian core, so it holds
+    every rung's pre-splits in t, at 2^-k with 2^-k |E| > 2 sqrt(lambda_m).
+    The smallest pre-split panel spans the core once; a G10/K21 panel
+    resolves it from there.
     """
     lam0 = _LAMBDA_LADDER[0]
-    floor = 0.4 * math.sqrt(lam0)
+    floor = 2.0 * math.sqrt(lam0)
     splits, u = [], 0.5      # integrate_ladder splits at every 2^m, m >= 0
     while u * abs(end) > floor:
         splits.append(u)
@@ -644,8 +646,11 @@ def _regularized_limit(kernel, pair, f, path: Contour, loc,
     (:func:`integrate_segment`), kernel(zeta, lambda) evaluated directly,
     and pre-split where it crosses a circle of radius 2^-k times the
     shorter side of the path, k >= 1, down to 0.4 sqrt(lambda), those
-    crossings found once per call; a memo keyed by zeta evaluates f once
-    per distinct node of its rungs.
+    crossings found once per call.  A Line that stays outside the last
+    rung's circle keeps every other one, k odd: the G10/K21 panels between
+    them meet the tolerance.  Arcs, and a Line that reaches the centre,
+    where the kernel's peak lies on the piece, keep them all.  A memo
+    keyed by zeta evaluates f once per distinct node of its rungs.
 
     All of it charges the route call's ``budget``, so an f that quadrature
     cannot integrate raises QuadratureError after bounded work.
@@ -674,13 +679,16 @@ def _regularized_limit(kernel, pair, f, path: Contour, loc,
 
     # each piece's crossings of the circles down to the last rung's floor,
     # found once; rung m keeps those of radius > 0.4 sqrt(lambda_m)
+    last_floor = 0.4 * math.sqrt(_LAMBDA_LADDER[-1])
     radii = []
     r = 0.5 * side
-    while r > 0.4 * math.sqrt(_LAMBDA_LADDER[-1]):
+    while r > last_floor:
         radii.append(r)
         r *= 0.5
     hits = [[(r, [u for u in seg.radius_hits(r) if 1e-9 < u < 1.0 - 1e-9])
-             for r in radii] for seg, _cut in rest]
+             for r in (radii[::2] if isinstance(seg, Line)
+                       and seg.min_distance(0.0)[0] > last_floor else radii)]
+            for seg, _cut in rest]
     for m, (lam, tol) in enumerate(zip(_LAMBDA_LADDER, tols)):
         floor = 0.4 * math.sqrt(lam)
         for (seg, cut), seg_hits in zip(rest, hits):

@@ -81,9 +81,9 @@ class PanelBudget:
     largest accepted call measured: in the test suite, pv_contour 5,544
     (a pole 1e-7 off the path), overlap_delta 2,814 and a lambda ladder
     2,646 (crossings on an arc), tilted_plemelj 546 and deformation_route
-    462; in the benchmark's pools (seeds 1-5), a lambda ladder 1,197,
-    overlap_delta 840, deformation_route 399, a Plemelj functional 231
-    and tilted_plemelj 168.
+    462; in the benchmark's pools (seeds 1-5), a lambda ladder 861,
+    overlap_delta 819, deformation_route 399, a Plemelj functional 231
+    and tilted_plemelj 126.
     An f that quadrature cannot integrate spends it in well under a
     second and raises instead of refining for tens of seconds.
     """

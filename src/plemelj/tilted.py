@@ -144,7 +144,6 @@ def _pv_real_line(g, q_min: float, q_max: float, budget):
         return (g(q) - g(-q)) / q
 
     core, core_err = integrate_adaptive(folded, 0.0, m, abs_tol=1e-13,
-                                        breakpoints=(m * 1e-6, m * 1e-3),
                                         budget=budget)
     rest = 0.0 + 0.0j
     for lo, hi in ((m, q_max), (q_min, -m)):   # the longer side's excess

@@ -6,6 +6,7 @@ import os
 import random
 import re
 import warnings
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -611,23 +612,27 @@ _ARC_ANGLE = 0.8
 _ARC_START = 1j + cmath.exp(1j * (-0.5 * math.pi - _ARC_ANGLE))
 
 
-@pytest.mark.parametrize("path", [
+@pytest.mark.parametrize("path, evals", [
     # the unit circle about i passes through 0 at its lowest point
-    Contour([Line(-2.5, _ARC_START),
-             Arc(1j, 1.0, -0.5 * math.pi - _ARC_ANGLE, -0.5 * math.pi + _ARC_ANGLE),
-             Line(1j + cmath.exp(1j * (-0.5 * math.pi + _ARC_ANGLE)), 2.5)],
-            crossing=1),
-    Contour([Line(-2.5, _ARC_START),
-             Arc(1j, 1.0, -0.5 * math.pi - _ARC_ANGLE, -0.5 * math.pi),
-             Line(0.0, 2.5)], crossing=2),
+    (Contour([Line(-2.5, _ARC_START),
+              Arc(1j, 1.0, -0.5 * math.pi - _ARC_ANGLE, -0.5 * math.pi + _ARC_ANGLE),
+              Line(1j + cmath.exp(1j * (-0.5 * math.pi + _ARC_ANGLE)), 2.5)],
+             crossing=1), 2646),
+    (Contour([Line(-2.5, _ARC_START),
+              Arc(1j, 1.0, -0.5 * math.pi - _ARC_ANGLE, -0.5 * math.pi),
+              Line(0.0, 2.5)], crossing=2), 2499),
 ], ids=["inside-the-arc", "arc-then-line"])
-def test_lambda_route_crossing_on_an_arc(path):
+def test_lambda_route_crossing_on_an_arc(path, evals, budgets):
     # an arc next to the crossing: no arm is cut there, the arc is
-    # integrated whole
+    # integrated whole, pre-split at the circles of ratio 2 about the
+    # centre, as is the Line that starts there; every call charges the
+    # same evaluations
     for name in ("gauss(0.1-0.05j)", "poly_gauss(2,0.2+0.1j)", "cos_gauss"):
         f = catalog_function(name)
         ref = plemelj_plus(f, path).value
         assert _rel_err(lambda_route(f, path), ref) <= 1e-10, name
+        budget = budgets[-1]
+        assert budget.evals - budget.left == evals, name
 
 
 @pytest.fixture
@@ -667,7 +672,7 @@ def test_lambda_route_shares_kernel_values_across_the_ladder(monkeypatch, budget
     lambda_route(catalog_function("gauss(0.3)"), segment_path(-2.5, 2.5))
     (budget,) = budgets
     spent = budget.evals - budget.left   # no leftover: the sides match
-    assert len(args) == spent == 21 * 11
+    assert len(args) == spent == 21 * 9
     assert singles == []
     nodes = [z for z, _lam in args] + [-z for z, _lam in args]
     assert len(set(nodes)) == len(nodes)
@@ -728,11 +733,11 @@ def test_ladder_work_is_pinned(monkeypatch, budgets):
         assert rem == 0, name
         work[name] = (panels - counts[0], counts[0], counts[1])
         assert counts[1] == 21 * panels, name
-    assert work == {"plus straight": (11, 0, 231),
-                    "full_line straight": (11, 0, 231),
-                    "plus bent": (15, 28, 903),
-                    "full_line bent": (15, 28, 903),
-                    "overlap bent": (14, 49, 1323)}
+    assert work == {"plus straight": (9, 0, 189),
+                    "full_line straight": (9, 0, 189),
+                    "plus bent": (13, 28, 861),
+                    "full_line bent": (13, 28, 861),
+                    "overlap bent": (13, 43, 1176)}
 
 
 def test_pv_work_is_pinned(monkeypatch, budgets):
@@ -1009,6 +1014,45 @@ def test_error_estimate_covers_the_benchmark_closed_forms(limits, seed):
         assert abs(value - ref) <= estimate, (req, value - ref, estimate)
         checked += 1
     assert checked == 16
+
+
+def test_ladder_work_on_the_benchmark_crosscheck_is_pinned(monkeypatch):
+    # the seed-1 crosscheck pool's lambda ladders, run as the benchmark runs
+    # them: a pre-split that grows back, or a rung tolerance that tightens,
+    # changes the evaluations charged here (17,094 and 3,906 with the
+    # pre-splits sized for G7/K15); every route stays within 1e-15
+    # of the formula route or of 2 pi f(z2), relative to max(|ref|, 1)
+    from plemelj.cli import run_functional
+    import plemelj.functionals as functionals
+    spent = dict.fromkeys(("lambda_route", "overlap_delta"), 0)
+    admissible = functionals._admissible_f
+
+    @contextmanager
+    def recording(op):
+        with admissible(op) as budget:
+            yield budget
+        if op in spent:
+            spent[op] += budget.evals - budget.left
+
+    monkeypatch.setattr(functionals, "_admissible_f", recording)
+    worst = 0.0
+    for req in _crosscheck_pool(1):
+        args = req["args"]
+        if req["op"] == "functional":
+            check = run_functional(args["kernel"], args["function"],
+                                   Contour.from_json(args["contour"]),
+                                   cross_check=True)["cross_check"]
+            value, ref = (complex(check[key]["re"], check[key]["im"])
+                          for key in ("lambda_route", "formula_route"))
+        elif req["op"] == "overlap":
+            f, z2 = catalog_function(args["function"]), complex(*args["z2"])
+            value = overlap_delta(z2, f, Contour.from_json(args["contour"]))
+            ref = 2 * math.pi * f(z2)
+        else:
+            continue
+        worst = max(worst, abs(value - ref) / max(abs(ref), 1.0))
+    assert worst <= 1e-15
+    assert spent == {"lambda_route": 14322, "overlap_delta": 3549}
 
 
 def _seeded_arms(rng, kind):
